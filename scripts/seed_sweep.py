@@ -1,0 +1,74 @@
+#!/usr/bin/env python3
+"""Run experiments over seeds 0..N and print each verdict with its measured values.
+
+One line per (experiment, seed): the verdict and every scalar in the result's
+``measured`` record, which includes the value each gate compares against its
+bound.  A closing line per experiment gives the pass rate.  Defaults to the
+four molecule experiments at their full default sizes; ``--set key=value``
+overrides any flat settings key, as in ``hardyheat run``.  ``--json PATH``
+also writes the records, so two checkouts can be compared value by value.
+
+    python3 scripts/seed_sweep.py --seeds 9
+    python3 scripts/seed_sweep.py --seeds 3 --set n_atoms=5 atom_images
+"""
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from hardyheat.config import ConfigError, load_config
+from hardyheat.verify import run_experiment
+
+MOLECULES = ("atom_images", "tstar_images", "boundary_dirichlet", "boundary_neumann")
+
+
+def scalars(measured: dict) -> dict:
+    return {k: v for k, v in sorted(measured.items())
+            if isinstance(v, (int, float)) and not isinstance(v, bool)}
+
+
+def run(args: argparse.Namespace) -> int:
+    if any("=" not in kv for kv in args.set):
+        raise ConfigError("--set takes KEY=VALUE")
+    overrides = dict(kv.split("=", 1) for kv in args.set)
+    records = []
+    for name in args.experiments or MOLECULES:
+        passes = 0
+        for seed in range(args.seeds + 1):
+            config = load_config(None, {**overrides, "seed": str(seed)})
+            try:
+                res = run_experiment(name, config.settings)
+            except Exception as exc:  # a runtime failure fails this seed only
+                print(f"{name} seed={seed} ERROR {exc!r}", flush=True)
+                records.append({"experiment": name, "seed": seed,
+                                "passed": False, "error": repr(exc)})
+                continue
+            passes += bool(res.passed)
+            values = scalars(res.to_json_dict()["measured"])
+            records.append({"experiment": name, "seed": seed,
+                            "passed": bool(res.passed), "measured": values})
+            bits = " ".join(f"{k}={v:.10g}" for k, v in values.items())
+            print(f"{name} seed={seed} {'pass' if res.passed else 'FAIL'} {bits}",
+                  flush=True)
+        print(f"{name}: {passes}/{args.seeds + 1} seeds pass", flush=True)
+    if args.json:
+        Path(args.json).write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("experiments", nargs="*", help="registry names (default: molecules)")
+    ap.add_argument("--seeds", type=int, default=9, help="sweep seeds 0..N (default 9)")
+    ap.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                    help="override a settings key; repeatable")
+    ap.add_argument("--json", metavar="PATH", help="also write the records as JSON")
+    args = ap.parse_args()
+    try:
+        sys.exit(run(args))
+    except ConfigError as exc:
+        sys.exit(f"seed_sweep: {exc}")

@@ -12,28 +12,43 @@ telescopes exactly:
     completed slab (t >= b):   e^{(t-a)Δ} g - e^{(t-b)Δ} g
     active slab    (a < t < b): e^{(t-a)Δ} g - g
 
-and similarly for T* over future slabs, with the active-slab contribution
-e^{(b-t)Δ} g - g (the sign is pinned by the adjointness identity
-<Tf, w> = <f, T*w>, which the test suite checks to rounding).  There is no
-time-quadrature error anywhere in apply_T / apply_Tstar; the only
-discretisation left is spatial.
+There is no time-quadrature error anywhere; the only discretisation left is
+spatial.  T* is the time reversal of T: apply_Tstar = R apply_T R with R
+reversing the slabs, so the adjointness identity <Tf, w> = <f, T*w> holds to
+rounding (the test suite checks it).
 
-Spatially, a slab profile is piecewise constant on cells, so one semigroup
-application is a matrix with entries
+On the grid (apply_T), a slab profile is piecewise constant on cells, so one
+semigroup application is a matrix with entries
 
     A(u)[i, j] = ∫_{cell_j} p_u(x_i - y) dy
                = 1/2 [erf((x_i - lo_j)/sqrt(4u)) - erf((x_i - hi_j)/sqrt(4u))]
 
 evaluated in erfc form when both arguments are large (the difference of two
-erf values near ±1 cancels catastrophically exactly in the far field where
-molecule decay is measured).  Entries beyond the radius
-R(u) = sqrt(4u * ln(1/eps_tail)) + h are set to zero: the neglected Gaussian
-tail mass is below eps_tail.  All entries lie in [0, 1] and rows sum to at
-most 1 (+ rounding), which is the discrete maximum principle.
+erf values near ±1 cancels catastrophically in the far field).  Entries
+beyond the radius R(u) = sqrt(4u * ln(1/eps_tail)) + h are set to zero: the
+neglected Gaussian tail mass is below eps_tail.  All entries lie in [0, 1]
+and rows sum to at most 1 (+ rounding), the discrete maximum principle.
+
+At arbitrary points (image_rows, image_window, and the one-row wrappers
+apply_T_at / apply_Tstar_at) both telescopings are summed by parts into one
+corner sum.  With D the mixed time/space jumps of g at the grid corners
+(t_m, e_j) and ψ(u, z) = -1/2 sgn(z) erfc(|z| / 2√u), the response of the
+unit step H(x - e) minus the step itself,
+
+    Tf(t, x)  =  Σ_{t_m < t} Σ_j D_mj ψ(t - t_m, x - e_j),
+    T*f(t, x) = -Σ_{t_m > t} Σ_j D_mj ψ(t_m - t, x - e_j).
+
+Each term costs one erfc, and no tail is cut: far from the support every
+term is small in relative precision, so molecule decay is measured down to
+the underflow of erfc instead of to a truncation radius.  On a cell edge
+ψ(u, 0) = 0 and the sum reads the midpoint of the jump (H(0) = 1/2).
+Window integrals over x use the closed form Ψ(u, z) = ∫_0^z ψ(u, ·)
+(Carslaw & Jaeger, App. II; Abramowitz & Stegun §7.2).
 
 Half-line kernels (n = 1) come from the method of images,
 K_u(x, y) = p_u(x-y) ∓ p_u(x+y) for Dirichlet/Neumann; inputs and outputs
-are masked to x > 0.
+are masked to x > 0.  In the corner sum every corner at e_j gains an image
+corner at -e_j.
 
 `duhamel_reference` is an independent brute-force quadrature of the defining
 integral (midpoint-in-space ∂_u kernel matrices under Gauss-Legendre panels
@@ -366,16 +381,14 @@ def _operator_input(f: GridFunction, spec: KernelSpec) -> np.ndarray:
     return np.asarray(g, dtype=float)
 
 
-def apply_T(f: GridFunction, spec: KernelSpec = WHOLE, eps_tail: float = EPS_TAIL) -> GridFunction:
-    """Tf at slab midpoints by exact-in-time telescoping.
+def _telescoped(grid: SpaceTimeGrid, g: np.ndarray, spec: KernelSpec, eps_tail: float):
+    """Tf at slab midpoints by exact-in-time telescoping, from the input values g.
 
     With A_m the cell-mass matrix at u = (m + 1/2) tau and
     delta_k = g_k - g_{k-1} (delta_0 = g_0), the completed/active slab sums
     rearrange to Tf_i = sum_m A_m delta_{i-m} - g_i, which is what is
     evaluated; each A_m is built once and consumed in a single pass.
     """
-    grid = f.grid
-    g = _operator_input(f, spec)
     delta = g.copy()
     delta[1:] -= g[:-1]
     out = np.zeros_like(g)
@@ -384,92 +397,136 @@ def apply_T(f: GridFunction, spec: KernelSpec = WHOLE, eps_tail: float = EPS_TAI
         mats = _matrices(grid, u, spec, eps_tail=eps_tail)
         out[m:] += _apply_axes(delta[: grid.nt - m], mats)
     out -= g
-    return GridFunction(grid, out)
+    return out
+
+
+def apply_T(f: GridFunction, spec: KernelSpec = WHOLE, eps_tail: float = EPS_TAIL) -> GridFunction:
+    """Tf at slab midpoints by exact-in-time telescoping (see _telescoped)."""
+    return GridFunction(f.grid, _telescoped(f.grid, _operator_input(f, spec), spec, eps_tail))
 
 
 def apply_Tstar(
     f: GridFunction, spec: KernelSpec = WHOLE, eps_tail: float = EPS_TAIL
 ) -> GridFunction:
-    """T*f at slab midpoints; anticausal mirror of apply_T.
+    """T*f at slab midpoints: the time reversal R T R, where R reverses the slabs.
 
-    Uses T*f_i = sum_m A_m eps_{i+m} - g_i with eps_k = g_k - g_{k+1}
-    (eps at the last slab is g itself).  Adjointness <Tf, w> = <f, T*w>
-    holds to rounding because both sides reduce to the same symmetric A_m.
+    Reversing the slabs turns the anticausal integral over (t, ∞) into the
+    causal one, so adjointness <Tf, w> = <f, T*w> holds to rounding: both
+    sides reduce to the same symmetric matrices A_m.
     """
-    grid = f.grid
-    g = _operator_input(f, spec)
-    eps = g.copy()
-    eps[:-1] -= g[1:]
-    out = np.zeros_like(g)
-    for m in range(grid.nt):
-        u = (m + 0.5) * grid.tau
-        mats = _matrices(grid, u, spec, eps_tail=eps_tail)
-        out[: grid.nt - m] += _apply_axes(eps[m:], mats)
-    out -= g
-    return GridFunction(grid, out)
+    g = _operator_input(f, spec)[::-1]
+    return GridFunction(f.grid, _telescoped(f.grid, g, spec, eps_tail)[::-1])
 
 
-def apply_T_at(
-    f: GridFunction,
-    t: float,
-    x_out,
-    spec: KernelSpec = WHOLE,
-    eps_tail: float = EPS_TAIL,
-) -> np.ndarray:
-    """Tf(t, ·) on an arbitrary output lattice (x_out per-axis arrays).
+# -- corner sums: T and T* at arbitrary points ---------------------------------
 
-    Slab-by-slab: completed slabs contribute S(t-a)g - S(t-b)g, the active
-    slab S(t-a)g - g, with S(0) the piecewise-constant lookup.  Output points
-    outside the grid box read the implicit zero extension of f.
+_CHUNK = 1 << 16  # elements per temporary array in a corner sum
+
+
+def _psi(u, z):
+    """ψ(u, z) = -1/2 sgn(z) erfc(|z| / 2√u): e^{uΔ}H - H for the unit step H."""
+    return -0.5 * np.sign(z) * erfc(np.abs(z) / (2.0 * np.sqrt(u)))
+
+
+def _psi_window(u, z):
+    """Ψ(u, z) = ∫_0^z ψ(u, ·) = -1/2 [|z| erfc(|z|/s) + s (1 - e^{-z²/s²}) / √π]."""
+    s, a = 2.0 * np.sqrt(u), np.abs(z)
+    return -0.5 * (a * erfc(a / s) - s * np.expm1(-(a / s) ** 2) / math.sqrt(math.pi))
+
+
+def _corner_sum(f: GridFunction, ts, spec: KernelSpec, op: str, term, out, per_edge: int):
+    """Add term(i, u, edges, ±D_m) to out[i] for every corner time t_m of f.
+
+    D_m holds the mixed time/space jumps of g at the corners (t_m, edges).
+    u = t - t_m for T; T* takes u = t_m - t and weight -1.  Only u > 0
+    contributes.  Half lines add an image corner at -e for each corner at e,
+    weighted -image_sign.  Times go in batches whose temporaries hold about
+    _CHUNK elements (per_edge elements per edge and time).
     """
-    grid = f.grid
-    g = _operator_input(f, spec)
-    shape = (
-        (len(np.atleast_1d(x_out)),)
-        if grid.n == 1
-        else tuple(len(np.atleast_1d(ax)) for ax in x_out)
-    )
-    out = np.zeros(shape)
-    edges = grid.t_edges
-    for k in range(grid.nt):
-        a, b = edges[k], edges[k + 1]
-        if t <= a:
-            break
-        u1 = t - a
-        u2 = t - b if t >= b else 0.0
-        m1 = _matrices(grid, u1, spec, x_out=x_out, eps_tail=eps_tail)
-        m2 = _matrices(grid, u2, spec, x_out=x_out, eps_tail=eps_tail)
-        out += _apply_axes(g[k][None], m1)[0] - _apply_axes(g[k][None], m2)[0]
+    if op not in ("T", "Tstar"):
+        raise ValueError("op must be 'T' or 'Tstar'")
+    sign = 1.0 if op == "T" else -1.0
+    D = np.pad(_operator_input(f, spec), 1)
+    for axis in range(D.ndim):
+        D = np.diff(D, axis=axis)
+    edges = f.grid.x_edges
+    if not spec.is_whole:
+        edges = np.concatenate([edges, -edges])
+        D = np.concatenate([D, -spec.image_sign * D], axis=1)
+    if f.grid.n == 1:  # edges without jumps add nothing
+        keep = D.any(axis=0)
+        edges, D = edges[keep], D[:, keep]
+    step = max(1, _CHUNK // max(1, per_edge * len(edges)))
+    for m, tm in enumerate(f.grid.t_edges):
+        live = np.flatnonzero(sign * (ts - tm) > 0.0) if D[m].any() else []
+        for c in range(0, len(live), step):
+            i = live[c : c + step]
+            out[i] += term(i, sign * (ts[i] - tm), edges, sign * D[m])
     return out
 
 
-def apply_Tstar_at(
-    f: GridFunction,
-    t: float,
-    x_out,
-    spec: KernelSpec = WHOLE,
-    eps_tail: float = EPS_TAIL,
-) -> np.ndarray:
+def image_rows(f: GridFunction, ts, x_out, spec: KernelSpec = WHOLE, op: str = "T"):
+    """Tf (op="T") or T*f (op="Tstar") at every time in ts on the lattice x_out.
+
+    Shape (len(ts), len(x_out)), or (len(ts), nx_out, ny_out) for n = 2 with
+    x_out the two per-axis arrays.  For n = 1 this is the corner sum of the
+    module docstring.  For n = 2 the time corners act through per-axis
+    tables: (H + ψ_x) D_m (H + ψ_y)ᵀ - H D_m Hᵀ, expanded so nothing cancels.
+    Half lines read 0 at x <= 0.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    axes = [np.atleast_1d(np.asarray(ax, dtype=float))
+            for ax in ((x_out,) if f.grid.n == 1 else x_out)]
+    if f.grid.n == 1:
+        def term(i, u, edges, Dm):
+            return _psi(u[:, None, None], axes[0][:, None] - edges) @ Dm
+    else:
+        Hx, Hy = (np.heaviside(ax[:, None] - f.grid.x_edges, 0.5) for ax in axes)
+
+        def term(i, u, edges, Dm):
+            Px, Py = (_psi(u[:, None, None], ax[:, None] - edges) for ax in axes)
+            return Px @ Dm @ np.swapaxes(Hy + Py, 1, 2) + Hx @ Dm @ np.swapaxes(Py, 1, 2)
+
+    out = np.zeros((len(ts),) + tuple(len(ax) for ax in axes))
+    _corner_sum(f, ts, spec, op, term, out, sum(map(len, axes)))
+    if not spec.is_whole:
+        out[:, axes[0] <= 0.0] = 0.0
+    return out
+
+
+def image_window(f: GridFunction, ts, lo, hi, spec: KernelSpec = WHOLE, op: str = "T"):
+    """∫_lo^hi (Tf or T*f)(t, x) dx at every time in ts, exactly in x (n = 1).
+
+    lo and hi broadcast against ts.  Each corner term integrates in closed
+    form, Ψ(u, hi - e) - Ψ(u, lo - e); half lines integrate over x > 0.
+    """
+    if f.grid.n != 1:
+        raise ValueError("window moments are one-dimensional")
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    ends = np.stack(np.broadcast_arrays(lo, hi, ts)[:2], axis=-1).astype(float)
+    if not spec.is_whole:
+        ends = np.maximum(ends, 0.0)
+
+    def term(i, u, edges, Dm):
+        return _psi_window(u[:, None, None], ends[i][:, :, None] - edges) @ Dm
+
+    out = _corner_sum(f, ts, spec, op, term, np.zeros((len(ts), 2)), 2)
+    return out[:, 1] - out[:, 0]
+
+
+def apply_T_at(f: GridFunction, t: float, x_out, spec: KernelSpec = WHOLE,
+               eps_tail: float = EPS_TAIL) -> np.ndarray:
+    """Tf(t, ·) on an arbitrary output lattice: one row of image_rows.
+
+    eps_tail is kept for the signature only; rows cut no tails.
+    """
+    return image_rows(f, [t], x_out, spec, "T")[0]
+
+
+def apply_Tstar_at(f: GridFunction, t: float, x_out, spec: KernelSpec = WHOLE,
+                   eps_tail: float = EPS_TAIL) -> np.ndarray:
     """T*f(t, ·) on an arbitrary output lattice; zero once every slab is past."""
-    grid = f.grid
-    g = _operator_input(f, spec)
-    shape = (
-        (len(np.atleast_1d(x_out)),)
-        if grid.n == 1
-        else tuple(len(np.atleast_1d(ax)) for ax in x_out)
-    )
-    out = np.zeros(shape)
-    edges = grid.t_edges
-    for k in range(grid.nt):
-        a, b = edges[k], edges[k + 1]
-        if b <= t:
-            continue
-        u1 = b - t
-        u2 = a - t if a >= t else 0.0
-        m1 = _matrices(grid, u1, spec, x_out=x_out, eps_tail=eps_tail)
-        m2 = _matrices(grid, u2, spec, x_out=x_out, eps_tail=eps_tail)
-        out += _apply_axes(g[k][None], m1)[0] - _apply_axes(g[k][None], m2)[0]
-    return out
+    return image_rows(f, [t], x_out, spec, "Tstar")[0]
 
 
 # -- independent Duhamel oracle --------------------------------------------------
@@ -598,21 +655,3 @@ def spatial_quadrature_error(f: GridFunction, u: float, eps_tail: float = EPS_TA
     resid = (f.values @ (A_q - A_cell).T) ** 2
     per_slab = np.sqrt(resid.sum(axis=1) * grid.h)
     return float(math.sqrt(grid.tau) * per_slab.sum())
-
-
-# -- slab view (plumbing for evaluators and moment integrals) --------------------
-
-@dataclass(frozen=True)
-class TimeSlab:
-    a: float
-    b: float
-    profile: np.ndarray
-
-
-def time_slabs(f: GridFunction) -> list[TimeSlab]:
-    """The grid function as its finite sum of (time slab, spatial profile) pairs."""
-    edges = f.grid.t_edges
-    return [
-        TimeSlab(float(edges[k]), float(edges[k + 1]), f.values[k])
-        for k in range(f.grid.nt)
-    ]

@@ -40,15 +40,14 @@ from .heatop import (
     WHOLE,
     KernelSpec,
     _gl_nodes,
-    _operator_input,
     apply_T,
-    apply_T_at,
     apply_Tstar_at,
     cell_window_mass,
     duhamel_reference,
     gauss_kernel_dt,
+    image_rows,
+    image_window,
     spatial_quadrature_error,
-    time_slabs,
     window_mass,
 )
 from .space import Annulus, ParabolicBall, ball, dilate, truncated_volume
@@ -206,46 +205,12 @@ def _window_moment(
 ) -> float:
     """∫_{t_lo}^{t_hi} ∫_{win} (Tf or T*f)(t, x) dx dt, n = 1.
 
-    The spatial integral is closed form: exact per cell for the whole-space
-    kernel, a per-cell two-point Gauss rule on the erf window mass for the
-    half-line kernels.  Time panels break at every slab edge of f (the
-    telescoped image has kinks there) and double geometrically past the grid
-    horizon, with Gauss-Legendre nodes inside each panel.
+    The spatial integral is exact (image_window).  Time panels break at every
+    slab edge of f (the image has kinks there) and double geometrically past
+    the grid horizon, with Gauss-Legendre nodes inside each panel; the
+    integrand is evaluated at all nodes in one call.
     """
     grid = f.grid
-    if grid.n != 1:
-        raise ValueError("window moments are one-dimensional")
-    if op not in ("T", "Tstar"):
-        raise ValueError("op must be 'T' or 'Tstar'")
-    g = _operator_input(f, spec)
-    slabs = time_slabs(f)
-    lo_e, hi_e = grid.x_edges[:-1], grid.x_edges[1:]
-    d = grid.h / (2.0 * math.sqrt(3.0))
-    ypts = (grid.xs - d, grid.xs + d)
-
-    def W(u: float) -> np.ndarray:
-        if spec.is_whole:
-            return cell_window_mass(u, lo_e, hi_e, win[0], win[1])
-        return 0.5 * grid.h * (
-            window_mass(u, win[0], win[1], ypts[0], spec)
-            + window_mass(u, win[0], win[1], ypts[1], spec)
-        )
-
-    def S(t: float) -> float:
-        out = 0.0
-        for k, sl in enumerate(slabs):
-            a, b = sl.a, sl.b
-            if op == "T":
-                if t <= a:
-                    break
-                u1, u2 = t - a, max(t - b, 0.0)
-            else:
-                if b <= t:
-                    continue
-                u1, u2 = b - t, max(a - t, 0.0)
-            out += float(g[k] @ (W(u1) - W(u2)))
-        return out
-
     edges = {t_lo, t_hi}
     edges.update(float(e) for e in grid.t_edges if t_lo < e < t_hi)
     if t_hi > grid.t_max:
@@ -254,17 +219,16 @@ def _window_moment(
             edges.add(e)
             e *= 2.0
     edges = sorted(edges)
-    total = 0.0
+    ts, ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         # the image behaves like sqrt(t - edge) just past a slab edge (and
         # like sqrt(edge - t) just before one for T*); a square-root
         # substitution at the singular end keeps the panels spectral
-        ss, ws = _gl_nodes(0.0, math.sqrt(b - a), gl_order)
-        if op == "T":
-            total += sum(2.0 * s * w * S(a + s * s) for s, w in zip(ss, ws))
-        else:
-            total += sum(2.0 * s * w * S(b - s * s) for s, w in zip(ss, ws))
-    return total
+        ss, wq = _gl_nodes(0.0, math.sqrt(b - a), gl_order)
+        ts.append(a + ss * ss if op == "T" else b - ss * ss)
+        ws.append(2.0 * ss * wq)
+    values = image_window(f, np.concatenate(ts), win[0], win[1], spec, op)
+    return float(np.concatenate(ws) @ values)
 
 
 def _annulus_rows(outer: ParabolicBall, grid: SpaceTimeGrid, rows_target: int):
@@ -313,7 +277,6 @@ def image_molecule_report(
     """
     if f.grid.n != 1:
         raise ValueError("image certification lattices are one-dimensional")
-    op_at = {"T": apply_T_at, "Tstar": apply_Tstar_at}[op]
     x0 = _x0(Q)
     norms = []
     row_l1_max = 0.0
@@ -335,13 +298,10 @@ def image_molecule_report(
             xs = x0 - R + (np.arange(nx_loc) + 0.5) * hx
         if not spec.is_whole:
             xs = xs[xs > 0.0]
-        acc = 0.0
-        for t, w in zip(rows, wts):
-            vals = op_at(f, float(t), xs, spec)
-            msk = ann.mask(np.full(xs.shape, t), xs)
-            if msk.any():
-                acc += float((vals[msk] ** 2).sum()) * w * hx
-            row_l1_max = max(row_l1_max, float(np.abs(vals).sum()) * hx)
+        vals = image_rows(f, rows, xs, spec, op)
+        msk = ann.mask(rows[:, None], xs[None, :])
+        acc = float(np.where(msk, vals**2, 0.0).sum(axis=1) @ wts) * hx
+        row_l1_max = max(row_l1_max, float(np.abs(vals).sum(axis=1).max()) * hx)
         norms.append(math.sqrt(acc) * math.sqrt(truncated_volume(outer)))
     outer = dilate(Q, 2.0 ** (J + 1))
     R = outer.radius
@@ -492,25 +452,12 @@ def atom_images(settings: Settings = Settings()) -> ExperimentResult:
         moments.append(abs(report.moment) / _moment_scale(a, Q))
         # sampled-time spatial means, exact-in-x window masses
         rng = np.random.default_rng(seed + 1)
-        grid = a.grid
-        t_top = grid.t_max
-        g = _operator_input(a, WHOLE)
-        worst = 0.0
-        for t in np.exp(rng.uniform(math.log(0.05 * t_top), math.log(2.0 * t_top),
-                                    settings.mean_times)):
-            reach = 0.8 + 8.0 * math.sqrt(t)
-            acc = 0.0
-            for k, sl in enumerate(time_slabs(a)):
-                if t <= sl.a:
-                    break
-                u1, u2 = t - sl.a, max(t - sl.b, 0.0)
-                w1 = cell_window_mass(u1, grid.x_edges[:-1], grid.x_edges[1:],
-                                      -reach, reach)
-                w2 = cell_window_mass(u2, grid.x_edges[:-1], grid.x_edges[1:],
-                                      -reach, reach)
-                acc += float(g[k] @ (w1 - w2))
-            worst = max(worst, abs(acc) / row_l1 if row_l1 > 0 else 0.0)
-        means.append(worst)
+        t_top = a.grid.t_max
+        ts = np.exp(rng.uniform(math.log(0.05 * t_top), math.log(2.0 * t_top),
+                                settings.mean_times))
+        reach = 0.8 + 8.0 * np.sqrt(ts)
+        mean_max = float(np.abs(image_window(a, ts, -reach, reach)).max(initial=0.0))
+        means.append(mean_max / row_l1 if row_l1 > 0 else 0.0)
         if i < 5:
             l1_diag.append(row_l1 * math.sqrt(truncated_volume(Q)) /
                            _moment_scale(a, Q))
@@ -579,8 +526,8 @@ def tstar_images(settings: Settings = Settings()) -> ExperimentResult:
         moments_b.append(abs(rep_b.moment) / _moment_scale(b, Qb))
         # discrete anticausality: zero above the last slab edge carrying mass
         # (the grid smears the support top t0 + r² by at most one slab)
-        t_past = max(sl.b for k, sl in enumerate(time_slabs(b))
-                     if np.abs(b.values[k]).max() > 0)
+        last = np.flatnonzero(np.abs(b.values).max(axis=1))[-1]
+        t_past = float(b.grid.t_edges[last + 1])
         probe = apply_Tstar_at(b, t_past, np.linspace(-0.6, 0.6, 9))
         anticausal_max = max(anticausal_max, float(np.abs(probe).max()))
     passed = (

@@ -31,12 +31,19 @@ from hardyheat.heatop import (
     gradient_l1,
     heat_kernel,
     heat_kernel_dt,
+    image_rows,
     semigroup_apply,
     spatial_quadrature_error,
-    time_slabs,
     window_mass,
 )
-from hardyheat.heatop import _axis_cell_mass, _erf_halfdiff, _near_field_matrix
+from hardyheat.heatop import (
+    _apply_axes,
+    _axis_cell_mass,
+    _erf_halfdiff,
+    _matrices,
+    _near_field_matrix,
+    _operator_input,
+)
 
 DIRICHLET = KernelSpec(1, HALF_LINE_DIRICHLET)
 NEUMANN = KernelSpec(1, HALF_LINE_NEUMANN)
@@ -375,6 +382,125 @@ def test_apply_T_at_2d_shape():
     assert np.allclose(grid_out, apply_T(f).values[2], atol=1e-11)
 
 
+def _mirrored_Tstar(f, spec):
+    """T* by the anticausal slab sum T*f_i = sum_m A_m eps_{i+m} - g_i, eps_k = g_k - g_{k+1}."""
+    grid = f.grid
+    g = _operator_input(f, spec)
+    eps = g.copy()
+    eps[:-1] -= g[1:]
+    out = np.zeros_like(g)
+    for m in range(grid.nt):
+        mats = _matrices(grid, (m + 0.5) * grid.tau, spec)
+        out[: grid.nt - m] += _apply_axes(eps[m:], mats)
+    return out - g
+
+
+@pytest.mark.parametrize("n, nx, nt, spec", [
+    (1, 128, 128, WHOLE), (1, 128, 128, DIRICHLET), (1, 64, 20, NEUMANN),
+    (2, 32, 16, KernelSpec(2)),
+])
+def test_apply_Tstar_is_time_reversal_exactly(n, nx, nt, spec):
+    # R T R reproduces the anticausal slab sum bit for bit, so artifacts built
+    # on apply_Tstar do not move
+    g = SpaceTimeGrid(n, 4.0, nx, 0.0, 4.0, nt)
+    f = GridFunction(g, np.random.default_rng(nx + nt).normal(size=g.shape))
+    assert np.array_equal(apply_Tstar(f, spec).values, _mirrored_Tstar(f, spec))
+
+
+@pytest.mark.parametrize("spec", [WHOLE, DIRICHLET, NEUMANN])
+@pytest.mark.parametrize("op", ["T", "Tstar"])
+def test_image_rows_match_one_row_calls(spec, op):
+    g = SpaceTimeGrid(1, 1.0, 16, 0.0, 0.8, 8)
+    f = GridFunction(g, np.random.default_rng(6).normal(size=g.shape))
+    at = {"T": apply_T_at, "Tstar": apply_Tstar_at}[op]
+    # off-lattice times, a slab edge, and points on cell edges and past the box
+    ts = np.array([0.05, g.t_edges[3], 0.47, 0.8, 1.9])
+    xs = np.concatenate([g.x_edges[5:12], [-0.31, 0.2, 0.77, 3.5]])
+    rows = image_rows(f, ts, xs, spec, op)
+    assert rows.shape == (len(ts), len(xs))
+    for t, row in zip(ts, rows):
+        assert np.array_equal(row, at(f, float(t), xs, spec))
+    # the slab-midpoint rows agree with the grid operator
+    grid_op = {"T": apply_T, "Tstar": apply_Tstar}[op](f, spec).values
+    mid = image_rows(f, g.ts, g.xs, spec, op)
+    assert np.allclose(mid, grid_op, atol=1e-11)
+
+
+@pytest.mark.parametrize("op", ["T", "Tstar"])
+def test_image_rows_edge_conventions(op):
+    g = SpaceTimeGrid(1, 1.0, 16, 0.0, 0.8, 8)
+    f = GridFunction(g, np.random.default_rng(7).normal(size=g.shape))
+    e, d = g.x_edges[7], 1e-9
+    # inside a slab the image jumps with the input across a cell edge; the
+    # edge itself reads the midpoint of the jump
+    t = 0.33
+    left, mid, right = image_rows(f, [t], [e - d, e, e + d], op=op)[0]
+    assert abs(right - left) > 0.1
+    assert mid == pytest.approx(0.5 * (left + right), abs=1e-7)
+    # on a slab edge the image is continuous in t
+    te = g.t_edges[4]
+    before, on, after = image_rows(f, [te - d, te, te + d], [0.11], op=op)[:, 0]
+    assert on == pytest.approx(before, abs=1e-6)
+    assert on == pytest.approx(after, abs=1e-6)
+
+
+def _mp_reference(f, t, x, op):
+    """Tf or T*f at (t, x) by the slab sum of cell masses in 80-digit arithmetic."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 80
+    t, x = mp.mpf(t), mp.mpf(x)
+
+    def mass(u, lo, hi):  # ∫_lo^hi p_u(x - y) dy, in the tail that keeps it exact
+        if u == 0:
+            return mp.mpf(int(lo <= x < hi))
+        s = 2 * mp.sqrt(u)
+        if x < (lo + hi) / 2:
+            return (mp.erfc((lo - x) / s) - mp.erfc((hi - x) / s)) / 2
+        return (mp.erfc((x - hi) / s) - mp.erfc((x - lo) / s)) / 2
+
+    total = mp.mpf(0)
+    te, xe = f.grid.t_edges, f.grid.x_edges
+    for k in range(f.grid.nt):
+        a, b = mp.mpf(te[k]), mp.mpf(te[k + 1])
+        if op == "T":
+            u1, u2 = t - a, max(t - b, 0)
+        else:
+            u1, u2 = b - t, max(a - t, 0)
+        if u1 <= 0:
+            continue
+        for j in np.flatnonzero(f.values[k]):
+            lo, hi = mp.mpf(xe[j]), mp.mpf(xe[j + 1])
+            total += mp.mpf(f.values[k, j]) * (mass(u1, lo, hi) - mass(u2, lo, hi))
+    return total
+
+
+@pytest.mark.parametrize("x, size", [
+    (-30.303705637140283, 1.795e-153),
+    (-9.350596039425668, 1.835e-15),
+    (29.936484456289236, 5.137e-152),
+])
+def test_far_field_against_80_digit_reference(x, size):
+    # rows of the seed-0 interior T* atom's sixth annulus, where a tail cut at
+    # 1e-12 used to return exactly 0.0
+    from hardyheat.atoms import AtomKind
+    from hardyheat.verify import _tstar_atom
+
+    a, _ = _tstar_atom(AtomKind.TYPE_A, 0)
+    t = 0.5059650805903846
+    ref = _mp_reference(a, t, x, "Tstar")
+    got = float(apply_Tstar_at(a, t, np.array([x]))[0])
+    assert abs(got) == pytest.approx(size, rel=1e-3)
+    assert got == pytest.approx(float(ref), rel=1e-11)
+
+
+def test_far_field_T_against_80_digit_reference():
+    g = SpaceTimeGrid(1, 0.5, 10, 0.0, 0.5, 5)
+    f = GridFunction(g, np.random.default_rng(8).normal(size=g.shape))
+    for t, x in ((0.9, 14.0), (0.3, -6.0), (0.45, 0.13)):
+        ref = float(_mp_reference(f, t, x, "T"))
+        assert float(apply_T_at(f, t, np.array([x]))[0]) == pytest.approx(ref, rel=1e-11)
+
+
 # -- the independent oracle -------------------------------------------------------------
 
 def test_duhamel_reference_close_at_default_grid():
@@ -441,13 +567,3 @@ def test_disk_window_mass_centered_closed_form():
         1.0 - math.exp(-D * D / (4.0 * u)), rel=1e-10
     )
     assert float(disk_window_mass(u, 50.0, D)) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_time_slabs_partition():
-    g = xgrid(nt=5)
-    f = sample(g, lambda tt, xx: tt + 0.0 * xx)
-    slabs = time_slabs(f)
-    assert len(slabs) == 5
-    assert slabs[0].a == 0.0 and slabs[-1].b == pytest.approx(g.t_max)
-    for s, t_mid in zip(slabs, g.ts):
-        assert np.allclose(s.profile, t_mid)
