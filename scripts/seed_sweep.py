@@ -38,7 +38,8 @@ def run(args: argparse.Namespace) -> int:
     for name in args.experiments or MOLECULES:
         passes = 0
         for seed in range(args.seeds + 1):
-            config = load_config(None, {**overrides, "seed": str(seed)})
+            config = load_config(None, {**overrides, "experiments": name,
+                                        "seed": str(seed)})
             try:
                 res = run_experiment(name, config.settings)
             except Exception as exc:  # a runtime failure fails this seed only

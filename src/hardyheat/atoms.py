@@ -36,6 +36,10 @@ import numpy as np
 from .space import Annulus, ParabolicBall, ball_volume, dilate, halfspace_flags, truncated_volume
 from .grid import GridFunction, SpaceTimeGrid, integrate, lp_norm
 
+# slack on a fitted decay exponent: the fit is a float least-squares solve, and
+# an exact-profile molecule can land an ulp under its own target
+FIT_SLACK = 1e-9
+
 
 class AtomKind(str, enum.Enum):
     CLASSICAL_INF = "classical_inf"
@@ -260,12 +264,10 @@ class MoleculeReport:
         """Decay at least as fast as alpha_min (default: the target alpha), and,
         when a moment tolerance is given, a relative moment below it.
 
-        The exponent comparison allows 1e-9 of slack: the fit is a float
-        least-squares solve and an exact-profile molecule can land an ulp
-        under its own target.
+        The exponent comparison allows FIT_SLACK (1e-9) of slack.
         """
         target = self.alpha if alpha_min is None else alpha_min
-        ok = self.fitted_alpha >= target - 1e-9
+        ok = self.fitted_alpha >= target - FIT_SLACK
         if moment_rel is not None:
             ok = ok and self.moment_rel <= moment_rel
         return ok

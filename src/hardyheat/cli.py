@@ -2,11 +2,17 @@
 
 Each run writes one JSON result per experiment (sorted keys, UTF-8), an
 RFC-4180 CSV for the growth tables, and a manifest echoing the resolved
-configuration plus sha256 hashes of every artifact.  Identical configuration
-and seed give byte-identical artifacts, so manifests can be diffed directly.
+configuration keys that affect results (the experiments and every setting)
+plus sha256 hashes of every artifact.  Identical configuration and seed give
+byte-identical artifacts and manifests, whatever the output directory or
+thread count, so manifests can be diffed directly.
 
-Exit codes: 0 all gates passed, 1 at least one gate failed, 2 invalid
-configuration or usage.
+The configuration is validated before any experiment runs.  An experiment
+that raises is recorded as a failed result whose note names the exception;
+the other experiments still run and every artifact is written.
+
+Exit codes: 0 all gates passed, 1 at least one gate failed or experiment
+raised, 2 invalid configuration or usage.
 """
 
 from __future__ import annotations
@@ -16,145 +22,56 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, dumps, format_value, load_config
-from .verify import EXPERIMENTS, ExperimentResult, run_experiment
+from .atoms import FIT_SLACK
+from .config import ConfigError, RunConfig, canonical, dumps, format_value, load_config
+from .verify import EXPERIMENTS, Experiment, ExperimentResult, Gate, run_experiment
 
-__all__ = ["main", "CLAIMS", "ALIASES"]
-
-# the statement each experiment certifies, in the battery's own terms
-CLAIMS: dict[str, str] = {
-    "telescoping_oracle": (
-        "The slab-telescoped evaluation of Tf(t,x) = ∫₀ᵗ Δe^((t-s)Δ) f(s,·)(x) ds "
-        "agrees with an independent Duhamel quadrature to within the spatial "
-        "quadrature budget, and the gap shrinks at fourth order when the mesh "
-        "is halved."
-    ),
-    "atom_images": (
-        "For random (1,∞)-atoms a supported in Q ∩ X, Ta is a mean-zero "
-        "molecule: annulus norms satisfy M_j ≤ C 2^(-jα) with fitted α ≥ 1/2 "
-        "and constants in a uniform band, |∫ Ta| is negligible against "
-        "ν(Q)^(1/2) ‖a‖₂, and the spatial mean of Ta(t,·) vanishes at every "
-        "sampled time."
-    ),
-    "tstar_images": (
-        "T* maps interior atoms (4Q ⊆ X, mean zero) to mean-zero molecules, "
-        "and boundary atoms (2Q ⊆ X, 4Q ⊄ X, no moment) to images whose "
-        "annulus norms decay strictly faster than 2^(-j), consistent with "
-        "exp(-c·4^j); T*a vanishes identically past the support in time."
-    ),
-    "growth_T": (
-        "For the indicator f = χ_{(0,1)×(-1,1)}, which has a finite "
-        "atomic-norm certificate, the truncated mass I(T) = ∫₄ᵀ∫_{|x|≤√t/2} "
-        "|Tf| grows logarithmically: dyadic increments I(2T) - I(T) are "
-        "positive and near-constant, so Tf is not integrable and T cannot map "
-        "into an L¹-embedded space."
-    ),
-    "growth_Tstar": (
-        "The kernel mass c = ∫ |∂_t p_t(x)| dx equals √(2/π)·e^(-1/2) at "
-        "t = 1 and scales like c/t, so the truncated double integral "
-        "G(T) = ∫₁ᵀ ∫ |∂_u p_u| dx du grows like c·ln T without bound."
-    ),
-    "roundtrips": (
-        "Restriction to the half-space decomposes classical atoms exactly "
-        "(zero residual) into interior/boundary atoms with Whitney cover "
-        "overlap within the dimensional bound; even-extension decompositions "
-        "reconstruct at rounding scale; truncating a molecule expansion at "
-        "level J leaves a residual of C·2^(-Jα) with C logged."
-    ),
-    "l2_stability": (
-        "T is bounded on L²: the empirical operator norm over a fixed random "
-        "input family drifts by a bounded fraction under dyadic refinement."
-    ),
-    "lp_probe": (
-        "Empirical Lᵖ→Lᵖ ratios of T stay stable under refinement for p > 1, "
-        "while the L¹ mass ratio grows with the time horizon — the loss is "
-        "specific to p = 1."
-    ),
-    "boundary_dirichlet": (
-        "With an absorbing wall the image mean over a fixed transient horizon "
-        "survives at order one for an atom at distance r from the wall and is "
-        "negligible for a far atom: no uniform mean-value identity holds."
-    ),
-    "boundary_neumann": (
-        "With a conservative wall the image kernel preserves mass, so the "
-        "mean of Ta over the transient horizon vanishes for every atom, near "
-        "or far from the wall."
-    ),
-}
-
-# operator-centric spellings accepted anywhere an experiment id is
-ALIASES: dict[str, str] = {
-    "certify_T": "atom_images",
-    "certify_Tstar": "tstar_images",
-    "counterexample_T": "growth_T",
-    "counterexample_Tstar": "growth_Tstar",
-}
-
-# settings fields each experiment reads (shown by `describe`)
-_READS: dict[str, tuple[str, ...]] = {
-    "telescoping_oracle": ("seed", "n", "oracle_inputs", "oracle_grid",
-                           "oracle_rel", "oracle_factor", "oracle_improvement"),
-    "atom_images": ("seed", "n", "n_atoms", "alpha", "J", "uniformity_band",
-                    "moment_rel_tol", "mean_times", "mean_value_tol"),
-    "tstar_images": ("seed", "n", "n_tstar_atoms", "alpha", "J",
-                     "moment_rel_tol", "bfit_min"),
-    "growth_T": ("n", "growth_T_values", "dyadic_spread"),
-    "growth_Tstar": ("n", "c_abs_tol", "slope_rel_tol"),
-    "roundtrips": ("seed", "n", "n_roundtrip_balls", "n_hz_given", "alpha",
-                   "hz_residual_tol", "molecule_tail_constant"),
-    "l2_stability": ("seed", "n", "l2_inputs", "l2_drift"),
-    "lp_probe": ("seed", "n", "l2_inputs", "lp_exponents", "lp_ratio_max",
-                 "lp1_growth_min"),
-    "boundary_dirichlet": ("seed", "n", "alpha",
-                           "dirichlet_moment_min", "far_moment_max"),
-    "boundary_neumann": ("seed", "n", "alpha", "neumann_moment_max"),
-}
+__all__ = ["main"]
 
 
-def _canonical(name: str) -> str:
-    key = name.replace("-", "_")
-    key = ALIASES.get(key, key)
-    if key not in EXPERIMENTS:
-        known = ", ".join(EXPERIMENTS)
-        raise ConfigError(f"unknown experiment {name!r}; known: {known}")
-    return key
-
-
-def _summary(name: str) -> str:
-    doc = EXPERIMENTS[name].__doc__ or ""
-    return doc.strip().splitlines()[0]
-
-
-def _alias_of(name: str) -> str | None:
-    for alias, target in ALIASES.items():
-        if target == name:
-            return alias.replace("_", "-")
-    return None
+def _alias(exp: Experiment) -> str | None:
+    return exp.alias.replace("_", "-") if exp.alias else None
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
     width = max(len(n) for n in EXPERIMENTS)
-    for name in EXPERIMENTS:
-        alias = _alias_of(name)
-        tail = f"  [alias: {alias}]" if alias else ""
-        print(f"{name:<{width}}  {_summary(name)}{tail}")
+    for name, exp in EXPERIMENTS.items():
+        tail = f"  [alias: {_alias(exp)}]" if exp.alias else ""
+        print(f"{name:<{width}}  {exp.summary}{tail}")
     return 0
+
+
+def _gate_text(exp: Experiment, gate: Gate, settings) -> str:
+    """One gate as `describe` prints it, with the value of its bound."""
+    if isinstance(gate.bound, str):
+        bound = f"{gate.bound} = {format_value(gate.limit(settings))}"
+    else:
+        bound = format_value(gate.bound)
+    if gate.op == "fit>=":
+        text = f"{gate.key} >= {bound} less {FIT_SLACK!r}"
+    else:
+        text = f"{gate.key} {gate.op} {bound}"
+    if not set(exp.dims) <= set(gate.dims):
+        text += " (n = " + ",".join(map(str, gate.dims)) + ")"
+    return text
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
     defaults = RunConfig().settings
     for raw in args.ids:
-        name = _canonical(raw)
-        alias = _alias_of(name)
-        print(name + (f"  (alias: {alias})" if alias else ""))
-        print(f"  claim: {CLAIMS[name]}")
+        exp = EXPERIMENTS[canonical(raw)]
+        print(exp.name + (f"  (alias: {_alias(exp)})" if exp.alias else ""))
+        print(f"  claim: {exp.claim}")
+        print("  gates:")
+        for gate in exp.gates:
+            print(f"    {_gate_text(exp, gate, defaults)}")
         print("  reads:")
-        for key in _READS[name]:
+        for key in exp.reads:
             print(f"    {key} = {format_value(getattr(defaults, key))}")
     return 0
 
@@ -184,13 +101,22 @@ def _write_artifacts(config: RunConfig, results: dict[str, ExperimentResult],
     for fname, blob in artifacts.items():
         (out / fname).write_bytes(blob)
     manifest_lines = ["# hardyheat run manifest"]
-    manifest_lines += dumps(config).rstrip("\n").splitlines()
+    manifest_lines += dumps(config, run_keys=False).rstrip("\n").splitlines()
     for fname in sorted(artifacts):
         digest = hashlib.sha256(artifacts[fname]).hexdigest()
         manifest_lines.append(f"artifact {digest}  {fname}")
     (out / "manifest.txt").write_text("\n".join(manifest_lines) + "\n",
                                       encoding="utf-8")
     return sorted(artifacts) + ["manifest.txt"]
+
+
+def _run_one(name: str, settings) -> ExperimentResult:
+    """Run one experiment; an exception becomes its failed record."""
+    try:
+        return run_experiment(name, settings)
+    except Exception as exc:
+        traceback.print_exc(file=sys.stderr)
+        return EXPERIMENTS[name].failure(settings, exc)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -201,7 +127,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
     if args.ids:
-        overrides["experiments"] = ",".join(_canonical(i) for i in args.ids)
+        overrides["experiments"] = ",".join(args.ids)
     if args.seed is not None:
         overrides["seed"] = str(args.seed)
     if args.n is not None:
@@ -230,7 +156,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     results: dict[str, ExperimentResult] = {}
     with ThreadPoolExecutor(max_workers=config.resolved_threads()) as pool:
-        futures = {name: pool.submit(run_experiment, name, config.settings)
+        futures = {name: pool.submit(_run_one, name, config.settings)
                    for name in names}
         for name in names:
             results[name] = futures[name].result()
@@ -267,8 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
         "run",
         help="run experiments and write JSON/CSV artifacts plus a manifest",
         epilog="Flags override config-file values.  Thread count falls back "
-               "to the environment variable HARDYHEAT_THREADS, then 1.  Only "
-               "the roundtrips experiment supports --n 2.",
+               "to the environment variable HARDYHEAT_THREADS, then 1.  "
+               "Experiments that support --n 2: "
+               + ", ".join(n for n, e in EXPERIMENTS.items() if 2 in e.dims) + ".",
     )
     p_run.add_argument("ids", nargs="*", metavar="ID",
                        help="experiments to run (default: all)")
@@ -295,10 +222,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # dimension guards and friends: configuration the experiment rejects
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

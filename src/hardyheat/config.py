@@ -1,9 +1,10 @@
 """Run configuration: a flat key=value layer over the experiment settings.
 
-A run is determined by (experiments, Settings, out_dir, threads).  The config
-file format is one `key = value` per line so manifests diff line-by-line;
-command-line flags override file values.  Tuples are comma-separated in both
-directions, and every key round-trips through :func:`dumps` unchanged.
+A run is determined by (experiments, Settings, out_dir, threads); only the
+experiments and the Settings affect its results.  The config file format is
+one `key = value` per line so manifests diff line-by-line; command-line flags
+override file values.  Tuples are comma-separated in both directions, and
+every key round-trips through :func:`dumps` unchanged.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "parse_kv",
     "parse_value",
     "format_value",
+    "canonical",
     "load_config",
     "dumps",
 ]
@@ -39,9 +41,9 @@ _SETTINGS_FIELDS = {f.name: f for f in fields(Settings)}
 class RunConfig:
     """Everything a run needs, flat and serializable.
 
-    `experiments` uses registry names; the empty tuple means "all".  The grid
-    keys (length/spacing/horizon/step) describe the oracle grid and must tile
-    evenly.  `threads` caps the experiment pool; 0 defers to the environment
+    `experiments` holds experiment ids or aliases; the empty tuple means
+    "all".  The grid keys (length/spacing/horizon/step) describe the oracle
+    grid and must tile evenly.  `threads` caps the experiment pool; 0 defers to the environment
     variable HARDYHEAT_THREADS and then to 1.
     """
 
@@ -51,12 +53,7 @@ class RunConfig:
     settings: Settings = field(default_factory=Settings)
 
     def resolved_experiments(self) -> tuple[str, ...]:
-        names = self.experiments or tuple(EXPERIMENTS)
-        unknown = [n for n in names if n not in EXPERIMENTS]
-        if unknown:
-            raise ConfigError(
-                f"unknown experiment(s) {unknown}; see the catalogue")
-        return names
+        return tuple(map(canonical, self.experiments)) or tuple(EXPERIMENTS)
 
     def resolved_threads(self) -> int:
         if self.threads > 0:
@@ -71,6 +68,16 @@ class RunConfig:
                 raise ConfigError("HARDYHEAT_THREADS must be positive")
             return k
         return 1
+
+
+def canonical(name: str) -> str:
+    """Registry name of an experiment id or alias; '-' and '_' are interchangeable."""
+    key = name.replace("-", "_")
+    key = {e.alias: e.name for e in EXPERIMENTS.values() if e.alias}.get(key, key)
+    if key not in EXPERIMENTS:
+        known = ", ".join(EXPERIMENTS)
+        raise ConfigError(f"unknown experiment {name!r}; known: {known}")
+    return key
 
 
 def parse_value(key: str, raw: str, kind: type) -> object:
@@ -177,16 +184,21 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("growth_T_values must exceed the start time 4")
     if list(s.growth_T_values) != sorted(set(s.growth_T_values)):
         raise ConfigError("growth_T_values must be strictly increasing")
-    config.resolved_experiments()
+    for name in config.resolved_experiments():
+        error = EXPERIMENTS[name].dims_error(s.n)
+        if error is not None:
+            raise ConfigError(error)
 
 
-def dumps(config: RunConfig) -> str:
-    """Canonical flat dump: run keys then settings keys, sorted, one per line."""
-    lines = [
-        "experiments = " + ",".join(config.resolved_experiments()),
-        f"out_dir = {config.out_dir}",
-        f"threads = {config.threads}",
-    ]
+def dumps(config: RunConfig, run_keys: bool = True) -> str:
+    """Canonical flat dump: run keys then settings keys, sorted, one per line.
+
+    run_keys=False leaves out out_dir and threads, which cannot change a
+    result; that is the run manifest's header.
+    """
+    lines = ["experiments = " + ",".join(config.resolved_experiments())]
+    if run_keys:
+        lines += [f"out_dir = {config.out_dir}", f"threads = {config.threads}"]
     s = dataclasses.asdict(config.settings)
     lines += [f"{k} = {format_value(s[k])}" for k in sorted(s)]
     return "\n".join(lines) + "\n"

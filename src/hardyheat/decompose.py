@@ -39,7 +39,6 @@ from .grid import (
     odd_extend,
     restrict,
     time_reflect,
-    write_binary,
 )
 from .space import (
     Annulus,
@@ -123,17 +122,6 @@ class Decomposition:
             "ledger": self.ledger,
             "terms": [t.to_json_dict() for t in self.terms],
         }
-
-    def spill_atoms(self, directory, prefix: str = "atom") -> list[str]:
-        """Write every term atom to <directory>/<prefix>NNNNN.bin; return paths."""
-        import os
-
-        paths = []
-        for i, t in enumerate(self.terms):
-            p = os.path.join(os.fspath(directory), f"{prefix}{i:05d}.bin")
-            write_binary(t.atom, p)
-            paths.append(p)
-        return paths
 
 
 # -- Whitney boundary cover ----------------------------------------------------
@@ -390,30 +378,6 @@ def reflect_assemble(b: GridFunction, Q: ParabolicBall, tol: float = 1e-8) -> De
 
 
 # -- halving/symmetrisation of even-extension decompositions --------------------
-
-
-def recentre_atom(
-    a: GridFunction, Q: ParabolicBall, tol: float = 1e-8
-) -> tuple[GridFunction, ParabolicBall, float]:
-    """Re-centre a truncated-ball atom onto a ball contained in the closure of X.
-
-    For centres with t_0 >= r^2 the ball already sits in X and nothing
-    happens.  Otherwise the support lies in (0, t_0 + r^2) x B(x_0, r), which
-    the recentred ball ((r^2, x_0), r) contains; dividing by the volume
-    ratio factor (nu(Q~) / nu(Q ∩ X))^(1/2) <= sqrt(2) restores the size
-    bound.  Returns (atom, ball, factor).
-    """
-    s, r = Q.t0, Q.radius
-    if s <= 0.0:
-        raise DecompositionError("ball centre must have positive time")
-    if s >= r * r:
-        return a, Q, 1.0
-    Qt = ball(r * r, Q.center.x, r)
-    tv = truncated_volume(Q)
-    factor = math.sqrt(ball_volume(Qt) / tv)
-    if factor > math.sqrt(2.0) + tol:
-        raise DecompositionError(f"renormalisation factor {factor} exceeds sqrt(2)")
-    return a * (1.0 / factor), Qt, factor
 
 
 def hz_decompose(

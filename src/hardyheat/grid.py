@@ -165,14 +165,6 @@ def lp_norm(f: GridFunction, p: float, where=None) -> float:
     return float((np.abs(v) ** p).sum() * f.grid.cell_measure) ** (1.0 / p)
 
 
-def region_measure(grid: SpaceTimeGrid, where) -> float:
-    """Grid measure of a region (count of selected cells times cell measure)."""
-    f = GridFunction(grid, np.ones(grid.shape))
-    mask = _resolve_mask(f, where)
-    count = int(mask.sum()) if mask is not None else int(np.prod(grid.shape))
-    return count * grid.cell_measure
-
-
 # -- time reflections and extensions -----------------------------------------
 
 def _check_halfspace(f: GridFunction):

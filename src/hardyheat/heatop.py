@@ -63,7 +63,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erf, erfc
 
 from .grid import GridFunction, SpaceTimeGrid
@@ -125,19 +124,6 @@ def gauss_kernel_dt(t, r2, n: int = 1):
     return gauss_kernel(t, r2, n) * (r2 / (4.0 * t * t) - n / (2.0 * t))
 
 
-def dt_negativity_bound(t: float, n: int = 1) -> float:
-    """Negative upper bound for ∂_t p_t(z) on the core |z|^2 <= n t.
-
-    There, r2/4t <= n/4, so ∂_t p_t = p_t (r2 - 2nt)/(4t^2)
-    <= -(n/4t) (4 pi t)^(-n/2) e^(-n/4), with equality at |z|^2 = n t.  The
-    e^(-n/4) factor cannot be dropped: at |z|^2 = n t the derivative equals
-    exactly this value, which is strictly above -(n/4t)(4 pi t)^(-n/2).
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    return -(n / (4.0 * t)) * (4.0 * math.pi * t) ** (-n / 2.0) * math.exp(-n / 4.0)
-
-
 def _r2(x, y, n: int):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -156,48 +142,6 @@ def heat_kernel(t, x, y=0.0, spec: KernelSpec = WHOLE):
     return gauss_kernel(t, (x - y) ** 2, 1) + spec.image_sign * gauss_kernel(
         t, (x + y) ** 2, 1
     )
-
-
-def heat_kernel_dt(t, x, y=0.0, spec: KernelSpec = WHOLE):
-    if spec.is_whole:
-        return gauss_kernel_dt(t, _r2(x, y, spec.n), spec.n)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return gauss_kernel_dt(t, (x - y) ** 2, 1) + spec.image_sign * gauss_kernel_dt(
-        t, (x + y) ** 2, 1
-    )
-
-
-def gradient_l1(t: float, spec: KernelSpec = WHOLE, y: float = 1.0) -> float:
-    """∫ |∇_x K_t(x, y)| dx by adaptive quadrature; scales as c_n t^(-1/2).
-
-    For the whole space the value is independent of y.  For the half-line
-    kernels the integral runs over x > 0 and depends (boundedly) on y > 0.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if spec.is_whole and spec.n == 1:
-        val, _ = quad(lambda z: abs(z / (2.0 * t)) * gauss_kernel(t, z * z, 1), 0, np.inf)
-        return 2.0 * val
-    if spec.is_whole:  # n = 2, radial
-        val, _ = quad(
-            lambda r: (r / (2.0 * t)) * gauss_kernel(t, r * r, 2) * 2.0 * math.pi * r,
-            0,
-            np.inf,
-        )
-        return val
-
-    def integrand(x):
-        # ∂_x [p(x-y) + s p(x+y)] with ∂_x p(w) = -(w/2t) p_t(w)
-        return abs(
-            -((x - y) / (2.0 * t)) * gauss_kernel(t, (x - y) ** 2, 1)
-            - spec.image_sign * ((x + y) / (2.0 * t)) * gauss_kernel(t, (x + y) ** 2, 1)
-        )
-
-    # split at the image point: |∂_x K| has a kink there
-    near, _ = quad(integrand, 0, y, limit=200)
-    far, _ = quad(integrand, y, np.inf, limit=200)
-    return near + far
 
 
 # -- stable erf primitives -----------------------------------------------------
@@ -238,7 +182,7 @@ def cell_window_mass(u: float, cell_lo, cell_hi, win_lo: float, win_hi: float):
 def window_mass(u: float, win_lo: float, win_hi: float, y, spec: KernelSpec = WHOLE):
     """∫_{win_lo}^{win_hi} K_u(x, y) dx for n = 1 kernels (vectorised in y)."""
     if spec.n != 1:
-        raise ValueError("window_mass is one-dimensional; use disk_window_mass for n = 2")
+        raise ValueError("window_mass is one-dimensional")
     y = np.asarray(y, dtype=float)
     if u == 0.0:
         inside = ((y > win_lo) & (y < win_hi)).astype(float)
@@ -251,20 +195,6 @@ def window_mass(u: float, win_lo: float, win_hi: float, y, spec: KernelSpec = WH
         return base
     refl = _erf_halfdiff((win_hi + y) / s, (win_lo + y) / s)
     return base + spec.image_sign * refl
-
-
-def disk_window_mass(u: float, dist, radius: float):
-    """Mass of e^{uΔ}δ_y over a disk at distance `dist` from y (n = 2).
-
-    The squared radius of N(0, 2u I_2) displaced by dist is noncentral
-    chi-squared; scipy's ncx2 supplies the cdf.
-    """
-    from scipy.stats import ncx2
-
-    dist = np.asarray(dist, dtype=float)
-    if u == 0.0:
-        return (dist < radius).astype(float)
-    return ncx2.cdf(radius**2 / (2.0 * u), 2, dist**2 / (2.0 * u))
 
 
 # -- cell-mass matrices --------------------------------------------------------
@@ -295,47 +225,25 @@ def _axis_cell_mass(
     return A
 
 
-def _axis_midpoint(
-    u: float, x_out: np.ndarray, xs: np.ndarray, h: float, n: int, eps_tail: float
-) -> np.ndarray:
-    """Midpoint-rule factor matrix h * g_u(x_i - x_j) with the 1-d Gaussian g_u."""
-    d = x_out[:, None] - xs[None, :]
-    A = h * (4.0 * math.pi * u) ** -0.5 * np.exp(-d * d / (4.0 * u))
-    if eps_tail > 0.0:
-        R = math.sqrt(4.0 * u * math.log(1.0 / eps_tail)) + h
-        A[np.abs(d) > R] = 0.0
-    return A
-
-
 def _halfline_matrix(
-    u: float, x_out: np.ndarray, grid: SpaceTimeGrid, spec: KernelSpec, eps_tail: float
+    u: float, grid: SpaceTimeGrid, spec: KernelSpec, eps_tail: float
 ) -> np.ndarray:
-    edges = grid.x_edges
-    base = _axis_cell_mass(u, x_out, edges, eps_tail)
-    refl = _axis_cell_mass(u, -x_out, edges, eps_tail)  # ∫_cell p(x + y) dy
+    xs, edges = grid.xs, grid.x_edges
+    base = _axis_cell_mass(u, xs, edges, eps_tail)
+    refl = _axis_cell_mass(u, -xs, edges, eps_tail)  # ∫_cell p(x + y) dy
     A = base + spec.image_sign * refl
     if spec.image_sign < 0:
         A = np.maximum(A, 0.0)
-    A[x_out <= 0.0, :] = 0.0
-    A[:, grid.xs <= 0.0] = 0.0
+    A[xs <= 0.0, :] = 0.0
+    A[:, xs <= 0.0] = 0.0
     return A
 
 
-def _matrices(grid, u, spec, x_out=None, method="cell", eps_tail=EPS_TAIL):
+def _matrices(grid, u, spec, eps_tail=EPS_TAIL):
     """Per-axis operator matrices for one semigroup application (time u)."""
-    if x_out is None:
-        axes_out = (grid.xs,) * grid.n
-    elif grid.n == 1:
-        axes_out = (np.atleast_1d(np.asarray(x_out, dtype=float)),)
-    else:
-        axes_out = tuple(np.atleast_1d(np.asarray(ax, dtype=float)) for ax in x_out)
     if not spec.is_whole:
-        return (_halfline_matrix(u, axes_out[0], grid, spec, eps_tail),)
-    if method == "midpoint" and u > 0.0:
-        return tuple(
-            _axis_midpoint(u, ax, grid.xs, grid.h, grid.n, eps_tail) for ax in axes_out
-        )
-    return tuple(_axis_cell_mass(u, ax, grid.x_edges, eps_tail) for ax in axes_out)
+        return (_halfline_matrix(u, grid, spec, eps_tail),)
+    return (_axis_cell_mass(u, grid.xs, grid.x_edges, eps_tail),) * grid.n
 
 
 def _apply_axes(X: np.ndarray, mats) -> np.ndarray:
@@ -351,21 +259,16 @@ def semigroup_apply(
     u: float,
     g: np.ndarray,
     spec: KernelSpec = WHOLE,
-    x_out=None,
-    method: str = "cell",
     eps_tail: float = EPS_TAIL,
 ) -> np.ndarray:
-    """e^{uΔ} applied to one spatial profile g (piecewise constant on cells).
-
-    method="cell" integrates the kernel exactly over each cell; "midpoint"
-    is the sampled h * kernel(midpoint) rule, kept for convergence studies.
-    """
+    """e^{uΔ} applied to one spatial profile g (piecewise constant on cells),
+    with the kernel integrated exactly over each cell."""
     if u < 0:
         raise ValueError("u must be nonnegative")
     g = np.asarray(g, dtype=float)
     if g.shape != (grid.nx,) * grid.n:
         raise ValueError("profile shape does not match the grid")
-    mats = _matrices(grid, u, spec, x_out=x_out, method=method, eps_tail=eps_tail)
+    mats = _matrices(grid, u, spec, eps_tail=eps_tail)
     return _apply_axes(g[None], mats)[0]
 
 
@@ -514,17 +417,12 @@ def image_window(f: GridFunction, ts, lo, hi, spec: KernelSpec = WHOLE, op: str 
     return out[:, 1] - out[:, 0]
 
 
-def apply_T_at(f: GridFunction, t: float, x_out, spec: KernelSpec = WHOLE,
-               eps_tail: float = EPS_TAIL) -> np.ndarray:
-    """Tf(t, ·) on an arbitrary output lattice: one row of image_rows.
-
-    eps_tail is kept for the signature only; rows cut no tails.
-    """
+def apply_T_at(f: GridFunction, t: float, x_out, spec: KernelSpec = WHOLE) -> np.ndarray:
+    """Tf(t, ·) on an arbitrary output lattice: one row of image_rows."""
     return image_rows(f, [t], x_out, spec, "T")[0]
 
 
-def apply_Tstar_at(f: GridFunction, t: float, x_out, spec: KernelSpec = WHOLE,
-                   eps_tail: float = EPS_TAIL) -> np.ndarray:
+def apply_Tstar_at(f: GridFunction, t: float, x_out, spec: KernelSpec = WHOLE) -> np.ndarray:
     """T*f(t, ·) on an arbitrary output lattice; zero once every slab is past."""
     return image_rows(f, [t], x_out, spec, "Tstar")[0]
 
@@ -634,7 +532,7 @@ def duhamel_reference(
     return GridFunction(grid, out)
 
 
-def spatial_quadrature_error(f: GridFunction, u: float, eps_tail: float = EPS_TAIL) -> float:
+def spatial_quadrature_error(f: GridFunction, u: float) -> float:
     """Size of the sampled-vs-exact spatial rule gap at scale u, for this input.
 
     sqrt(tau) * sum over slabs of || (A_gauss2(u) - A_cell(u)) g_k ||_{L2(dx)}

@@ -165,6 +165,3 @@ class Annulus:
         out = truncated_volume(self.outer)
         return out - truncated_volume(self.inner) if self.inner is not None else out
 
-
-def annulus_membership(Q: ParabolicBall, j: int, p: SpacePoint) -> bool:
-    return Annulus(Q, j).contains(p)

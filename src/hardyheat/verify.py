@@ -1,11 +1,16 @@
 """Certification experiments: every numerically checkable claim as a pass/fail record.
 
-Each experiment is a pure function ``Settings -> ExperimentResult`` registered in
-``EXPERIMENTS``.  Results are deterministic in (seed, config): rerunning with the
-same settings reproduces the JSON payload byte for byte.  All gates (tolerance
-values, band widths, drift budgets) live on ``Settings`` — pinned defaults from
-pilot runs, never inline constants — and every result records the subset of
-tolerances it was judged against.
+Each experiment is one declaration: a measure function under ``@experiment``
+that names its claim, alias, spatial dimensions, the ``Settings`` fields it
+reads, and its gates, each a (measured key, comparison, bound) triple.  The
+verdict, the recorded ``tolerances``, the dimension guard, the CLI catalogue
+and the battery summary all derive from the declaration; ``EXPERIMENTS`` maps
+names to declarations, and calling one gives a ``Settings -> ExperimentResult``
+function.  Results are deterministic in (seed, config): rerunning with the same
+settings reproduces the JSON payload byte for byte.  A gate's bound is a
+``Settings`` field — pinned defaults from pilot runs — or a constant the claim
+fixes (an exact zero, the Whitney overlap bound); every result records the
+values of the fields its gates read.
 
 The operator images Ta, T*a are certified as molecules without ever building a
 global grid at the 2^(J+1)Q scale: the annulus norms M_j come from local
@@ -17,13 +22,14 @@ in time by Gauss panels between the same kinks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
 
-from .atoms import AtomKind, MoleculeReport, _bump_field, make_atom, make_molecule
+from .atoms import FIT_SLACK, AtomKind, MoleculeReport, _bump_field, make_atom, make_molecule
 from .decompose import (
     WHITNEY_OVERLAP_BOUND,
     Decomposition,
@@ -113,21 +119,11 @@ class Settings:
     dirichlet_moment_min: float = 1e-2
     far_moment_max: float = 1e-3
 
-    def subset(self, *names: str) -> dict:
-        return {k: getattr(self, k) for k in names}
-
 
 def _x0(Q: ParabolicBall) -> float:
     """Scalar spatial centre of a one-dimensional ball."""
     x = Q.center.x
     return float(x[0]) if isinstance(x, tuple) else float(x)
-
-
-def _require_1d(settings: Settings, experiment: str) -> None:
-    # only the round-trip battery has a 2-d variant; everything else leans on
-    # the 1-d kernel evaluator and the closed-form window masses
-    if settings.n != 1:
-        raise ValueError(f"{experiment} is one-dimensional; run it with n=1")
 
 
 def _jsonable(obj):
@@ -138,12 +134,12 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int subclass
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     return obj
 
 
@@ -151,8 +147,8 @@ def _jsonable(obj):
 class ExperimentResult:
     """One experiment run: what was measured, against which tolerances, verdict.
 
-    ``tolerances`` is the subset of Settings the verdict depends on (the
-    provenance of every gate is the config, by construction).
+    ``tolerances`` holds the Settings fields the gates read, with their values
+    (the provenance of every configurable gate is the config, by construction).
     """
 
     experiment: str
@@ -171,6 +167,123 @@ class ExperimentResult:
             "tolerances": _jsonable(self.tolerances),
             "notes": list(self.notes),
         }
+
+
+# -- declarations -----------------------------------------------------------------
+
+_COMPARE: dict[str, Callable[[object, object], bool]] = {
+    "<=": operator.le,
+    ">=": operator.ge,
+    ">": operator.gt,
+    "==": operator.eq,
+    # a fitted decay exponent, with the slack of MoleculeReport.certifies
+    "fit>=": lambda value, bound: value >= bound - FIT_SLACK,
+}
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One pass condition: measured[key] <op> bound.
+
+    op is "<=", ">=", ">", "==", or "fit>=" for a fitted decay exponent (">="
+    less FIT_SLACK).  bound names a Settings field, whose value the result
+    records under ``tolerances``, or is a constant the claim fixes.  The gate
+    applies to runs in the spatial dimensions ``dims``.
+    """
+
+    key: str
+    op: str
+    bound: str | float
+    dims: tuple[int, ...] = (1, 2)
+
+    def limit(self, settings: Settings):
+        return getattr(settings, self.bound) if isinstance(self.bound, str) else self.bound
+
+    def holds(self, measured: dict, settings: Settings) -> bool:
+        return bool(_COMPARE[self.op](measured[self.key], self.limit(settings)))
+
+
+@dataclass(frozen=True)
+class Measurement:
+    """What an experiment's measure function returns; the gates judge it."""
+
+    parameters: dict
+    measured: dict
+    notes: tuple[str, ...] = ()
+
+
+def _active(gates: tuple[Gate, ...], settings: Settings) -> list[Gate]:
+    return [g for g in gates if settings.n in g.dims]
+
+
+def _tolerances(gates: tuple[Gate, ...], settings: Settings) -> dict:
+    return {g.bound: g.limit(settings) for g in _active(gates, settings)
+            if isinstance(g.bound, str)}
+
+
+def _judge(name: str, gates: tuple[Gate, ...], settings: Settings,
+           m: Measurement) -> ExperimentResult:
+    return ExperimentResult(
+        experiment=name,
+        passed=all(g.holds(m.measured, settings) for g in _active(gates, settings)),
+        parameters=m.parameters,
+        measured=m.measured,
+        tolerances=_tolerances(gates, settings),
+        notes=m.notes,
+    )
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One certified claim: how it is measured and when it passes.
+
+    Calling it with Settings checks the spatial dimension against ``dims``,
+    runs ``measure`` and judges the record by the gates that apply.  ``reads``
+    lists every Settings field a run reads, the gate bounds and ``n``
+    included.
+    """
+
+    name: str
+    claim: str
+    reads: tuple[str, ...]
+    gates: tuple[Gate, ...]
+    measure: Callable[[Settings], Measurement]
+    alias: str | None = None
+    dims: tuple[int, ...] = (1,)
+
+    @property
+    def summary(self) -> str:
+        return (self.measure.__doc__ or "").strip().splitlines()[0]
+
+    def dims_error(self, n: int) -> str | None:
+        """Why the experiment cannot run in dimension n; None when it can."""
+        if n in self.dims:
+            return None
+        if self.dims == (1,):
+            return f"{self.name} is one-dimensional; run it with n=1"
+        return f"{self.name} supports n in {list(self.dims)}"
+
+    def failure(self, settings: Settings, exc: Exception) -> ExperimentResult:
+        """The failed record of a run that raised exc."""
+        return ExperimentResult(
+            experiment=self.name, passed=False, parameters={}, measured={},
+            tolerances=_tolerances(self.gates, settings),
+            notes=(f"raised {type(exc).__name__}: {exc}",),
+        )
+
+    def __call__(self, settings: Settings = Settings()) -> ExperimentResult:
+        error = self.dims_error(settings.n)
+        if error is not None:
+            raise ValueError(error)
+        return _judge(self.name, self.gates, settings, self.measure(settings))
+
+
+def experiment(*, claim: str, reads: tuple[str, ...], gates: tuple[Gate, ...],
+               alias: str | None = None, dims: tuple[int, ...] = (1,)):
+    """Declare the decorated measure function as the experiment of its name."""
+    def declare(measure: Callable[[Settings], Measurement]) -> Experiment:
+        return Experiment(measure.__name__, claim, reads, gates, measure, alias, dims)
+    return declare
 
 
 # -- shared probes ---------------------------------------------------------------
@@ -343,6 +456,10 @@ def _moment_scale(a: GridFunction, Q: ParabolicBall) -> float:
     return math.sqrt(truncated_volume(Q)) * lp_norm(a, 2)
 
 
+_ATOM_GATES = (Gate("fitted_alpha", "fit>=", "alpha"),
+               Gate("moment_rel", "<=", "moment_rel_tol"))
+
+
 def certify_T_on_atom(
     a: GridFunction,
     Q: ParabolicBall,
@@ -360,36 +477,45 @@ def certify_T_on_atom(
             Q, settings.alpha, tuple(range(1, settings.J + 1)),
             (0.0,) * settings.J, 0.0,
         )
-        result = ExperimentResult(
-            experiment="certify_T_on_atom",
-            passed=True,
+        m = Measurement(
             parameters={"zero_input": True, "J": settings.J},
-            measured={"fitted_alpha": report.fitted_alpha, "moment": 0.0},
-            tolerances=settings.subset("alpha", "moment_rel_tol"),
+            measured={"fitted_alpha": report.fitted_alpha, "moment": 0.0,
+                      "moment_rel": 0.0},
             notes=("zero input: Ta vanishes identically",),
         )
-        return report, result
-    report, _ = image_molecule_report(a, Q, "T", settings.alpha, settings.J, spec=spec)
-    mom_rel = abs(report.moment) / _moment_scale(a, Q)
-    ok = report.certifies(settings.alpha) and mom_rel <= settings.moment_rel_tol
-    result = ExperimentResult(
-        experiment="certify_T_on_atom",
-        passed=bool(ok),
-        parameters={"ball": {"t0": Q.t0, "x0": Q.center.x, "radius": Q.radius},
-                    "J": settings.J},
-        measured={
-            "fitted_alpha": report.fitted_alpha,
-            "constant": report.constant,
-            "moment_rel": mom_rel,
-        },
-        tolerances=settings.subset("alpha", "moment_rel_tol"),
-    )
-    return report, result
+    else:
+        report, _ = image_molecule_report(a, Q, "T", settings.alpha, settings.J,
+                                          spec=spec)
+        m = Measurement(
+            parameters={"ball": {"t0": Q.t0, "x0": Q.center.x, "radius": Q.radius},
+                        "J": settings.J},
+            measured={
+                "fitted_alpha": report.fitted_alpha,
+                "constant": report.constant,
+                "moment_rel": abs(report.moment) / _moment_scale(a, Q),
+            },
+        )
+    return report, _judge("certify_T_on_atom", _ATOM_GATES, settings, m)
 
 
 # -- experiments ------------------------------------------------------------------
 
-def telescoping_oracle(settings: Settings = Settings()) -> ExperimentResult:
+@experiment(
+    claim=(
+        "The slab-telescoped evaluation of Tf(t,x) = ∫₀ᵗ Δe^((t-s)Δ) f(s,·)(x) ds "
+        "agrees with an independent Duhamel quadrature to within the spatial "
+        "quadrature budget, and the gap shrinks at fourth order when the mesh "
+        "is halved."
+    ),
+    reads=("seed", "n", "oracle_inputs", "oracle_grid", "oracle_rel",
+           "oracle_factor", "oracle_improvement"),
+    gates=(
+        Gate("max_rel_error", "<=", "oracle_rel"),
+        Gate("max_gap_over_budget", "<=", "oracle_factor"),
+        Gate("min_refinement_gain", ">=", "oracle_improvement"),
+    ),
+)
+def telescoping_oracle(settings: Settings) -> Measurement:
     """Telescoped evaluation of T against the independent Duhamel quadrature.
 
     Over random smooth inputs: the L² gap stays within oracle_factor times the
@@ -397,7 +523,6 @@ def telescoping_oracle(settings: Settings = Settings()) -> ExperimentResult:
     halving h shrinks the gap by at least oracle_improvement (the comparison
     rule is fourth order in h).
     """
-    _require_1d(settings, "telescoping_oracle")
     L, nx, T, nt = settings.oracle_grid
     grid = SpaceTimeGrid(1, L, int(nx), 0.0, T, int(nt))
     fine = SpaceTimeGrid(1, L, 2 * int(nx), 0.0, T, int(nt))
@@ -412,14 +537,7 @@ def telescoping_oracle(settings: Settings = Settings()) -> ExperimentResult:
         f2 = GridFunction(fine, _smooth_field(seed, fine))
         gap2 = lp_norm(apply_T(f2) - duhamel_reference(f2), 2)
         improvements.append(gap / gap2 if gap2 > 0 else math.inf)
-    passed = (
-        max(rels) <= settings.oracle_rel
-        and max(factors) <= settings.oracle_factor
-        and min(improvements) >= settings.oracle_improvement
-    )
-    return ExperimentResult(
-        experiment="telescoping_oracle",
-        passed=bool(passed),
+    return Measurement(
         parameters={"grid": asdict(grid), "inputs": settings.oracle_inputs,
                     "u_switch": grid.tau / 8.0},
         measured={
@@ -428,11 +546,28 @@ def telescoping_oracle(settings: Settings = Settings()) -> ExperimentResult:
             "min_refinement_gain": min(improvements),
             "rel_errors": rels,
         },
-        tolerances=settings.subset("oracle_rel", "oracle_factor", "oracle_improvement"),
     )
 
 
-def atom_images(settings: Settings = Settings()) -> ExperimentResult:
+@experiment(
+    alias="certify_T",
+    claim=(
+        "For random (1,∞)-atoms a supported in Q ∩ X, Ta is a mean-zero "
+        "molecule: annulus norms satisfy M_j ≤ C 2^(-jα) with fitted α ≥ 1/2 "
+        "and constants in a uniform band, |∫ Ta| is negligible against "
+        "ν(Q)^(1/2) ‖a‖₂, and the spatial mean of Ta(t,·) vanishes at every "
+        "sampled time."
+    ),
+    reads=("seed", "n", "n_atoms", "alpha", "J", "uniformity_band",
+           "moment_rel_tol", "mean_times", "mean_value_tol"),
+    gates=(
+        Gate("min_fitted_alpha", "fit>=", "alpha"),
+        Gate("constant_band", "<=", "uniformity_band"),
+        Gate("max_moment_rel", "<=", "moment_rel_tol"),
+        Gate("max_mean_rel", "<=", "mean_value_tol"),
+    ),
+)
+def atom_images(settings: Settings) -> Measurement:
     """Ta is a mean-zero molecule, uniformly over random (1, ∞)-atoms.
 
     Per atom: fitted decay exponent ≥ alpha, moment below moment_rel_tol, and
@@ -440,7 +575,6 @@ def atom_images(settings: Settings = Settings()) -> ExperimentResult:
     mean_value_tol relative to the largest single-time mass.  Across atoms the
     molecule constants stay inside a uniformity_band factor band.
     """
-    _require_1d(settings, "atom_images")
     fitted, constants, moments, means = [], [], [], []
     l1_diag = []
     for i in range(settings.n_atoms):
@@ -462,15 +596,7 @@ def atom_images(settings: Settings = Settings()) -> ExperimentResult:
             l1_diag.append(row_l1 * math.sqrt(truncated_volume(Q)) /
                            _moment_scale(a, Q))
     band = max(constants) / min(constants)
-    passed = (
-        min(fitted) >= settings.alpha - 1e-9
-        and band <= settings.uniformity_band
-        and max(moments) <= settings.moment_rel_tol
-        and max(means) <= settings.mean_value_tol
-    )
-    return ExperimentResult(
-        experiment="atom_images",
-        passed=bool(passed),
+    return Measurement(
         parameters={"n_atoms": settings.n_atoms, "J": settings.J,
                     "mean_times": settings.mean_times},
         measured={
@@ -481,9 +607,6 @@ def atom_images(settings: Settings = Settings()) -> ExperimentResult:
             "max_mean_rel": max(means),
             "peak_time_mass_diagnostic": l1_diag,
         },
-        tolerances=settings.subset(
-            "alpha", "uniformity_band", "moment_rel_tol", "mean_value_tol"
-        ),
         notes=("peak_time_mass_diagnostic is reported, not gated",),
     )
 
@@ -502,7 +625,24 @@ def _tstar_atom(kind: AtomKind, seed: int) -> tuple[GridFunction, ParabolicBall]
     return make_atom(grid, Q, kind, seed=seed), Q
 
 
-def tstar_images(settings: Settings = Settings()) -> ExperimentResult:
+@experiment(
+    alias="certify_Tstar",
+    claim=(
+        "T* maps interior atoms (4Q ⊆ X, mean zero) to mean-zero molecules, "
+        "and boundary atoms (2Q ⊆ X, 4Q ⊄ X, no moment) to images whose "
+        "annulus norms decay strictly faster than 2^(-j), consistent with "
+        "exp(-c·4^j); T*a vanishes identically past the support in time."
+    ),
+    reads=("seed", "n", "n_tstar_atoms", "alpha", "J", "moment_rel_tol",
+           "bfit_min"),
+    gates=(
+        Gate("min_fitted_interior", "fit>=", "alpha"),
+        Gate("max_moment_rel_interior", "<=", "moment_rel_tol"),
+        Gate("min_fitted_boundary", ">=", "bfit_min"),
+        Gate("anticausal_max", "==", 0.0),
+    ),
+)
+def tstar_images(settings: Settings) -> Measurement:
     """T* sends boundary-adapted atoms to molecules, faster for the boundary kind.
 
     Interior atoms (4Q ⊆ X): mean-zero molecules with fitted exponent ≥ alpha.
@@ -511,7 +651,6 @@ def tstar_images(settings: Settings = Settings()) -> ExperimentResult:
     (unforced) moment recorded.  Anticausality itself is checked exactly:
     T*a(t, ·) = 0 once t clears the support.
     """
-    _require_1d(settings, "tstar_images")
     fitted_a, moments_a, fitted_b, moments_b = [], [], [], []
     anticausal_max = 0.0
     for i in range(settings.n_tstar_atoms):
@@ -530,15 +669,7 @@ def tstar_images(settings: Settings = Settings()) -> ExperimentResult:
         t_past = float(b.grid.t_edges[last + 1])
         probe = apply_Tstar_at(b, t_past, np.linspace(-0.6, 0.6, 9))
         anticausal_max = max(anticausal_max, float(np.abs(probe).max()))
-    passed = (
-        min(fitted_a) >= settings.alpha - 1e-9
-        and max(moments_a) <= settings.moment_rel_tol
-        and min(fitted_b) >= settings.bfit_min
-        and anticausal_max == 0.0
-    )
-    return ExperimentResult(
-        experiment="tstar_images",
-        passed=bool(passed),
+    return Measurement(
         parameters={"n_atoms_per_kind": settings.n_tstar_atoms, "J": settings.J},
         measured={
             "min_fitted_interior": min(fitted_a),
@@ -547,7 +678,6 @@ def tstar_images(settings: Settings = Settings()) -> ExperimentResult:
             "max_moment_rel_boundary": max(moments_b),
             "anticausal_max": anticausal_max,
         },
-        tolerances=settings.subset("alpha", "moment_rel_tol", "bfit_min"),
         notes=("boundary-kind moments are recorded, not gated",),
     )
 
@@ -568,7 +698,25 @@ def _box_cone_integral(a: float, b: float) -> float:
     return val
 
 
-def growth_T(settings: Settings = Settings()) -> ExperimentResult:
+@experiment(
+    alias="counterexample_T",
+    claim=(
+        "For the indicator f = χ_{(0,1)×(-1,1)}, which has a finite "
+        "atomic-norm certificate, the truncated mass I(T) = ∫₄ᵀ∫_{|x|≤√t/2} "
+        "|Tf| grows logarithmically: dyadic increments I(2T) - I(T) are "
+        "positive and near-constant, so Tf is not integrable and T cannot map "
+        "into an L¹-embedded space."
+    ),
+    reads=("n", "growth_T_values", "dyadic_spread"),
+    gates=(
+        Gate("min_dyadic_increment", ">", 0.0),
+        Gate("dyadic_spread", "<=", "dyadic_spread"),
+        Gate("log_slope", ">", 0.0),
+        Gate("cone_sign_max", "<=", 0.0),
+        Gate("h1r_bound_finite", "==", True),
+    ),
+)
+def growth_T(settings: Settings) -> Measurement:
     """T of an indicator box leaves no Hardy-type space: logarithmic mass growth.
 
     I(T) = ∫_4^T ∫_{|x| ≤ √t/2} |Tf| with f = χ_{(0,1)×(-1,1)} grows like
@@ -576,7 +724,6 @@ def growth_T(settings: Settings = Settings()) -> ExperimentResult:
     dyadic_spread, the least-squares slope against log T is positive, while
     finite_norm_bound still certifies the same f with a finite bound.
     """
-    _require_1d(settings, "growth_T")
     Ts = (4.0,) + tuple(settings.growth_T_values)
     I = {}
     acc = 0.0
@@ -601,32 +748,37 @@ def growth_T(settings: Settings = Settings()) -> ExperimentResult:
     tt, xx = grid.mesh()
     f = GridFunction(grid, ((tt < 1.0) & (np.abs(xx) < 1.0)).astype(float))
     bound = finite_norm_bound(f, strategy="r_odd")
-    passed = (
-        min(diffs) > 0.0
-        and spread <= settings.dyadic_spread
-        and slope > 0.0
-        and sign_max <= 0.0
-        and math.isfinite(bound.value)
-    )
-    return ExperimentResult(
-        experiment="growth_T",
-        passed=bool(passed),
+    return Measurement(
         parameters={"T_values": list(settings.growth_T_values), "t_start": 4.0},
         measured={
             "growth_table": [[float(T), float(I[T])] for T in settings.growth_T_values],
             "dyadic_increments": diffs,
+            "min_dyadic_increment": min(diffs),
             "dyadic_spread": spread,
             "log_slope": float(slope),
             "fit_residual_max": resid,
             "cone_sign_max": sign_max,
             "h1r_bound": bound.value,
+            "h1r_bound_finite": math.isfinite(bound.value),
         },
-        tolerances=settings.subset("dyadic_spread"),
         notes=("growth_table columns: T, I_T",),
     )
 
 
-def growth_Tstar(settings: Settings = Settings()) -> ExperimentResult:
+@experiment(
+    alias="counterexample_Tstar",
+    claim=(
+        "The kernel mass c = ∫ |∂_t p_t(x)| dx equals √(2/π)·e^(-1/2) at "
+        "t = 1 and scales like c/t, so the truncated double integral "
+        "G(T) = ∫₁ᵀ ∫ |∂_u p_u| dx du grows like c·ln T without bound."
+    ),
+    reads=("n", "c_abs_tol", "slope_rel_tol"),
+    gates=(
+        Gate("c_gap", "<=", "c_abs_tol"),
+        Gate("slope_rel_gap", "<=", "slope_rel_tol"),
+    ),
+)
+def growth_Tstar(settings: Settings) -> Measurement:
     """The time-derivative kernel mass diverges logarithmically under truncation.
 
     c = ∫|∂_t p_t(x)| dx at t = 1 by direct quadrature matches the closed form
@@ -634,7 +786,6 @@ def growth_Tstar(settings: Settings = Settings()) -> ExperimentResult:
     G(T) = ∫_1^T ∫|∂_t p_u| dx du, with the inner integral quadratured at every
     panel node, grows with slope c against log T to within slope_rel_tol.
     """
-    _require_1d(settings, "growth_Tstar")
     def c_at(u: float) -> float:
         xstar = math.sqrt(2.0 * u)
         body = lambda x: abs(gauss_kernel_dt(u, x * x, 1))
@@ -656,13 +807,7 @@ def growth_Tstar(settings: Settings = Settings()) -> ExperimentResult:
             G[b] = acc
     logs = np.log(T_values)
     slope, _ = np.polyfit(logs, [G[T] for T in T_values], 1)
-    passed = (
-        abs(c_quad - C_TSTAR) <= settings.c_abs_tol
-        and abs(slope - c_quad) / c_quad <= settings.slope_rel_tol
-    )
-    return ExperimentResult(
-        experiment="growth_Tstar",
-        passed=bool(passed),
+    return Measurement(
         parameters={"T_values": list(T_values), "t_min": 1.0},
         measured={
             "c_quadrature": c_quad,
@@ -673,12 +818,29 @@ def growth_Tstar(settings: Settings = Settings()) -> ExperimentResult:
             "log_slope": float(slope),
             "slope_rel_gap": abs(slope - c_quad) / c_quad,
         },
-        tolerances=settings.subset("c_abs_tol", "slope_rel_tol"),
         notes=("growth_table columns: T, I_T",),
     )
 
 
-def roundtrips(settings: Settings = Settings()) -> ExperimentResult:
+@experiment(
+    claim=(
+        "Restriction to the half-space decomposes classical atoms exactly "
+        "(zero residual) into interior/boundary atoms with Whitney cover "
+        "overlap within the dimensional bound; even-extension decompositions "
+        "reconstruct at rounding scale; truncating a molecule expansion at "
+        "level J leaves a residual of C·2^(-Jα) with C logged."
+    ),
+    reads=("seed", "n", "n_roundtrip_balls", "n_hz_given", "alpha",
+           "hz_residual_tol", "molecule_tail_constant"),
+    gates=(
+        Gate("overlap_max", "<=", WHITNEY_OVERLAP_BOUND[1], dims=(1,)),
+        Gate("overlap_max", "<=", WHITNEY_OVERLAP_BOUND[2], dims=(2,)),
+        Gate("hz_residual_max", "<=", "hz_residual_tol", dims=(1,)),
+        Gate("molecule_tail_constant_max", "<=", "molecule_tail_constant", dims=(1,)),
+    ),
+    dims=(1, 2),
+)
+def roundtrips(settings: Settings) -> Measurement:
     """Decomposition round trips at their advertised exactness.
 
     Restriction: zero residual and in-bound cover overlap on random straddling
@@ -688,8 +850,6 @@ def roundtrips(settings: Settings = Settings()) -> ExperimentResult:
     With n=2 only the restriction leg runs (bound 64 instead of 16); the
     remaining legs are one-dimensional in this battery.
     """
-    if settings.n not in WHITNEY_OVERLAP_BOUND:
-        raise ValueError(f"roundtrips supports n in {sorted(WHITNEY_OVERLAP_BOUND)}")
     if settings.n == 2:
         grid_N = SpaceTimeGrid(2, 1.0, 20, -0.5, 0.5, 40)
         n_balls = min(settings.n_roundtrip_balls, 20)  # 2-d covers are wide
@@ -712,17 +872,16 @@ def roundtrips(settings: Settings = Settings()) -> ExperimentResult:
             raise AssertionError("restriction residual must be exactly zero")
         overlaps.append(dec.ledger["overlap_max"])
         constants.append(dec.ledger["coefficient_constant_raw"])
+    overlap_note = (f"whitney overlap bound: {WHITNEY_OVERLAP_BOUND[settings.n]} "
+                    f"(n = {settings.n})")
     if settings.n == 2:
-        return ExperimentResult(
-            experiment="roundtrips",
-            passed=bool(max(overlaps) <= WHITNEY_OVERLAP_BOUND[2]),
+        return Measurement(
             parameters={"n": 2, "n_balls": n_balls},
             measured={"restrict_residual_max": 0.0,
                       "overlap_max": max(overlaps),
                       "coefficient_constant_max": max(constants)},
-            tolerances={"overlap_bound": WHITNEY_OVERLAP_BOUND[2]},
             notes=("restriction leg only: the even-extension and molecule legs "
-                   "are one-dimensional",),
+                   "are one-dimensional", overlap_note),
         )
     hz_resid = []
     grid_hz = SpaceTimeGrid(1, 4.0, 64, -6.0, 6.0, 96)
@@ -749,14 +908,7 @@ def roundtrips(settings: Settings = Settings()) -> ExperimentResult:
                           seed=settings.seed, moment_profile="geometric")
         dec = molecule_decompose(m, mol_ball, alpha=settings.alpha, J=J)
         tail_constants.append(dec.residual * 2.0 ** (J * settings.alpha))
-    passed = (
-        max(overlaps) <= WHITNEY_OVERLAP_BOUND[1]
-        and max(hz_resid) <= settings.hz_residual_tol
-        and max(tail_constants) <= settings.molecule_tail_constant
-    )
-    return ExperimentResult(
-        experiment="roundtrips",
-        passed=bool(passed),
+    return Measurement(
         parameters={"n": 1, "n_balls": settings.n_roundtrip_balls,
                     "n_hz_given": settings.n_hz_given, "alpha": settings.alpha},
         measured={
@@ -765,19 +917,26 @@ def roundtrips(settings: Settings = Settings()) -> ExperimentResult:
             "coefficient_constant_max": max(constants),
             "hz_residual_max": max(hz_resid),
             "molecule_tail_constants": tail_constants,
+            "molecule_tail_constant_max": max(tail_constants),
         },
-        tolerances=settings.subset("hz_residual_tol", "molecule_tail_constant"),
-        notes=(f"whitney overlap bound: {WHITNEY_OVERLAP_BOUND[1]} (n = 1)",),
+        notes=(overlap_note,),
     )
 
 
-def l2_stability(settings: Settings = Settings()) -> ExperimentResult:
+@experiment(
+    claim=(
+        "T is bounded on L²: the empirical operator norm over a fixed random "
+        "input family drifts by a bounded fraction under dyadic refinement."
+    ),
+    reads=("seed", "n", "l2_inputs", "l2_drift"),
+    gates=(Gate("max_drift", "<=", "l2_drift"),),
+)
+def l2_stability(settings: Settings) -> Measurement:
     """The empirical L² operator norm of T is stable under dyadic refinement.
 
     The sup of ‖Tf‖₂/‖f‖₂ over smooth random inputs, recomputed on three
     dyadically refined grids, drifts by at most l2_drift between neighbours.
     """
-    _require_1d(settings, "l2_stability")
     grids = [SpaceTimeGrid(1, 2.0, 24, 0.0, 2.0, 12)]
     for _ in range(2):
         grids.append(grids[-1].refine(2))
@@ -789,17 +948,29 @@ def l2_stability(settings: Settings = Settings()) -> ExperimentResult:
             best = max(best, lp_norm(apply_T(f), 2) / lp_norm(f, 2))
         sups.append(best)
     drifts = [abs(b - a) / a for a, b in zip(sups[:-1], sups[1:])]
-    return ExperimentResult(
-        experiment="l2_stability",
-        passed=bool(max(drifts) <= settings.l2_drift),
+    return Measurement(
         parameters={"grids": [asdict(g) for g in grids],
                     "inputs": settings.l2_inputs},
         measured={"operator_norms": sups, "max_drift": max(drifts)},
-        tolerances=settings.subset("l2_drift"),
     )
 
 
-def lp_probe(settings: Settings = Settings()) -> ExperimentResult:
+@experiment(
+    claim=(
+        "Empirical Lᵖ→Lᵖ ratios of T stay stable under refinement for p > 1, "
+        "while the L¹ mass ratio grows with the time horizon — the loss is "
+        "specific to p = 1."
+    ),
+    reads=("seed", "n", "l2_inputs", "lp_exponents", "lp_ratio_max",
+           "lp1_growth_min"),
+    gates=(
+        Gate("max_refinement_ratio", "<=", "lp_ratio_max"),
+        Gate("l1_min_step", ">", 0.0),
+        Gate("l1_growth_ratio", ">=", "lp1_growth_min"),
+        Gate("zero_image_norm", "==", 0.0),
+    ),
+)
+def lp_probe(settings: Settings) -> Measurement:
     """Empirical Lᵖ → Lᵖ ratios: stable for p > 1, growing mass for p = 1.
 
     For each p the sup of ‖Tf‖ₚ/‖f‖ₚ over smooth inputs may grow by at most
@@ -808,7 +979,6 @@ def lp_probe(settings: Settings = Settings()) -> ExperimentResult:
     strictly growing ratios (the logarithmic mass escaping any L¹ bound).
     The zero input maps to ratio zero.
     """
-    _require_1d(settings, "lp_probe")
     grids = [SpaceTimeGrid(1, 2.0, 16, 0.0, 2.0, 8)]
     for _ in range(2):
         grids.append(grids[-1].refine(2))
@@ -831,25 +1001,17 @@ def lp_probe(settings: Settings = Settings()) -> ExperimentResult:
         l1_ratios.append(lp_norm(apply_T(f), 1) / lp_norm(f, 1))
     zero = GridFunction(grids[0], np.zeros(grids[0].shape))
     zero_norm = lp_norm(apply_T(zero), 2)
-    growing = all(b > a for a, b in zip(l1_ratios[:-1], l1_ratios[1:]))
-    passed = (
-        ratio_max <= settings.lp_ratio_max
-        and growing
-        and l1_ratios[-1] / l1_ratios[0] >= settings.lp1_growth_min
-        and zero_norm == 0.0
-    )
-    return ExperimentResult(
-        experiment="lp_probe",
-        passed=bool(passed),
+    return Measurement(
         parameters={"exponents": list(settings.lp_exponents),
                     "l1_horizons": [4.0, 16.0, 64.0]},
         measured={
             "ratio_tables": {str(p): sups for p, sups in table.items()},
             "max_refinement_ratio": ratio_max,
             "l1_contrast_ratios": l1_ratios,
+            "l1_growth_ratio": l1_ratios[-1] / l1_ratios[0],
+            "l1_min_step": min(b - a for a, b in zip(l1_ratios[:-1], l1_ratios[1:])),
             "zero_image_norm": zero_norm,
         },
-        tolerances=settings.subset("lp_ratio_max", "lp1_growth_min"),
     )
 
 
@@ -867,7 +1029,7 @@ def _wall_atom(x0: float, r: float, seed: int, nx: int = 48,
     return GridFunction(grid, vals), Q
 
 
-def boundary_dichotomy(kind: str, settings: Settings = Settings()) -> ExperimentResult:
+def boundary_dichotomy(kind: str, settings: Settings) -> Measurement:
     """Conservative vs absorbing wall: the mean of Ta survives or dies with mass.
 
     Neumann: the image kernel conserves mass, so every atom keeps
@@ -878,9 +1040,9 @@ def boundary_dichotomy(kind: str, settings: Settings = Settings()) -> Experiment
 
     The moment is taken over the horizon (0, 4 t_max) × Ω: past the support
     the absorbing wall eventually drains every image to mean zero, so the
-    dichotomy lives in the transient just after the atom switches off.
+    dichotomy lives in the transient just after the atom switches off.  This
+    is the measurement of both wall experiments; each declares its own gates.
     """
-    _require_1d(settings, "boundary_" + kind)
     if kind not in ("dirichlet", "neumann"):
         raise ValueError("kind must be 'dirichlet' or 'neumann'")
     spec = KernelSpec(
@@ -906,53 +1068,67 @@ def boundary_dichotomy(kind: str, settings: Settings = Settings()) -> Experiment
     report, _ = image_molecule_report(near, Q_near, "T", settings.alpha,
                                       settings.J, spec=spec)
     if kind == "neumann":
-        worst = max(rel_near, rel_mid, rel_far)
-        passed = worst <= settings.neumann_moment_max and report.certifies(settings.alpha)
-        measured = {"max_moment_rel": worst, "near_fitted_alpha": report.fitted_alpha,
+        measured = {"max_moment_rel": max(rel_near, rel_mid, rel_far),
+                    "near_fitted_alpha": report.fitted_alpha,
                     "moment_rels": [rel_near, rel_mid, rel_far]}
-        tols = settings.subset("neumann_moment_max", "alpha")
     else:
-        passed = (
-            rel_near >= settings.dirichlet_moment_min
-            and rel_far <= settings.far_moment_max
-            and report.certifies(settings.alpha)
-        )
         measured = {"near_moment_rel": rel_near, "mid_moment_rel": rel_mid,
                     "far_moment_rel": rel_far,
                     "near_fitted_alpha": report.fitted_alpha}
-        tols = settings.subset("dirichlet_moment_min", "far_moment_max", "alpha")
-    return ExperimentResult(
-        experiment=f"boundary_{kind}",
-        passed=bool(passed),
+    return Measurement(
         parameters={"radius": r, "near_x0": r, "far_x0": far_x,
                     "moment_horizon": 4.0 * near.grid.t_max},
         measured=measured,
-        tolerances=tols,
     )
 
 
-def boundary_dirichlet(settings: Settings = Settings()) -> ExperimentResult:
+@experiment(
+    claim=(
+        "With an absorbing wall the image mean over a fixed transient horizon "
+        "survives at order one for an atom at distance r from the wall and is "
+        "negligible for a far atom: no uniform mean-value identity holds."
+    ),
+    reads=("seed", "n", "alpha", "J", "dirichlet_moment_min", "far_moment_max"),
+    gates=(
+        Gate("near_moment_rel", ">=", "dirichlet_moment_min"),
+        Gate("far_moment_rel", "<=", "far_moment_max"),
+        Gate("near_fitted_alpha", "fit>=", "alpha"),
+    ),
+)
+def boundary_dirichlet(settings: Settings) -> Measurement:
     """Absorbing wall: the image mean survives near the wall, dies far away."""
     return boundary_dichotomy("dirichlet", settings)
 
 
-def boundary_neumann(settings: Settings = Settings()) -> ExperimentResult:
+@experiment(
+    claim=(
+        "With a conservative wall the image kernel preserves mass, so the "
+        "mean of Ta over the transient horizon vanishes for every atom, near "
+        "or far from the wall."
+    ),
+    reads=("seed", "n", "alpha", "J", "neumann_moment_max"),
+    gates=(
+        Gate("max_moment_rel", "<=", "neumann_moment_max"),
+        Gate("near_fitted_alpha", "fit>=", "alpha"),
+    ),
+)
+def boundary_neumann(settings: Settings) -> Measurement:
     """Conservative wall: the image mean vanishes for every atom."""
     return boundary_dichotomy("neumann", settings)
 
 
-EXPERIMENTS: dict[str, Callable[[Settings], ExperimentResult]] = {
-    "telescoping_oracle": telescoping_oracle,
-    "atom_images": atom_images,
-    "tstar_images": tstar_images,
-    "growth_T": growth_T,
-    "growth_Tstar": growth_Tstar,
-    "roundtrips": roundtrips,
-    "l2_stability": l2_stability,
-    "lp_probe": lp_probe,
-    "boundary_dirichlet": boundary_dirichlet,
-    "boundary_neumann": boundary_neumann,
-}
+EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (
+    telescoping_oracle,
+    atom_images,
+    tstar_images,
+    growth_T,
+    growth_Tstar,
+    roundtrips,
+    l2_stability,
+    lp_probe,
+    boundary_dirichlet,
+    boundary_neumann,
+)}
 
 
 def run_experiment(name: str, settings: Settings = Settings()) -> ExperimentResult:

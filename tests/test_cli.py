@@ -1,5 +1,6 @@
 """Config layer and command-line behaviours: exit codes, artifacts, manifests."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from hardyheat.cli import ALIASES, CLAIMS, main
+from hardyheat.cli import main
 from hardyheat.config import (
     ConfigError,
     RunConfig,
@@ -108,6 +109,12 @@ def test_default_experiments_is_full_catalogue():
     assert RunConfig().resolved_experiments() == tuple(EXPERIMENTS)
 
 
+def test_config_file_experiments_accept_aliases():
+    config = load_config(None, {"experiments": "certify-T,growth_Tstar"})
+    assert config.resolved_experiments() == ("atom_images", "growth_Tstar")
+    assert dumps(config).startswith("experiments = atom_images,growth_Tstar\n")
+
+
 # -- list / describe ---------------------------------------------------------------
 
 
@@ -123,8 +130,19 @@ def test_describe_resolves_alias_and_prints_claim(capsys):
     assert main(["describe", "counterexample-T"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("growth_T")
-    assert CLAIMS["growth_T"] in out
+    assert EXPERIMENTS["growth_T"].claim in out
     assert "growth_T_values = " in out
+    # every gate, with the value of its bound
+    assert "    dyadic_spread <= dyadic_spread = 0.2\n" in out
+    assert "    min_dyadic_increment > 0.0\n" in out
+    assert "    h1r_bound_finite == true\n" in out
+
+
+def test_describe_prints_fit_slack_and_gate_dims(capsys):
+    assert main(["describe", "certify-T", "roundtrips"]) == 0
+    out = capsys.readouterr().out
+    assert "    min_fitted_alpha >= alpha = 0.5 less 1e-09\n" in out
+    assert "    overlap_max <= 64 (n = 2)\n" in out
 
 
 def test_describe_unknown_exits_2(capsys):
@@ -133,9 +151,14 @@ def test_describe_unknown_exits_2(capsys):
 
 
 def test_every_experiment_has_claim_and_schema():
-    assert set(CLAIMS) == set(EXPERIMENTS)
-    for alias, target in ALIASES.items():
-        assert target in EXPERIMENTS
+    for name, exp in EXPERIMENTS.items():
+        assert exp.name == name and exp.claim
+        assert "n" in exp.reads
+        for gate in exp.gates:
+            if isinstance(gate.bound, str):
+                assert gate.bound in exp.reads
+    aliases = [e.alias for e in EXPERIMENTS.values() if e.alias]
+    assert len(aliases) == len(set(aliases)) == 4
 
 
 # -- run ---------------------------------------------------------------------------
@@ -212,6 +235,41 @@ def test_run_parallel_matches_serial(tmp_path):
         assert fa[name] == fb[name]
 
 
+def test_run_manifest_ignores_out_dir_and_threads(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    common = ["run", "roundtrips", "l2_stability", "--seed", "3", *FAST_RUN]
+    assert main([*common, "--out", str(a), "--threads", "1"]) == 0
+    assert main([*common, "--out", str(b), "--threads", "2"]) == 0
+    manifest = (a / "manifest.txt").read_bytes()
+    assert manifest == (b / "manifest.txt").read_bytes()
+    assert b"out_dir" not in manifest and b"threads" not in manifest
+
+
+def test_run_exception_is_a_failed_record(tmp_path, capsys, monkeypatch):
+    def boom(settings):
+        raise ValueError("degenerate sample; use another seed")
+
+    exp = EXPERIMENTS["l2_stability"]
+    monkeypatch.setitem(EXPERIMENTS, "l2_stability",
+                        dataclasses.replace(exp, measure=boom))
+    out = tmp_path / "res"
+    code = main(["run", "l2_stability", "growth_Tstar", "--out", str(out),
+                 *FAST_RUN])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "FAIL  l2_stability" in captured.out
+    assert "pass  growth_Tstar" in captured.out
+    doc = json.loads((out / "l2_stability.json").read_text())
+    assert doc["passed"] is False
+    assert doc["tolerances"] == {"l2_drift": 0.1}
+    assert doc["notes"] == ["raised ValueError: degenerate sample; use another seed"]
+    assert json.loads((out / "growth_Tstar.json").read_text())["passed"] is True
+    manifest = (out / "manifest.txt").read_text()
+    assert "experiments = l2_stability,growth_Tstar" in manifest
+    for fname in ("l2_stability.json", "growth_Tstar.json", "growth_Tstar.csv"):
+        assert f"  {fname}\n" in manifest
+
+
 def test_run_gate_failure_exits_1(tmp_path, capsys):
     out = tmp_path / "res"
     code = main(["run", "l2_stability", "--out", str(out),
@@ -239,6 +297,7 @@ def test_run_2d_on_1d_experiment_exits_2(tmp_path, capsys):
     code = main(["run", "lp_probe", "--n", "2", "--out", str(tmp_path / "r")])
     assert code == 2
     assert "one-dimensional" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()  # rejected before anything ran
 
 
 def test_run_2d_roundtrips(tmp_path):

@@ -21,7 +21,6 @@ from hardyheat.decompose import (
     finite_norm_bound,
     hz_decompose,
     molecule_decompose,
-    recentre_atom,
     reflect_assemble,
     restrict_decompose,
     whitney_cover,
@@ -31,7 +30,6 @@ from hardyheat.grid import (
     SpaceTimeGrid,
     integrate,
     lp_norm,
-    read_binary,
     restrict,
     time_reflect,
 )
@@ -388,49 +386,11 @@ def test_hz_rejects_bad_given(hz_setup):
 # -- recentring -----------------------------------------------------------------
 
 
-def _truncated_atom(grid, Q):
-    mesh = grid.mesh()
-    m = Q.mask(*mesh)
-    v = np.zeros(grid.shape)
-    v[m] = np.sin(np.arange(int(m.sum())))
-    v[m] -= v[m].mean()
-    f = GridFunction(grid, v)
-    return f * (1.0 / (lp_norm(f, 2) * math.sqrt(truncated_volume(Q))))
-
-
-def test_recentre_low_ball():
-    grid = SpaceTimeGrid(1, 4.0, 64, 0.0, 4.0, 64)
-    Q = ball(0.5, 0.0, 1.0)
-    a = _truncated_atom(grid, Q)
-    out, Qt, factor = recentre_atom(a, Q)
-    assert (Qt.t0, Qt.radius) == (1.0, 1.0)
-    assert factor == pytest.approx(math.sqrt(4.0 / 3.0), rel=1e-12)
-    assert factor <= math.sqrt(2.0)
-    assert lp_norm(out, 2) * math.sqrt(ball_volume(Qt)) <= 1.0 + 1e-9
-    # the recentred ball still contains the support
-    assert validate_atom(out, Qt, AtomKind.CLASSICAL_2).support_ok
-
-
-def test_recentre_untouched_when_high():
-    grid = SpaceTimeGrid(1, 4.0, 64, 0.0, 4.0, 64)
-    Q = ball(1.5, 0.0, 1.0)
-    a = _truncated_atom(grid, Q)
-    out, Qt, factor = recentre_atom(a, Q)
-    assert out is a and Qt is Q and factor == 1.0
-
-
 def test_recentre_volume_ratio_at_most_two():
     # nu(Q~)/nu(Q ∩ X) = 2r^2/(s + r^2) <= 2, worst as s -> 0
     for s in (0.01, 0.3, 0.8):
         Q = ball(s, 0.0, 1.0)
         assert ball_volume(ball(1.0, 0.0, 1.0)) / truncated_volume(Q) <= 2.0 / (s + 1.0) * (1 + 1e-12)
-
-
-def test_recentre_rejects_nonpositive_centre():
-    grid = SpaceTimeGrid(1, 4.0, 64, 0.0, 4.0, 64)
-    a = GridFunction(grid, np.zeros(grid.shape))
-    with pytest.raises(DecompositionError):
-        recentre_atom(a, ball(-0.5, 0.0, 1.0))
 
 
 # -- molecules ------------------------------------------------------------------
@@ -567,15 +527,6 @@ def test_decomposition_json_roundtrip(straddle_setup):
     assert back["residual"] == 0.0
     assert back["terms"][0]["kind"] == "type_b"
     assert set(back["terms"][0]["ball"]) == {"t0", "x0", "radius"}
-
-
-def test_decomposition_spill_atoms(tmp_path, type_b_atom):
-    b, Q = type_b_atom
-    dec = reflect_assemble(b, Q)
-    paths = dec.spill_atoms(tmp_path)
-    assert len(paths) == 1
-    back = read_binary(paths[0])
-    assert np.array_equal(back.values, dec.terms[0].atom.values)
 
 
 def test_reconstruct_guards():

@@ -23,14 +23,10 @@ from hardyheat.heatop import (
     apply_Tstar,
     apply_Tstar_at,
     cell_window_mass,
-    disk_window_mass,
-    dt_negativity_bound,
     duhamel_reference,
     gauss_kernel,
     gauss_kernel_dt,
-    gradient_l1,
     heat_kernel,
-    heat_kernel_dt,
     image_rows,
     semigroup_apply,
     spatial_quadrature_error,
@@ -84,12 +80,18 @@ def test_dt_sign_change_at_2nt():
             assert gauss_kernel_dt(t, 2.0 * r2c, n) > 0
 
 
+def _core_bound(t, n):
+    """-(n/4t) (4 pi t)^(-n/2) e^(-n/4): on |z|^2 <= n t, r2/4t <= n/4, so
+    ∂_t p_t = p_t (r2 - 2nt)/(4t^2) sits below it, with equality at |z|^2 = n t."""
+    return -(n / (4.0 * t)) * (4.0 * math.pi * t) ** (-n / 2.0) * math.exp(-n / 4.0)
+
+
 @given(st.floats(0.05, 20.0), st.floats(0.0, 1.0), st.integers(1, 2))
 @settings(max_examples=80, deadline=None)
 def test_dt_negativity_bound_holds_on_core(t, frac, n):
     # on |z|^2 <= n t the derivative sits below the (negative) bound
     r2 = frac * n * t
-    assert gauss_kernel_dt(t, r2, n) <= dt_negativity_bound(t, n) * (1.0 - 1e-12)
+    assert gauss_kernel_dt(t, r2, n) <= _core_bound(t, n) * (1.0 - 1e-12)
 
 
 def test_dt_negativity_bound_is_tight_at_the_edge():
@@ -97,7 +99,7 @@ def test_dt_negativity_bound_is_tight_at_the_edge():
     for n in (1, 2):
         t = 1.7
         edge = gauss_kernel_dt(t, n * t, n)
-        assert edge == pytest.approx(dt_negativity_bound(t, n), rel=1e-13)
+        assert edge == pytest.approx(_core_bound(t, n), rel=1e-13)
         uncorrected = -(n / (4.0 * t)) * (4.0 * math.pi * t) ** (-n / 2.0)
         assert edge > uncorrected  # the stronger constant fails here
 
@@ -110,8 +112,6 @@ def test_half_line_kernels_are_images():
     assert heat_kernel(t, x, y, DIRICHLET) >= 0.0
     # Dirichlet kernel vanishes at the wall
     assert heat_kernel(t, 0.0, y, DIRICHLET) == pytest.approx(0.0, abs=1e-15)
-    dp = lambda w: gauss_kernel_dt(t, w * w, 1)
-    assert heat_kernel_dt(t, x, y, NEUMANN) == pytest.approx(dp(x - y) + dp(x + y))
 
 
 def test_kernel_spec_validation():
@@ -148,27 +148,6 @@ def test_dt_kernel_hoelder_shadow(t, x_rel, shift_rel, n):
     lhs = abs(gauss_kernel_dt(t, (x - dy) ** 2, n) - gauss_kernel_dt(t, x * x, n))
     rhs = C * (abs(dy) / s) * t ** (-1.0 - n / 2.0) * math.exp(-x * x / (16.0 * t))
     assert lhs <= rhs + 1e-300
-
-
-# -- gradient L1 -------------------------------------------------------------------
-
-def test_gradient_l1_frozen_values_and_scaling():
-    assert gradient_l1(1.0) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-9)
-    assert gradient_l1(1.0, KernelSpec(2)) == pytest.approx(
-        math.sqrt(math.pi) / 2.0, rel=1e-9
-    )
-    for t in (0.25, 1.0, 2.0):
-        assert gradient_l1(4.0 * t) == pytest.approx(gradient_l1(t) / 2.0, rel=1e-9)
-
-
-def test_gradient_l1_half_line_variants():
-    # Neumann flattens the kernel at the wall, Dirichlet steepens it
-    t, y = 0.5, 0.6
-    w = gradient_l1(t)
-    assert 0.0 < gradient_l1(t, NEUMANN, y=y) <= w + 1e-9
-    assert gradient_l1(t, DIRICHLET, y=y) <= 2.0 * w
-    # far from the wall both collapse to the whole-line value
-    assert gradient_l1(t, DIRICHLET, y=30.0) == pytest.approx(w, rel=1e-6)
 
 
 # -- stable erf difference ----------------------------------------------------------
@@ -235,10 +214,11 @@ def test_semigroup_point_mass_refines_to_kernel():
 
 
 def test_semigroup_methods_agree_on_smooth_profiles():
+    # exact cell masses against the sampled midpoint rule h * p_u(x_i - x_j)
     g = xgrid(L=6.0, nx=128)
     prof = np.exp(-g.xs**2)
-    a = semigroup_apply(g, 0.7, prof, method="cell")
-    b = semigroup_apply(g, 0.7, prof, method="midpoint")
+    a = semigroup_apply(g, 0.7, prof)
+    b = g.h * gauss_kernel(0.7, (g.xs[:, None] - g.xs[None, :]) ** 2, 1) @ prof
     assert np.abs(a - b).max() < 2e-4
 
 
@@ -559,11 +539,3 @@ def test_cell_window_mass_exactness():
     # u = 0: overlap length; giant window: the full cell length
     assert float(cell_window_mass(0.0, 0.1, 0.4, 0.2, 1.0)) == pytest.approx(0.2)
     assert float(cell_window_mass(u, c, d, -80.0, 80.0)) == pytest.approx(d - c, rel=1e-12)
-
-
-def test_disk_window_mass_centered_closed_form():
-    u, D = 0.4, 1.3
-    assert float(disk_window_mass(u, 0.0, D)) == pytest.approx(
-        1.0 - math.exp(-D * D / (4.0 * u)), rel=1e-10
-    )
-    assert float(disk_window_mass(u, 50.0, D)) == pytest.approx(0.0, abs=1e-12)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hardyheat.space import (
     Annulus,
     SpacePoint,
-    annulus_membership,
     ball,
     ball_volume,
     dilate,
@@ -128,7 +127,7 @@ def test_annuli_partition_dilated_ball():
     pts = [pt(t, x) for t in np.linspace(0.01, 70.0, 41) for x in np.linspace(-35, 35, 37)]
     big = dilate(Q, 2.0 ** (J + 1))
     for p in pts:
-        hits = [j for j in range(1, J + 1) if annulus_membership(Q, j, p)]
+        hits = [j for j in range(1, J + 1) if Annulus(Q, j).contains(p)]
         if big.contains(p) and p.in_halfspace():
             assert len(hits) == 1
         else:

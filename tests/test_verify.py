@@ -55,22 +55,19 @@ def test_settings_frozen():
         s.seed = 1
 
 
-def test_settings_subset():
-    s = Settings()
-    assert s.subset("alpha", "J") == {"alpha": 0.5, "J": 8}
-
-
 def test_result_json_roundtrip():
     r = ExperimentResult(
         experiment="x", passed=True,
         parameters={"k": np.int64(3)},
-        measured={"v": np.float64(1.5), "arr": np.array([1.0, 2.0])},
+        measured={"v": np.float64(1.5), "arr": np.array([1.0, 2.0]),
+                  "flag": True, "np_flag": np.bool_(False)},
         tolerances={"tol": 1e-3},
         notes=("a note",),
     )
     d = json.loads(json.dumps(r.to_json_dict()))
     assert d["parameters"]["k"] == 3
     assert d["measured"]["arr"] == [1.0, 2.0]
+    assert d["measured"]["flag"] is True and d["measured"]["np_flag"] is False
     assert d["notes"] == ["a note"]
 
 
@@ -378,6 +375,45 @@ def test_registry_complete():
 def test_run_experiment_unknown():
     with pytest.raises(KeyError, match="unknown experiment"):
         run_experiment("nope", FAST)
+
+
+def test_run_experiment_checks_declared_dims():
+    two_d = dataclasses.replace(FAST, n=2)
+    with pytest.raises(ValueError, match="lp_probe is one-dimensional; run it with n=1"):
+        run_experiment("lp_probe", two_d)
+    assert EXPERIMENTS["roundtrips"].dims == (1, 2)
+
+
+# one pass through each loop is enough to reach every read
+TINY = dataclasses.replace(
+    Settings(), oracle_inputs=1, n_atoms=1, mean_times=1, n_tstar_atoms=1,
+    n_roundtrip_balls=2, n_hz_given=1, l2_inputs=1,
+)
+_FIELDS = {f.name for f in dataclasses.fields(Settings)}
+
+
+def _recording(settings: Settings):
+    """A copy of settings that notes each field read, and the set it fills."""
+    reads = set()
+
+    class Recording(Settings):
+        def __getattribute__(self, name):
+            if name in _FIELDS:
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    return Recording(**{k: getattr(settings, k) for k in _FIELDS}), reads
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_declared_reads_are_the_recorded_reads(name):
+    exp = EXPERIMENTS[name]
+    settings, reads = _recording(TINY)
+    result = run_experiment(name, settings)
+    assert reads == set(exp.reads)
+    assert result.tolerances == {g.bound: getattr(TINY, g.bound)
+                                 for g in exp.gates
+                                 if isinstance(g.bound, str) and 1 in g.dims}
 
 
 def test_bit_reproducible():
