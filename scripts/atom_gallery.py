@@ -11,7 +11,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hardyheat.verify import Settings, certify_T_on_atom, image_molecule_report, random_hz_atom
+from hardyheat.verify import Settings, certify_T_on_atom, random_hz_atom
 
 
 def run(args: argparse.Namespace) -> int:

@@ -32,7 +32,6 @@ import numpy as np
 from .atoms import AtomKind, _ball_dict, molecule_report, validate_atom
 from .grid import (
     GridFunction,
-    SpaceTimeGrid,
     even_extend,
     integrate,
     lp_norm,

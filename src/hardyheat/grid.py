@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 

@@ -526,16 +526,16 @@ def telescoping_oracle(settings: Settings) -> Measurement:
     L, nx, T, nt = settings.oracle_grid
     grid = SpaceTimeGrid(1, L, int(nx), 0.0, T, int(nt))
     fine = SpaceTimeGrid(1, L, 2 * int(nx), 0.0, T, int(nt))
+    seeds = [settings.seed * 100003 + i for i in range(settings.oracle_inputs)]
+    coarse = [GridFunction(grid, _smooth_field(seed, grid)) for seed in seeds]
+    refined = [GridFunction(fine, _smooth_field(seed, fine)) for seed in seeds]
+    refs, refs2 = duhamel_reference(coarse), duhamel_reference(refined)
     rels, factors, improvements = [], [], []
-    for i in range(settings.oracle_inputs):
-        seed = settings.seed * 100003 + i
-        f = GridFunction(grid, _smooth_field(seed, grid))
-        ref = duhamel_reference(f)
+    for f, ref, f2, ref2 in zip(coarse, refs, refined, refs2):
         gap = lp_norm(apply_T(f) - ref, 2)
         rels.append(gap / lp_norm(ref, 2))
         factors.append(gap / spatial_quadrature_error(f, grid.tau / 8.0))
-        f2 = GridFunction(fine, _smooth_field(seed, fine))
-        gap2 = lp_norm(apply_T(f2) - duhamel_reference(f2), 2)
+        gap2 = lp_norm(apply_T(f2) - ref2, 2)
         improvements.append(gap / gap2 if gap2 > 0 else math.inf)
     return Measurement(
         parameters={"grid": asdict(grid), "inputs": settings.oracle_inputs,

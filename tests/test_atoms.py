@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from hardyheat.atoms import (
     AtomKind,
-    MoleculeReport,
     fit_decay_exponent,
     make_atom,
     make_molecule,
     molecule_report,
     validate_atom,
 )
-from hardyheat.grid import GridFunction, SpaceTimeGrid, integrate, lp_norm, sample
+from hardyheat.grid import GridFunction, SpaceTimeGrid, lp_norm, sample
 from hardyheat.space import ball, ball_volume, dilate, truncated_volume
 
 

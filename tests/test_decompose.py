@@ -36,7 +36,6 @@ from hardyheat.grid import (
 from hardyheat.space import (
     ball,
     ball_volume,
-    halfspace_flags,
     scaled_in_halfspace,
     truncated_volume,
 )

@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from hardyheat.grid import GridFunction, SpaceTimeGrid, integrate, lp_norm, sample
+from hardyheat.grid import GridFunction, SpaceTimeGrid, lp_norm, sample
 from hardyheat.heatop import (
     HALF_LINE_DIRICHLET,
     HALF_LINE_NEUMANN,
+    EPS_TAIL,
     KernelSpec,
     WHOLE,
     apply_T,
@@ -34,7 +35,6 @@ from hardyheat.heatop import (
 )
 from hardyheat.heatop import (
     _apply_axes,
-    _axis_cell_mass,
     _erf_halfdiff,
     _matrices,
     _near_field_matrix,
@@ -160,12 +160,76 @@ def test_erf_halfdiff_far_tail_matches_quadrature():
         assert val > 0.0
 
 
+def _dense_cell_mass(u, x_out, edges):
+    """Reference table: every entry from its own erf difference, no row reuse."""
+    if u == 0.0:  # indicator of x_out landing in cell [lo, hi)
+        idx = np.searchsorted(edges, x_out, side="right") - 1
+        A = np.zeros((len(x_out), len(edges) - 1))
+        ok = (idx >= 0) & (idx < len(edges) - 1)
+        A[np.nonzero(ok)[0], idx[ok]] = 1.0
+        return A
+    s = 2.0 * math.sqrt(u)
+    a = (x_out[:, None] - edges[None, :-1]) / s
+    b = (x_out[:, None] - edges[None, 1:]) / s
+    A = np.maximum(_erf_halfdiff(a, b), 0.0)
+    R = math.sqrt(4.0 * u * math.log(1.0 / EPS_TAIL)) + (edges[1] - edges[0])
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    A[np.abs(x_out[:, None] - mid[None, :]) > R] = 0.0
+    return A
+
+
+def _dense_matrices(g, u):
+    """Reference tables for whole space, Dirichlet and Neumann at lag u."""
+    base = _dense_cell_mass(u, g.xs, g.x_edges)
+    refl = _dense_cell_mass(u, -g.xs, g.x_edges)  # ∫_cell p(x + y) dy
+    out = {WHOLE: base}
+    for spec in (DIRICHLET, NEUMANN):
+        A = base + spec.image_sign * refl
+        if spec.image_sign < 0:
+            A = np.maximum(A, 0.0)
+        A[g.xs <= 0.0, :] = 0.0
+        A[:, g.xs <= 0.0] = 0.0
+        out[spec] = A
+    return out
+
+
+def _table_pairs(g):
+    """(row-built, dense) table pairs over u = 0, every lag and every boundary."""
+    for u in [0.0] + [(m + 0.5) * g.tau for m in range(g.nt)]:
+        for spec, B in _dense_matrices(g, u).items():
+            (A,) = _matrices(g, u, spec)
+            yield A, B
+
+
+@pytest.mark.parametrize("L, nx, T, nt", [
+    (4.0, 64, 4.0, 16), (4.0, 128, 4.0, 16), (16.0, 128, 64.0, 256),
+])
+def test_row_tables_equal_dense_tables_on_dyadic_grids(L, nx, T, nt):
+    # offsets (k + 1/2) h are exact on dyadic grids, so every entry is the
+    # same floating-point number as the entry-by-entry table
+    g = SpaceTimeGrid(1, L, nx, 0.0, T, nt)
+    for A, B in _table_pairs(g):
+        assert np.array_equal(A, B)
+
+
+@pytest.mark.parametrize("L, nx, T, nt", [
+    (2.0, 24, 2.0, 12), (2.0, 48, 2.0, 24), (2.0, 96, 2.0, 48), (4.0, 192, 4.0, 192),
+])
+def test_row_tables_match_dense_tables_on_other_grids(L, nx, T, nt):
+    # offsets carry different roundings off dyadic grids (measured at most
+    # 3.0e-15); the tail cut and the clip must still zero the same entries
+    g = SpaceTimeGrid(1, L, nx, 0.0, T, nt)
+    for A, B in _table_pairs(g):
+        assert np.max(np.abs(A - B)) <= 1e-14
+        assert np.array_equal(A == 0.0, B == 0.0)
+
+
 def test_near_field_matrix_integrates_to_cell_mass_difference():
     # independent panel quadrature of dA/du must land on A(u) - I
     g = xgrid(nx=32)
     u = g.tau / 8.0
     N = _near_field_matrix(g, u)
-    A = _axis_cell_mass(u, g.xs, g.x_edges, 0.0)
+    (A,) = _matrices(g, u, WHOLE, eps_tail=0.0)
     assert np.max(np.abs(N - (A - np.eye(g.nx)))) < 1e-10
 
 
@@ -486,20 +550,38 @@ def test_far_field_T_against_80_digit_reference():
 def test_duhamel_reference_close_at_default_grid():
     g = xgrid()
     f = sample(g, lambda tt, xx: np.exp(-(xx**2) - 0.5 * (tt - 1.5) ** 2))
-    gap = lp_norm(apply_T(f) - duhamel_reference(f), 2)
+    (ref,) = duhamel_reference([f])
+    gap = lp_norm(apply_T(f) - ref, 2)
     assert gap / lp_norm(f, 2) < 1e-4
     assert gap <= 10.0 * spatial_quadrature_error(f, g.tau / 8.0)
+
+
+def test_duhamel_reference_batch_equals_single_calls():
+    g = xgrid(nx=32, nt=8)
+    rng = np.random.default_rng(9)
+    fs = [GridFunction(g, rng.normal(size=g.shape)) for _ in range(3)]
+    refs = duhamel_reference(fs)
+    assert len(refs) == 3
+    for f, ref in zip(fs, refs):
+        (single,) = duhamel_reference([f])
+        assert ref.grid == g
+        assert np.array_equal(ref.values, single.values)
 
 
 def test_duhamel_reference_rejects_unsupported_setups():
     g2 = SpaceTimeGrid(2, 2.0, 8, 0.0, 1.0, 4)
     f2 = GridFunction(g2, np.zeros(g2.shape))
     with pytest.raises(ValueError):
-        duhamel_reference(f2)
+        duhamel_reference([f2])
     g = xgrid()
     f = GridFunction(g, np.zeros(g.shape))
     with pytest.raises(ValueError):
-        duhamel_reference(f, u_switch=g.tau)
+        duhamel_reference([f], u_switch=g.tau)
+    with pytest.raises(ValueError):
+        duhamel_reference([])
+    other = GridFunction(xgrid(nx=32), np.zeros(xgrid(nx=32).shape))
+    with pytest.raises(ValueError):
+        duhamel_reference([f, other])
 
 
 # -- window masses ------------------------------------------------------------------------

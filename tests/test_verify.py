@@ -10,15 +10,13 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from hardyheat.atoms import AtomKind, make_atom
-from hardyheat.grid import GridFunction, SpaceTimeGrid, lp_norm
+from hardyheat.grid import GridFunction, SpaceTimeGrid
 from hardyheat.heatop import (
     HALF_LINE_DIRICHLET,
     HALF_LINE_NEUMANN,
     WHOLE,
     KernelSpec,
     _operator_input,
-    apply_T,
     apply_T_at,
     cell_window_mass,
     image_window,
