@@ -1,13 +1,11 @@
 """Constructive atomic decompositions on the parabolic half-space.
 
-Four routes from a function (or an atom in the wrong position) to a sum of
+Three routes from a function (or an atom in the wrong position) to a sum of
 certified atoms on X:
 
 * ``restrict_decompose`` — restrict a classical atom to X; depending on how
   far its ball sits from the t = 0 wall this is a single type (a) or type (b)
   atom, or a Whitney-type boundary cover with one type (b) atom per cover ball.
-* ``reflect_assemble`` — oddly reflect a type (b) atom through t = 0 to get a
-  mean-zero classical atom on a 5x ball.
 * ``hz_decompose`` — push a decomposition of the even extension back down to X
   by symmetrising and restricting each term, recentring straddling balls.
 * ``molecule_decompose`` — split a certified molecule into dyadic-annulus
@@ -126,30 +124,27 @@ class Decomposition:
 # -- Whitney boundary cover ----------------------------------------------------
 
 
-def whitney_cover(
-    Q: ParabolicBall, t_floor: float | None = None, layer_ratio: float = 4.0
-) -> list[ParabolicBall]:
+def whitney_cover(Q: ParabolicBall, t_floor: float | None = None) -> list[ParabolicBall]:
     """Cover Q ∩ X down to t_floor by balls with type (b) geometry.
 
-    Layer k occupies times [A_k, B_k) with B_k = layer_ratio^(-k) * top(Q ∩ X)
-    and A_k = B_k / layer_ratio.  Each layer uses balls of radius
-    rho_k = sqrt(A_k) / 2: centres at time t_c in the layer then satisfy
-    t_c >= 4 rho_k^2 and (for layer_ratio <= 4) t_c < 16 rho_k^2, i.e. the
-    doubled ball sits in X while the quadrupled ball pokes out — exactly the
-    type (b) position, for every ball, by construction.  Time rows are spaced
-    rho_k^2 apart (intervals of length 2 rho_k^2, so adjacent rows overlap by
-    half) and the spatial lattice has spacing rho_k.
+    Layer k occupies times [A_k, B_k) with B_k = 4^(-k) * top(Q ∩ X) and
+    A_k = B_k / 4.  Each layer uses balls of radius rho_k = sqrt(A_k) / 2:
+    centres at time t_c in the layer then satisfy 4 rho_k^2 <= t_c < 16 rho_k^2,
+    i.e. the doubled ball sits in X while the quadrupled ball pokes out —
+    exactly the type (b) position, for every ball, by construction.  Time
+    rows are spaced rho_k^2 apart (intervals of length 2 rho_k^2, so adjacent
+    rows overlap by half) and the spatial lattice has spacing rho_k.
 
-    The advertised overlap bound is recomputed exactly and enforced on every
-    call.  Balls are returned largest layer first, top row first.
+    The type (b) geometry is checked here; the overlap bound
+    WHITNEY_OVERLAP_BOUND is enforced by restrict_decompose, which sweeps the
+    cover once for both the check and its ledger.  Balls are returned largest
+    layer first, top row first.
     """
     if truncated_volume(Q) <= 0.0:
         raise ValueError("Q does not meet the half-space")
     two_in, _ = halfspace_flags(Q)
     if two_in:
         raise ValueError("2Q lies inside X; no boundary cover is needed")
-    if not (1.0 < layer_ratio <= 4.0):
-        raise ValueError("layer_ratio must lie in (1, 4]")
     r = Q.radius
     top = Q.t0 + r * r
     bottom = max(Q.t0 - r * r, 0.0)
@@ -163,8 +158,8 @@ def whitney_cover(
     balls: list[ParabolicBall] = []
     k = 0
     while True:
-        B_k = top * layer_ratio ** (-k)
-        A_k = B_k / layer_ratio
+        B_k = top * 4.0 ** (-k)
+        A_k = B_k / 4.0
         rho = 0.5 * math.sqrt(A_k)
         rho2 = rho * rho  # = A_k / 4
         n_rows = math.ceil((B_k - A_k) / rho2 - 0.5)
@@ -189,19 +184,18 @@ def whitney_cover(
         # 2Q_j in X but 4Q_j not: guaranteed by the radius choice above
         if not scaled_in_halfspace(b, 2.0) or scaled_in_halfspace(b, 4.0):
             raise DecompositionError(f"cover ball {b} lost type (b) geometry")
-    bound = WHITNEY_OVERLAP_BOUND[n]
-    overlap = cover_max_overlap(balls)
-    if overlap > bound:
-        raise DecompositionError(f"cover overlap {overlap} exceeds the bound {bound}")
     return balls
 
 
 def cover_max_overlap(cover: list[ParabolicBall]) -> int:
-    """Exact maximum number of cover balls containing a common point.
+    """Maximum number of cover balls sharing a point: exact for n = 1, upper bound for n = 2.
 
-    Parabolic balls are boxes in (t, x) (the spatial part is a sup-norm
-    ball), so the maximum is attained on the interior of some cell of the
-    endpoint arrangement; sweep elementary intervals axis by axis.
+    The sweep treats each ball as the box |t - t0| < r^2, |x_i - c_i| < r.
+    For n = 1 that is the ball itself, and the maximum is attained on the
+    interior of some cell of the endpoint arrangement; sweep elementary
+    intervals axis by axis.  For n = 2 the spatial part is a Euclidean disk
+    and the box its bounding square, so the count can exceed the true
+    overlap and a gate on it is conservative.
     """
     if not cover:
         return 0
@@ -263,7 +257,8 @@ def restrict_decompose(
     * 2Q pokes out: Whitney cover of Q ∩ X; the cells of Q ∩ X are assigned
       to the first cover ball containing their midpoint (a disjoint partition
       refining the cover), and each slice becomes one type (b) term.  The
-      reconstruction residual is exactly zero.
+      reconstruction residual is exactly zero.  The cover's overlap is
+      checked against WHITNEY_OVERLAP_BOUND before any term is built.
 
     The coefficient bound Cauchy–Schwarz gives — sum of coefficients over
     ||A|_X||_2 nu(Q ∩ X)^(1/2) — is measured and recorded in the ledger.
@@ -297,6 +292,12 @@ def restrict_decompose(
     bottom = max(Q.t0 - Q.radius**2, 0.0)
     floor = max(hgrid.tau / 2.0, bottom)
     cover = whitney_cover(Q, t_floor=floor)
+    stats = cover_stats(cover, Q)
+    bound = WHITNEY_OVERLAP_BOUND[Q.n]
+    if stats["overlap_max"] > bound:
+        raise DecompositionError(
+            f"cover overlap {stats['overlap_max']} exceeds the bound {bound}"
+        )
     mesh = hgrid.mesh()
     qmask = Q.mask(*mesh)
     unassigned = qmask.copy()
@@ -339,41 +340,10 @@ def restrict_decompose(
             "coefficient_constant": dec.coefficient_sum / scale if scale > 0 else 0.0,
             "coefficient_constant_raw": raw_sum / scale if scale > 0 else 0.0,
             "grid_overlap_max": int(counts.max()),
-            **cover_stats(cover, Q),
+            **stats,
         }
     )
     return dec
-
-
-# -- reflection of type (b) atoms ----------------------------------------------
-
-
-def reflect_assemble(b: GridFunction, Q: ParabolicBall, tol: float = 1e-8) -> Decomposition:
-    """Odd reflection of a type (b) atom into a classical atom on a 5x ball.
-
-    B(t, x) = b(t, x) - b(-t, x) has vanishing integral by antisymmetry and
-    ||B||_2 = sqrt(2) ||b||_2; its support fits in the ball centred at
-    (0, x_0) of radius 5r because type (b) geometry caps the top of Q at
-    17 r^2 < 25 r^2.  The assembly constant ||B||_2 nu(5Q~)^(1/2) is recorded.
-    """
-    cert = validate_atom(b, Q, AtomKind.TYPE_B, tol)
-    if not cert.passed:
-        raise DecompositionError(f"input is not a type (b) atom: {cert.to_json_dict()}")
-    B = odd_extend(b)
-    Qt = ball(0.0, Q.center.x, 5.0 * Q.radius)
-    c = lp_norm(B, 2) * math.sqrt(ball_volume(Qt))
-    if c == 0.0:
-        raise DecompositionError("zero atom")
-    coeff = _pow2_at_least(c)
-    a = GridFunction(B.grid, B.values / coeff)
-    out = validate_atom(a, Qt, AtomKind.CLASSICAL_2, tol)
-    if not out.passed:
-        raise DecompositionError(f"reflected atom failed validation: {out.to_json_dict()}")
-    return Decomposition(
-        [Term(coeff, a, Qt, AtomKind.CLASSICAL_2)],
-        residual=0.0,
-        ledger={"reflect_constant": float(c), "coefficient": float(coeff)},
-    )
 
 
 # -- halving/symmetrisation of even-extension decompositions --------------------

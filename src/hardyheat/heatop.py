@@ -17,37 +17,42 @@ spatial.  T* is the time reversal of T: apply_Tstar = R apply_T R with R
 reversing the slabs, so the adjointness identity <Tf, w> = <f, T*w> holds to
 rounding (the test suite checks it).
 
+Every number computed here is a heat mass of piecewise-constant data, built
+from one primitive: ψ(u, z) = -1/2 sgn(z) erfc(|z| / 2√u), the response
+e^{uΔ}H - H of the unit step H(x - e), read at z = x - e.  Its window
+integral Ψ(u, z) = ∫_0^z ψ(u, ·) is closed form too (Carslaw & Jaeger,
+App. II; Abramowitz & Stegun §7.2).  Each term costs one erfc and is small
+in relative precision far from its edge, so no difference of two erf values
+near ±1 ever cancels.
+
 On the grid (apply_T), a slab profile is piecewise constant on cells, so one
 semigroup application is a matrix with entries
 
     A(u)[i, j] = ∫_{cell_j} p_u(x_i - y) dy
-               = 1/2 [erf((x_i - lo_j)/sqrt(4u)) - erf((x_i - hi_j)/sqrt(4u))]
+               = [i = j] + ψ(u, x_i - lo_j) - ψ(u, x_i - hi_j),
 
-evaluated in erfc form when both arguments are large (the difference of two
-erf values near ±1 cancels catastrophically in the far field).  Entries
-beyond the radius R(u) = sqrt(4u * ln(1/eps_tail)) + h are set to zero: the
-neglected Gaussian tail mass is below eps_tail.  All entries lie in [0, 1]
-and rows sum to at most 1 (+ rounding), the discrete maximum principle.
-On the uniform grid x_i - lo_j = (i - j + 1/2) h, so the table is Toeplitz:
-one row of 2 nx - 1 offsets per lag u determines it, and the rows of all
-lags come from one vectorised erf evaluation.  The half-line image term
-depends on i + j only (Hankel) and reads the same row.
+e^{uΔ} of the cell indicator read at the output midpoint.  Entries beyond
+the radius R(u) = sqrt(4u * ln(1/eps_tail)) + h are set to zero: the
+neglected Gaussian tail mass is below eps_tail, and no subnormal entry
+reaches the matmuls.  All entries lie in [0, 1] and rows sum to at most 1
+(+ rounding), the discrete maximum principle.  On the uniform grid
+x_i - lo_j = (i - j + 1/2) h, so the table is Toeplitz: one row of 2 nx - 1
+offsets per lag u determines it, and the rows of all lags come from one
+vectorised erfc evaluation.  The half-line image term depends on i + j only
+(Hankel) and reads the same row.
 
 At arbitrary points (image_rows, image_window, and the one-row wrappers
 apply_T_at / apply_Tstar_at) both telescopings are summed by parts into one
 corner sum.  With D the mixed time/space jumps of g at the grid corners
-(t_m, e_j) and ψ(u, z) = -1/2 sgn(z) erfc(|z| / 2√u), the response of the
-unit step H(x - e) minus the step itself,
+(t_m, e_j),
 
     Tf(t, x)  =  Σ_{t_m < t} Σ_j D_mj ψ(t - t_m, x - e_j),
     T*f(t, x) = -Σ_{t_m > t} Σ_j D_mj ψ(t_m - t, x - e_j).
 
-Each term costs one erfc, and no tail is cut: far from the support every
-term is small in relative precision, so molecule decay is measured down to
-the underflow of erfc instead of to a truncation radius.  On a cell edge
-ψ(u, 0) = 0 and the sum reads the midpoint of the jump (H(0) = 1/2).
-Window integrals over x use the closed form Ψ(u, z) = ∫_0^z ψ(u, ·)
-(Carslaw & Jaeger, App. II; Abramowitz & Stegun §7.2).
+No tail is cut here, so molecule decay is measured down to the underflow of
+erfc instead of to a truncation radius.  On a cell edge ψ(u, 0) = 0 and the
+sum reads the midpoint of the jump (H(0) = 1/2).  Window integrals over x
+replace ψ by Ψ.
 
 Half-line kernels (n = 1) come from the method of images,
 K_u(x, y) = p_u(x-y) ∓ p_u(x+y) for Dirichlet/Neumann; inputs and outputs
@@ -69,7 +74,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, erfc
+from scipy.special import erfc
 
 from .grid import GridFunction, SpaceTimeGrid
 
@@ -150,57 +155,17 @@ def heat_kernel(t, x, y=0.0, spec: KernelSpec = WHOLE):
     )
 
 
-# -- stable erf primitives -----------------------------------------------------
+# -- the heat-mass primitive ----------------------------------------------------
 
-def _erf_halfdiff(a, b):
-    """0.5 * (erf(a) - erf(b)) for a >= b, stable when both are in a far tail."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    direct = 0.5 * (erf(a) - erf(b))
-    upper = 0.5 * (erfc(b) - erfc(a))  # accurate when b >> 0
-    lower = 0.5 * (erfc(-a) - erfc(-b))  # accurate when a << 0
-    out = np.where(b > 4.0, upper, direct)
-    return np.where(a < -4.0, lower, out)
+def _psi(u, z):
+    """ψ(u, z) = -1/2 sgn(z) erfc(|z| / 2√u): e^{uΔ}H - H for the unit step H."""
+    return -0.5 * np.sign(z) * erfc(np.abs(z) / (2.0 * np.sqrt(u)))
 
 
-def _ierf(z):
-    """∫_0^z erf = z erf(z) + (e^(-z^2) - 1)/sqrt(pi)."""
-    z = np.asarray(z, dtype=float)
-    return z * erf(z) + (np.exp(-z * z) - 1.0) / math.sqrt(math.pi)
-
-
-def cell_window_mass(u: float, cell_lo, cell_hi, win_lo: float, win_hi: float):
-    """∫_{y in cell} ∫_{x in [win_lo, win_hi]} p_u(x - y) dx dy, exactly.
-
-    Vectorised over cells.  At u = 0 this degenerates to the overlap length.
-    """
-    c = np.asarray(cell_lo, dtype=float)
-    d = np.asarray(cell_hi, dtype=float)
-    if u == 0.0:
-        return np.maximum(0.0, np.minimum(d, win_hi) - np.maximum(c, win_lo))
-    s = 2.0 * math.sqrt(u)
-    F = _ierf
-    return (s / 2.0) * (
-        F((win_hi - c) / s) - F((win_hi - d) / s) - F((win_lo - c) / s) + F((win_lo - d) / s)
-    )
-
-
-def window_mass(u: float, win_lo: float, win_hi: float, y, spec: KernelSpec = WHOLE):
-    """∫_{win_lo}^{win_hi} K_u(x, y) dx for n = 1 kernels (vectorised in y)."""
-    if spec.n != 1:
-        raise ValueError("window_mass is one-dimensional")
-    y = np.asarray(y, dtype=float)
-    if u == 0.0:
-        inside = ((y > win_lo) & (y < win_hi)).astype(float)
-        if not spec.is_whole:
-            inside = inside * (y > 0)
-        return inside
-    s = 2.0 * math.sqrt(u)
-    base = _erf_halfdiff((win_hi - y) / s, (win_lo - y) / s)
-    if spec.is_whole:
-        return base
-    refl = _erf_halfdiff((win_hi + y) / s, (win_lo + y) / s)
-    return base + spec.image_sign * refl
+def _psi_window(u, z):
+    """Ψ(u, z) = ∫_0^z ψ(u, ·) = -1/2 [|z| erfc(|z|/s) + s (1 - e^{-z²/s²}) / √π]."""
+    s, a = 2.0 * np.sqrt(u), np.abs(z)
+    return -0.5 * (a * erfc(a / s) - s * np.expm1(-(a / s) ** 2) / math.sqrt(math.pi))
 
 
 # -- cell-mass tables -----------------------------------------------------------
@@ -209,22 +174,21 @@ def _cell_mass_rows(grid: SpaceTimeGrid, us, eps_tail: float = EPS_TAIL) -> np.n
     """Cell masses at every offset for each lag u: shape (len(us), 2 nx - 1).
 
     Entry nx - 1 + k of a row is ∫ p_u over the cell k cells to the left of
-    the output midpoint, 1/2 [erf((k + 1/2) h / 2√u) - erf((k - 1/2) h / 2√u)],
-    clipped at 0 and cut to zero where |k| h > R(u).  At u = 0 the row
-    is the indicator of k = 0, so the table is exactly the identity.
+    the output midpoint: e^{uΔ} applied to the cell indicator, read at the
+    midpoint.  The indicator is a difference of two unit steps, so the row is
+    the identity row plus differences of ψ at the cell edges (k ± 1/2) h.
+    A difference of the monotone tail is never negative.  Entries are cut to
+    zero where |k| h > R(u); at u = 0 the row is the identity row.
     """
     us = np.asarray(us, dtype=float)
     nx, h = grid.nx, grid.h
     rows = np.zeros((len(us), 2 * nx - 1))
-    rows[us == 0.0, nx - 1] = 1.0
+    rows[:, nx - 1] = 1.0
     live = us > 0.0
-    u = us[live, None]
-    z = (np.arange(-nx, nx) + 0.5) * h / (2.0 * np.sqrt(u))  # midpoint - edge, over 2√u
-    A = np.maximum(_erf_halfdiff(z[:, 1:], z[:, :-1]), 0.0)
+    rows[live] += np.diff(_psi(us[live, None], (np.arange(-nx, nx) + 0.5) * h), axis=1)
     if eps_tail > 0.0:
-        R = np.sqrt(4.0 * u * math.log(1.0 / eps_tail)) + h
-        A[np.abs(np.arange(1 - nx, nx) * h) > R] = 0.0
-    rows[live] = A
+        R = np.sqrt(4.0 * us[:, None] * math.log(1.0 / eps_tail)) + h
+        rows[np.abs(np.arange(1 - nx, nx) * h) > R] = 0.0
     return rows
 
 
@@ -330,17 +294,6 @@ def apply_Tstar(f: GridFunction, spec: KernelSpec = WHOLE) -> GridFunction:
 # -- corner sums: T and T* at arbitrary points ---------------------------------
 
 _CHUNK = 1 << 16  # elements per temporary array in a corner sum
-
-
-def _psi(u, z):
-    """ψ(u, z) = -1/2 sgn(z) erfc(|z| / 2√u): e^{uΔ}H - H for the unit step H."""
-    return -0.5 * np.sign(z) * erfc(np.abs(z) / (2.0 * np.sqrt(u)))
-
-
-def _psi_window(u, z):
-    """Ψ(u, z) = ∫_0^z ψ(u, ·) = -1/2 [|z| erfc(|z|/s) + s (1 - e^{-z²/s²}) / √π]."""
-    s, a = 2.0 * np.sqrt(u), np.abs(z)
-    return -0.5 * (a * erfc(a / s) - s * np.expm1(-(a / s) ** 2) / math.sqrt(math.pi))
 
 
 def _corner_sum(f: GridFunction, ts, spec: KernelSpec, op: str, term, out, per_edge: int):

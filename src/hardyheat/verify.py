@@ -48,13 +48,11 @@ from .heatop import (
     _gl_nodes,
     apply_T,
     apply_Tstar_at,
-    cell_window_mass,
     duhamel_reference,
     gauss_kernel_dt,
     image_rows,
     image_window,
     spatial_quadrature_error,
-    window_mass,
 )
 from .space import Annulus, ParabolicBall, ball, dilate, truncated_volume
 
@@ -307,6 +305,23 @@ def _smooth_field(seed: int, grid: SpaceTimeGrid) -> np.ndarray:
     return out
 
 
+def _time_panels(grid: SpaceTimeGrid, t_lo: float, t_hi: float) -> list[float]:
+    """Sorted time-panel edges of [t_lo, t_hi] for an image of a function on grid.
+
+    The image has a kink at every slab edge of the grid, so each edge inside
+    the range is a panel edge; past the grid horizon the panels double
+    geometrically.
+    """
+    edges = {t_lo, t_hi}
+    edges.update(float(e) for e in grid.t_edges if t_lo < e < t_hi)
+    if t_hi > grid.t_max:
+        e = max(grid.t_max, t_lo) * 2.0
+        while e < t_hi:
+            edges.add(e)
+            e *= 2.0
+    return sorted(edges)
+
+
 def _window_moment(
     f: GridFunction,
     spec: KernelSpec,
@@ -318,20 +333,11 @@ def _window_moment(
 ) -> float:
     """∫_{t_lo}^{t_hi} ∫_{win} (Tf or T*f)(t, x) dx dt, n = 1.
 
-    The spatial integral is exact (image_window).  Time panels break at every
-    slab edge of f (the image has kinks there) and double geometrically past
-    the grid horizon, with Gauss-Legendre nodes inside each panel; the
-    integrand is evaluated at all nodes in one call.
+    The spatial integral is exact (image_window).  Time panels come from
+    _time_panels, with Gauss-Legendre nodes inside each panel; the integrand
+    is evaluated at all nodes in one call.
     """
-    grid = f.grid
-    edges = {t_lo, t_hi}
-    edges.update(float(e) for e in grid.t_edges if t_lo < e < t_hi)
-    if t_hi > grid.t_max:
-        e = max(grid.t_max, t_lo) * 2.0
-        while e < t_hi:
-            edges.add(e)
-            e *= 2.0
-    edges = sorted(edges)
+    edges = _time_panels(f.grid, t_lo, t_hi)
     ts, ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         # the image behaves like sqrt(t - edge) just past a slab edge (and
@@ -347,20 +353,12 @@ def _window_moment(
 def _annulus_rows(outer: ParabolicBall, grid: SpaceTimeGrid, rows_target: int):
     """Midpoint time rows + weights covering the outer ball's time range.
 
-    Rows never cross a slab edge of the grid (the image is smooth between
-    kinks, so the midpoint rule keeps its order); past the grid horizon the
-    panels double geometrically.
+    Rows never cross a panel edge of _time_panels (the image is smooth
+    between kinks, so the midpoint rule keeps its order).
     """
     t_lo = max(0.0, outer.t0 - outer.radius**2)
     t_hi = outer.t0 + outer.radius**2
-    edges = {t_lo, t_hi}
-    edges.update(float(e) for e in grid.t_edges if t_lo < e < t_hi)
-    if t_hi > grid.t_max:
-        e = max(grid.t_max, t_lo, grid.tau) * 2.0
-        while e < t_hi:
-            edges.add(e)
-            e *= 2.0
-    edges = sorted(edges)
+    edges = _time_panels(grid, t_lo, t_hi)
     span = t_hi - t_lo
     rows, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -682,17 +680,19 @@ def tstar_images(settings: Settings) -> Measurement:
     )
 
 
-def _box_cone_integral(a: float, b: float) -> float:
-    """∫_a^b ∫_{|x| ≤ √t/2} |Tf| dx dt for f = χ_{(0,1)×(-1,1)}, closed form in x.
+# f = χ_{(0,1)×(-1,1)}: one cell, one slab
+_BOX = GridFunction(SpaceTimeGrid(1, 1.0, 1, 0.0, 1.0, 1), np.ones((1, 1)))
 
-    For t ≥ 1 the slab is completed: Tf(t, x) = E(t, x) - E(t-1, x) with
-    E(u, x) the heat mass of the unit box, single-signed (negative) on the
-    cone |x| ≤ √t/2, so |Tf| integrates to the difference of window masses.
+
+def _box_cone_integral(a: float, b: float) -> float:
+    """∫_a^b ∫_{|x| ≤ √t/2} |Tf| dx dt for f = χ_{(0,1)×(-1,1)}, exact in x.
+
+    For t ≥ 1 the slab is completed and Tf(t, ·) is single-signed (negative)
+    on the cone |x| ≤ √t/2, so |Tf| integrates to minus the window integral.
     """
     def inner(t: float) -> float:
         W = 0.5 * math.sqrt(t)
-        return float(cell_window_mass(t - 1.0, -1.0, 1.0, -W, W)
-                     - cell_window_mass(t, -1.0, 1.0, -W, W))
+        return -float(image_window(_BOX, [t], -W, W)[0])
 
     val, _ = quad(inner, a, b, epsabs=1e-13, epsrel=1e-12, limit=200)
     return val
@@ -740,9 +740,7 @@ def growth_T(settings: Settings) -> Measurement:
     sign_max = -math.inf
     for t in np.linspace(4.0, max(Ts), 37):
         W = 0.5 * math.sqrt(t)
-        for x in np.linspace(-W, W, 21):
-            tf = float(window_mass(t, -1.0, 1.0, x) - window_mass(t - 1.0, -1.0, 1.0, x))
-            sign_max = max(sign_max, tf)
+        sign_max = max(sign_max, float(image_rows(_BOX, [t], np.linspace(-W, W, 21)).max()))
     # the same box is certified by the odd-extension route
     grid = SpaceTimeGrid(1, 4.0, 64, 0.0, 4.0, 32)
     tt, xx = grid.mesh()

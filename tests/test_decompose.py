@@ -21,7 +21,6 @@ from hardyheat.decompose import (
     finite_norm_bound,
     hz_decompose,
     molecule_decompose,
-    reflect_assemble,
     restrict_decompose,
     whitney_cover,
 )
@@ -106,12 +105,10 @@ def _covered(cover, tt, xs):
     return hit
 
 
-@pytest.mark.parametrize("layer_ratio", [4.0, 2.0])
-def test_whitney_covers_intersection(layer_ratio):
-    # halving the layer ratio changes the cover but not the coverage
+def test_whitney_covers_intersection():
     grid = SpaceTimeGrid(1, 2.0, 64, 0.0, 2.0, 64)
     tt, xs = _probe_points(grid, STRADDLE)
-    cover = whitney_cover(STRADDLE, t_floor=grid.tau / 2, layer_ratio=layer_ratio)
+    cover = whitney_cover(STRADDLE, t_floor=grid.tau / 2)
     assert _covered(cover, tt, xs).all()
 
 
@@ -120,8 +117,6 @@ def test_whitney_rejections():
         whitney_cover(ball(20.0, 0.0, 1.0))  # 2Q already inside X
     with pytest.raises(ValueError):
         whitney_cover(ball(-5.0, 0.0, 1.0))  # no intersection with X
-    with pytest.raises(ValueError):
-        whitney_cover(STRADDLE, layer_ratio=5.0)
     with pytest.raises(ValueError):
         whitney_cover(STRADDLE, t_floor=10.0)
 
@@ -132,6 +127,9 @@ def test_cover_max_overlap_handmade():
     assert cover_max_overlap([b, ball(9.0, 0.0, 0.5)]) == 1
     assert cover_max_overlap([b, ball(1.0, 0.1, 0.3)]) == 2
     assert cover_max_overlap([]) == 0
+    # n = 2 sweeps bounding squares: these disks share no point, their
+    # squares overlap at the corner
+    assert cover_max_overlap([ball(1.0, (0.0, 0.0), 1.0), ball(1.0, (1.9, 1.9), 1.0)]) == 2
 
 
 @settings(max_examples=15, deadline=None)
@@ -143,7 +141,7 @@ def test_cover_max_overlap_handmade():
 def test_whitney_random_balls_certified(r, frac, x0):
     Q = ball(frac * r * r, x0, r)
     cover = whitney_cover(Q, t_floor=(Q.t0 + r * r) / 30.0)
-    # the overlap check runs inside whitney_cover; spot-check geometry here
+    assert cover_max_overlap(cover) <= WHITNEY_OVERLAP_BOUND[1]
     for b in cover[:: max(1, len(cover) // 17)]:
         assert scaled_in_halfspace(b, 2.0) and not scaled_in_halfspace(b, 4.0)
 
@@ -211,6 +209,13 @@ def test_restrict_whitney_terms_validate(straddle_setup):
         assert term.kind is AtomKind.TYPE_B
 
 
+def test_restrict_whitney_enforces_overlap_bound(straddle_setup, monkeypatch):
+    _, Q, A = straddle_setup
+    monkeypatch.setitem(WHITNEY_OVERLAP_BOUND, 1, 1)
+    with pytest.raises(DecompositionError, match="overlap"):
+        restrict_decompose(A, Q)
+
+
 def test_restrict_whitney_ledger(straddle_setup):
     _, Q, A = straddle_setup
     dec = restrict_decompose(A, Q)
@@ -254,46 +259,6 @@ def test_restrict_whitney_2d():
     assert dec.ledger["overlap_max"] <= WHITNEY_OVERLAP_BOUND[2]
     for term in dec.terms[:: max(1, len(dec.terms) // 7)]:
         assert validate_atom(term.atom, term.ball, term.kind).passed
-
-
-# -- reflection -----------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def type_b_atom():
-    grid = SpaceTimeGrid(1, 8.0, 128, 0.0, 24.0, 96)
-    Q = ball(5.0, 1.0, 1.0)
-    return make_atom(grid, Q, AtomKind.TYPE_B, seed=7), Q
-
-
-def test_reflect_assemble_constant(type_b_atom):
-    b, Q = type_b_atom
-    dec = reflect_assemble(b, Q)
-    # ||B||_2 = sqrt2 ||b||_2 and nu(5Q~) = 5^3 nu(Q) in n = 1
-    want = math.sqrt(2.0) * 5.0**1.5
-    assert dec.ledger["reflect_constant"] == pytest.approx(want, rel=1e-12)
-    (term,) = dec.terms
-    assert term.coefficient == 16.0  # next power of two
-    assert term.ball.t0 == 0.0 and term.ball.radius == 5.0
-
-
-def test_reflect_assemble_moment_and_validity(type_b_atom):
-    b, Q = type_b_atom
-    dec = reflect_assemble(b, Q)
-    (term,) = dec.terms
-    assert abs(integrate(term.atom)) <= 1e-14
-    assert validate_atom(term.atom, term.ball, AtomKind.CLASSICAL_2).passed
-    assert term.coefficient * lp_norm(term.atom, 2) == pytest.approx(
-        math.sqrt(2.0) * lp_norm(b, 2), rel=1e-12
-    )
-
-
-def test_reflect_assemble_rejects_wrong_kind():
-    grid = SpaceTimeGrid(1, 4.0, 64, 0.0, 24.0, 96)
-    Q = ball(17.0, 0.0, 1.0)
-    a = make_atom(grid, Q, AtomKind.TYPE_A, seed=0)
-    with pytest.raises(DecompositionError):
-        reflect_assemble(a, Q)  # type (a) position, not type (b)
 
 
 # -- symmetrise + restrict ------------------------------------------------------

@@ -1,9 +1,13 @@
-"""Every name a program file imports is used in that file.
+"""Every name a program file imports is used, and every definition is reached.
 
 No linter ships with the project, so this scan stands in for the unused-import
 rule: it parses each .py file under src/ and scripts/ and compares the names
 bound by import statements with the names the file reads.  Names listed in
 ``__all__`` (re-exports) and ``from __future__`` imports count as used.
+
+The same parse guards against dead code: every module-level function and class
+in src/hardyheat is read by some program file or exported in
+``hardyheat.__all__``.  Code that only tests reach is not kept.
 """
 import ast
 from pathlib import Path
@@ -27,14 +31,19 @@ def _imported(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-def _used(tree: ast.Module) -> set[str]:
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def _exported(tree: ast.Module) -> set[str]:
+    names = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used |= set(ast.literal_eval(node.value))
-    return used
+            names |= set(ast.literal_eval(node.value))
+    return names
+
+
+def _used(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return used | _exported(tree)
 
 
 def test_scan_finds_program_files():
@@ -57,3 +66,27 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name}: unused imports " + ", ".join(
         f"{name} (line {imported[name]})" for name in unused
     )
+
+
+def test_every_definition_is_read_or_exported():
+    # a name counts as read wherever it is loaded or used as an attribute, so
+    # a function that shares its name with some method is let through
+    defines = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    read, exported = set(), set()
+    for path in FILES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+        if path == ROOT / "src" / "hardyheat" / "__init__.py":
+            exported = _exported(tree)
+    unreached = []
+    for path in FILES:
+        if path.parent != ROOT / "src" / "hardyheat":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, defines) and node.name not in read | exported:
+                unreached.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unreached, "defined but never read or exported: " + ", ".join(unreached)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
+from scipy.special import erf
 
 from hardyheat.grid import GridFunction, SpaceTimeGrid
 from hardyheat.heatop import (
@@ -18,7 +19,7 @@ from hardyheat.heatop import (
     KernelSpec,
     _operator_input,
     apply_T_at,
-    cell_window_mass,
+    gauss_kernel,
     image_window,
 )
 from hardyheat.space import Annulus, ball, dilate, truncated_volume
@@ -110,6 +111,38 @@ def test_annulus_rows_cover_and_align():
 
 
 # -- window moments vs adaptive quadrature --------------------------------------
+
+
+def cell_window_mass(u, cell_lo, cell_hi, win_lo, win_hi):
+    """∫_{y in cell} ∫_{x in [win_lo, win_hi]} p_u(x - y) dx dy, vectorised over cells.
+
+    Independent of the corner sums: antiderivatives of erf,
+    ∫_0^z erf = z erf(z) + (e^(-z^2) - 1)/sqrt(pi).  At u = 0 this is the
+    overlap length.
+    """
+    c = np.asarray(cell_lo, dtype=float)
+    d = np.asarray(cell_hi, dtype=float)
+    if u == 0.0:
+        return np.maximum(0.0, np.minimum(d, win_hi) - np.maximum(c, win_lo))
+    s = 2.0 * math.sqrt(u)
+
+    def F(z):
+        return z * erf(z) + (np.exp(-z * z) - 1.0) / math.sqrt(math.pi)
+
+    return (s / 2.0) * (
+        F((win_hi - c) / s) - F((win_hi - d) / s) - F((win_lo - c) / s) + F((win_lo - d) / s)
+    )
+
+
+def test_cell_window_mass_exactness():
+    u, c, d, a, b = 0.35, 0.1, 0.4, -0.2, 0.9
+    oracle, _ = dblquad(
+        lambda x, y: gauss_kernel(u, (x - y) ** 2, 1), c, d, a, b, epsabs=1e-12
+    )
+    assert float(cell_window_mass(u, c, d, a, b)) == pytest.approx(oracle, rel=1e-9)
+    # u = 0: overlap length; giant window: the full cell length
+    assert float(cell_window_mass(0.0, 0.1, 0.4, 0.2, 1.0)) == pytest.approx(0.2)
+    assert float(cell_window_mass(u, c, d, -80.0, 80.0)) == pytest.approx(d - c, rel=1e-12)
 
 
 def _slab_window_integrand(f, spec, win):
