@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
 from .atoms import AtomKind, _ball_dict, molecule_report, validate_atom
 from .grid import (
     GridFunction,
+    SpaceTimeGrid,
     even_extend,
     integrate,
     lp_norm,
@@ -44,7 +44,6 @@ from .space import (
     ball_volume,
     dilate,
     halfspace_flags,
-    scaled_in_halfspace,
     truncated_volume,
 )
 
@@ -124,7 +123,58 @@ class Decomposition:
 # -- Whitney boundary cover ----------------------------------------------------
 
 
-def whitney_cover(Q: ParabolicBall, t_floor: float | None = None) -> list[ParabolicBall]:
+@dataclass(frozen=True, eq=False)
+class CoverLayer:
+    """One layer of a Whitney cover: a ball of radius rho at every (row, centre) pair.
+
+    rows holds the ball times in ascending order and centres the spatial
+    centres (n_centres x n) in lexicographic order of their lattice offsets;
+    the layer's balls run row-major over (row, centre).
+    """
+
+    rho: float
+    rows: np.ndarray
+    centres: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows) * len(self.centres)
+
+    def ball(self, i: int) -> ParabolicBall:
+        m, c = divmod(int(i), len(self.centres))
+        return ball(self.rows[m], self.centres[c], self.rho)
+
+
+@dataclass(frozen=True, eq=False)
+class WhitneyCover:
+    """A Whitney cover as per-layer arrays; iterating yields its balls in order."""
+
+    layers: tuple[CoverLayer, ...]
+
+    def __len__(self) -> int:
+        return sum(len(layer) for layer in self.layers)
+
+    def __iter__(self):
+        for layer in self.layers:
+            for i in range(len(layer)):
+                yield layer.ball(i)
+
+    def ball(self, i: int) -> ParabolicBall:
+        """The i-th ball in cover order (layer, row, centre)."""
+        for layer in self.layers:
+            if i < len(layer):
+                return layer.ball(i)
+            i -= len(layer)
+        raise IndexError("cover ball index out of range")
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(t0, radius, centre) of every ball, flattened in cover order."""
+        t0 = np.concatenate([np.repeat(L.rows, len(L.centres)) for L in self.layers])
+        rad = np.concatenate([np.full(len(L), L.rho) for L in self.layers])
+        X = np.concatenate([np.tile(L.centres, (len(L.rows), 1)) for L in self.layers])
+        return t0, rad, X
+
+
+def whitney_cover(Q: ParabolicBall, t_floor: float | None = None) -> WhitneyCover:
     """Cover Q ∩ X down to t_floor by balls with type (b) geometry.
 
     Layer k occupies times [A_k, B_k) with B_k = 4^(-k) * top(Q ∩ X) and
@@ -137,8 +187,10 @@ def whitney_cover(Q: ParabolicBall, t_floor: float | None = None) -> list[Parabo
 
     The type (b) geometry is checked here; the overlap bound
     WHITNEY_OVERLAP_BOUND is enforced by restrict_decompose, which sweeps the
-    cover once for both the check and its ledger.  Balls are returned largest
-    layer first, top row first.
+    cover once for both the check and its ledger.  Balls are ordered by layer
+    (largest first), then by row time (ascending: row t_c = A_k + (m + 1/2)
+    rho_k^2), then by centre (lattice offsets in lexicographic order);
+    restrict_decompose's first-ball partition depends on this order.
     """
     if truncated_volume(Q) <= 0.0:
         raise ValueError("Q does not meet the half-space")
@@ -155,7 +207,8 @@ def whitney_cover(Q: ParabolicBall, t_floor: float | None = None) -> list[Parabo
 
     x0 = Q.center.x
     n = Q.n
-    balls: list[ParabolicBall] = []
+    layers: list[CoverLayer] = []
+    n_balls = 0
     k = 0
     while True:
         B_k = top * 4.0 ** (-k)
@@ -163,31 +216,36 @@ def whitney_cover(Q: ParabolicBall, t_floor: float | None = None) -> list[Parabo
         rho = 0.5 * math.sqrt(A_k)
         rho2 = rho * rho  # = A_k / 4
         n_rows = math.ceil((B_k - A_k) / rho2 - 0.5)
-        rows = [A_k + (m + 0.5) * rho2 for m in range(n_rows)]
-        rows = [t for t in rows if t + rho2 > bottom]
+        rows = A_k + (np.arange(n_rows) + 0.5) * rho2
+        rows = rows[rows + rho2 > bottom]
         reach = r + rho
         n_off = math.ceil(reach / rho)
-        offs = [i * rho for i in range(-n_off, n_off + 1) if abs(i) * rho < reach]
-        for t_c in rows:
-            for off in product(offs, repeat=n):
-                c = tuple(x0[i] + off[i] for i in range(n))
-                balls.append(ball(t_c, c, rho))
-                if len(balls) > _MAX_COVER_BALLS:
-                    raise DecompositionError(
-                        f"cover exceeds {_MAX_COVER_BALLS} balls; raise t_floor"
-                    )
+        idx = np.arange(-n_off, n_off + 1)
+        offs = idx[np.abs(idx) * rho < reach] * rho
+        n_balls += len(rows) * len(offs) ** n
+        if n_balls > _MAX_COVER_BALLS:
+            raise DecompositionError(f"cover exceeds {_MAX_COVER_BALLS} balls; raise t_floor")
+        if len(rows):
+            lattice = np.meshgrid(*[offs] * n, indexing="ij")
+            centres = np.stack([x0[i] + g.ravel() for i, g in enumerate(lattice)], axis=1)
+            layers.append(CoverLayer(rho, rows, centres))
         if A_k <= t_floor:
             break
         k += 1
 
-    for b in balls:
-        # 2Q_j in X but 4Q_j not: guaranteed by the radius choice above
-        if not scaled_in_halfspace(b, 2.0) or scaled_in_halfspace(b, 4.0):
+    for layer in layers:
+        # 2Q_j in X but 4Q_j not (the float tests of scaled_in_halfspace):
+        # guaranteed by the radius choice above
+        lost = ~(layer.rows - (2.0 * layer.rho) ** 2 >= 0.0) | (
+            layer.rows - (4.0 * layer.rho) ** 2 >= 0.0
+        )
+        if lost.any():
+            b = layer.ball(int(np.argmax(lost)) * len(layer.centres))
             raise DecompositionError(f"cover ball {b} lost type (b) geometry")
-    return balls
+    return WhitneyCover(tuple(layers))
 
 
-def cover_max_overlap(cover: list[ParabolicBall]) -> int:
+def cover_max_overlap(cover: WhitneyCover) -> int:
     """Maximum number of cover balls sharing a point: exact for n = 1, upper bound for n = 2.
 
     The sweep treats each ball as the box |t - t0| < r^2, |x_i - c_i| < r.
@@ -197,12 +255,10 @@ def cover_max_overlap(cover: list[ParabolicBall]) -> int:
     and the box its bounding square, so the count can exceed the true
     overlap and a gate on it is conservative.
     """
-    if not cover:
+    if not len(cover):
         return 0
-    t0 = np.array([b.t0 for b in cover])
-    rad = np.array([b.radius for b in cover])
+    t0, rad, X = cover.arrays()
     r2 = rad * rad
-    X = np.array([[c for c in b.center.x] for b in cover])
     t_ev = np.unique(np.concatenate([t0 - r2, t0 + r2]))
     best = 0
     for tm in 0.5 * (t_ev[:-1] + t_ev[1:]):
@@ -228,18 +284,57 @@ def _axis_overlap(X: np.ndarray, rad: np.ndarray, axis: int, best: int) -> int:
     return best
 
 
-def cover_stats(cover: list[ParabolicBall], Q: ParabolicBall) -> dict:
+def cover_stats(cover: WhitneyCover, Q: ParabolicBall) -> dict:
     """Measured cover quality: ball count, layers, overlap, volume ratio."""
-    radii = sorted({b.radius for b in cover}, reverse=True)
-    vol = sum(ball_volume(b) for b in cover)
+    per_ball = np.repeat(
+        [ball_volume(L.ball(0)) for L in cover.layers], [len(L) for L in cover.layers]
+    )
+    # cumsum adds one ball at a time in cover order (np.sum would pair terms)
+    vol = float(np.cumsum(per_ball)[-1]) if per_ball.size else 0.0
     tv = truncated_volume(Q)
     return {
         "n_balls": len(cover),
-        "n_layers": len(radii),
+        "n_layers": len(cover.layers),
         "overlap_max": cover_max_overlap(cover),
-        "volume_sum": float(vol),
+        "volume_sum": vol,
         "volume_ratio": float(vol / tv) if tv > 0 else math.inf,
     }
+
+
+def _first_ball_owner(
+    cover: WhitneyCover, grid: SpaceTimeGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cover index of the first ball containing each cell midpoint, and the cover count.
+
+    Both are (nt, cells per time slab) arrays, with owner -1 where no ball
+    contains the cell.  Within a layer a ball contains a cell iff its row
+    contains the cell's time and its centre the cell's position, with the
+    strict tests of ParabolicBall.mask.  Balls run (layer, row, centre), so
+    the first containing ball pairs the first such row with the first such
+    centre, in the first layer that has both.
+    """
+    mesh = grid.mesh()
+    ts = mesh[0].ravel()
+    space = [m[0] for m in mesh[1:]]  # per-axis midpoints, broadcastable
+    shape = (grid.nt, grid.nx**grid.n)
+    owner = np.full(shape, -1, dtype=np.int64)
+    counts = np.zeros(shape, dtype=np.int64)
+    start = 0
+    for layer in cover.layers:
+        r2 = layer.rho**2
+        lo, hi = (layer.rows - r2)[:, None], (layer.rows + r2)[:, None]
+        in_t = (ts > lo) & (ts < hi)
+        d2 = sum(
+            (x[None] - layer.centres[:, i].reshape((-1,) + (1,) * x.ndim)) ** 2
+            for i, x in enumerate(space)
+        )
+        in_x = d2.reshape(len(layer.centres), -1) < r2
+        first = start + in_t.argmax(0)[:, None] * len(layer.centres) + in_x.argmax(0)
+        new = in_t.any(0)[:, None] & in_x.any(0) & (owner < 0)
+        owner[new] = first[new]
+        counts += in_t.sum(0)[:, None] * in_x.sum(0)
+        start += len(layer)
+    return owner, counts
 
 
 # -- restriction of classical atoms --------------------------------------------
@@ -298,34 +393,34 @@ def restrict_decompose(
         raise DecompositionError(
             f"cover overlap {stats['overlap_max']} exceeds the bound {bound}"
         )
-    mesh = hgrid.mesh()
-    qmask = Q.mask(*mesh)
-    unassigned = qmask.copy()
-    counts = np.zeros(hgrid.shape, dtype=np.int64)
+    inq = Q.mask(*hgrid.mesh()).reshape(hgrid.nt, -1)
+    owner, counts = _first_ball_owner(cover, hgrid)
+    escaped = int((inq & (owner < 0)).sum())
+    if escaped:
+        raise DecompositionError(f"{escaped} cells of Q ∩ X escaped the cover")
+    # group the cells of Q by owner; the stable sort keeps each piece in C
+    # order, the order in which a boolean mask reads vals[piece]
+    cells = np.flatnonzero(inq)
+    own = owner.ravel()[cells]
+    order = np.argsort(own, kind="stable")
+    cells, own = cells[order], own[order]
+    pv = half.values.ravel()[cells]
+    sq = pv**2
+    cuts = np.flatnonzero(np.diff(own)) + 1
     cm = hgrid.cell_measure
-    vals = half.values
     terms: list[Term] = []
     raw_sum = 0.0
-    for b in cover:
-        bmask = b.mask(*mesh)
-        counts += bmask & qmask
-        piece = bmask & unassigned
-        if not piece.any():
-            continue
-        unassigned &= ~bmask
-        w = math.sqrt(float((vals[piece] ** 2).sum()) * cm)
+    for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(cells)]):
+        w = math.sqrt(float(sq[a:b].sum()) * cm)
         if w == 0.0:
             continue
-        raw = w * math.sqrt(ball_volume(b))
+        bl = cover.ball(own[a])
+        raw = w * math.sqrt(ball_volume(bl))
         raw_sum += raw
         coeff = _pow2_at_least(raw)
         av = np.zeros(hgrid.shape)
-        av[piece] = vals[piece] / coeff  # exact: coeff is a power of two
-        terms.append(Term(coeff, GridFunction(hgrid, av), b, AtomKind.TYPE_B))
-    if unassigned.any():
-        raise DecompositionError(
-            f"{int(unassigned.sum())} cells of Q ∩ X escaped the cover"
-        )
+        av.flat[cells[a:b]] = pv[a:b] / coeff  # exact: coeff is a power of two
+        terms.append(Term(coeff, GridFunction(hgrid, av), bl, AtomKind.TYPE_B))
 
     dec = Decomposition(terms, residual=0.0)
     recon = dec.reconstruct() if terms else GridFunction(hgrid, np.zeros(hgrid.shape))
@@ -339,7 +434,7 @@ def restrict_decompose(
             # Cauchy-Schwarz constant is the one stable across inputs
             "coefficient_constant": dec.coefficient_sum / scale if scale > 0 else 0.0,
             "coefficient_constant_raw": raw_sum / scale if scale > 0 else 0.0,
-            "grid_overlap_max": int(counts.max()),
+            "grid_overlap_max": int(np.where(inq, counts, 0).max()),
             **stats,
         }
     )

@@ -3,18 +3,23 @@ molecule splitting, finite norm bounds."""
 
 import json
 import math
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardyheat import decompose
 from hardyheat.atoms import AtomKind, make_atom, make_molecule, validate_atom
 from hardyheat.decompose import (
+    CoverLayer,
     Decomposition,
     DecompositionError,
     Term,
     WHITNEY_OVERLAP_BOUND,
+    WhitneyCover,
     _pow2_at_least,
     cover_max_overlap,
     cover_stats,
@@ -121,15 +126,89 @@ def test_whitney_rejections():
         whitney_cover(STRADDLE, t_floor=10.0)
 
 
+def _reference_cover(Q, t_floor):
+    """The cover built ball by ball: layers largest first, rows ascending in
+    time, centres over the offset lattice in lexicographic order."""
+    r = Q.radius
+    top = Q.t0 + r * r
+    bottom = max(Q.t0 - r * r, 0.0)
+    balls = []
+    k = 0
+    while True:
+        B_k = top * 4.0 ** (-k)
+        A_k = B_k / 4.0
+        rho = 0.5 * math.sqrt(A_k)
+        rho2 = rho * rho
+        n_rows = math.ceil((B_k - A_k) / rho2 - 0.5)
+        rows = [A_k + (m + 0.5) * rho2 for m in range(n_rows)]
+        n_off = math.ceil((r + rho) / rho)
+        offs = [i * rho for i in range(-n_off, n_off + 1) if abs(i) * rho < r + rho]
+        for t_c in rows:
+            if t_c + rho2 <= bottom:
+                continue
+            for off in product(offs, repeat=Q.n):
+                balls.append(ball(t_c, tuple(c + o for c, o in zip(Q.center.x, off)), rho))
+        if A_k <= t_floor:
+            break
+        k += 1
+    return balls
+
+
+@pytest.mark.parametrize(
+    "Q", [ball(0.5, 0.25, 1.0), ball(0.05, (0.1, -0.2), 0.3)], ids=["n1", "n2"]
+)
+def test_whitney_cover_order(Q):
+    top = Q.t0 + Q.radius**2
+    cover = whitney_cover(Q, t_floor=top / 20.0)
+    balls = list(cover)
+    assert balls == _reference_cover(Q, top / 20.0)
+    assert len(cover) == len(balls) and len(cover.layers) == 3
+    for layer in cover.layers:
+        assert np.all(np.diff(layer.rows) > 0.0)  # lowest row first
+    assert [L.rho for L in cover.layers] == sorted((L.rho for L in cover.layers), reverse=True)
+
+
+def test_whitney_cover_len_and_keyword_sweep():
+    # an outside tracer counts len(cover) and reads the argument named cover
+    cover = whitney_cover(STRADDLE, t_floor=1.0 / 64)
+    assert len(cover) == sum(1 for _ in cover) == len(cover.arrays()[0])
+    assert cover_max_overlap(cover=cover) == cover_max_overlap(cover)
+
+
+def test_whitney_ball_cap_raises_before_building(monkeypatch):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecompositionError, match="exceeds"):
+            whitney_cover(STRADDLE, t_floor=1e-300)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 200k balls as objects take ~50 MB; the layers built before the cap, a
+    # few hundred kB
+    assert peak < 4e6
+    monkeypatch.setattr(decompose, "_MAX_COVER_BALLS", len(whitney_cover(STRADDLE)))
+    whitney_cover(STRADDLE)
+    monkeypatch.setattr(decompose, "_MAX_COVER_BALLS", len(whitney_cover(STRADDLE)) - 1)
+    with pytest.raises(DecompositionError, match="exceeds"):
+        whitney_cover(STRADDLE)
+
+
+def _cover(*balls):
+    """A cover with one single-ball layer per ball, in the given order."""
+    return WhitneyCover(
+        tuple(CoverLayer(b.radius, np.array([b.t0]), np.array([b.center.x])) for b in balls)
+    )
+
+
 def test_cover_max_overlap_handmade():
     b = ball(1.0, 0.0, 0.5)
-    assert cover_max_overlap([b, b]) == 2
-    assert cover_max_overlap([b, ball(9.0, 0.0, 0.5)]) == 1
-    assert cover_max_overlap([b, ball(1.0, 0.1, 0.3)]) == 2
-    assert cover_max_overlap([]) == 0
+    assert cover_max_overlap(_cover(b, b)) == 2
+    assert cover_max_overlap(_cover(b, ball(9.0, 0.0, 0.5))) == 1
+    assert cover_max_overlap(_cover(b, ball(1.0, 0.1, 0.3))) == 2
+    assert cover_max_overlap(_cover()) == 0
     # n = 2 sweeps bounding squares: these disks share no point, their
     # squares overlap at the corner
-    assert cover_max_overlap([ball(1.0, (0.0, 0.0), 1.0), ball(1.0, (1.9, 1.9), 1.0)]) == 2
+    assert cover_max_overlap(_cover(ball(1.0, (0.0, 0.0), 1.0), ball(1.0, (1.9, 1.9), 1.0))) == 2
 
 
 @settings(max_examples=15, deadline=None)
@@ -142,7 +221,7 @@ def test_whitney_random_balls_certified(r, frac, x0):
     Q = ball(frac * r * r, x0, r)
     cover = whitney_cover(Q, t_floor=(Q.t0 + r * r) / 30.0)
     assert cover_max_overlap(cover) <= WHITNEY_OVERLAP_BOUND[1]
-    for b in cover[:: max(1, len(cover) // 17)]:
+    for b in cover:
         assert scaled_in_halfspace(b, 2.0) and not scaled_in_halfspace(b, 4.0)
 
 
@@ -259,6 +338,113 @@ def test_restrict_whitney_2d():
     assert dec.ledger["overlap_max"] <= WHITNEY_OVERLAP_BOUND[2]
     for term in dec.terms[:: max(1, len(dec.terms) // 7)]:
         assert validate_atom(term.atom, term.ball, term.kind).passed
+
+
+def _reference_whitney(A, Q):
+    """restrict_decompose's Whitney branch as a pass over the balls in order.
+
+    Each ball masks the full grid; its piece is the cells of Q it contains
+    that no earlier ball took.
+    """
+    half = restrict(A) if A.grid.t_min < 0.0 else A
+    hgrid = half.grid
+    floor = max(hgrid.tau / 2.0, max(Q.t0 - Q.radius**2, 0.0))
+    balls = list(whitney_cover(Q, t_floor=floor))
+    mesh = hgrid.mesh()
+    qmask = Q.mask(*mesh)
+    unassigned = qmask.copy()
+    counts = np.zeros(hgrid.shape, dtype=np.int64)
+    cm = hgrid.cell_measure
+    vals = half.values
+    terms = []
+    raw_sum = 0.0
+    for b in balls:
+        bmask = b.mask(*mesh)
+        counts += bmask & qmask
+        piece = bmask & unassigned
+        if not piece.any():
+            continue
+        unassigned &= ~bmask
+        w = math.sqrt(float((vals[piece] ** 2).sum()) * cm)
+        if w == 0.0:
+            continue
+        raw = w * math.sqrt(ball_volume(b))
+        raw_sum += raw
+        coeff = _pow2_at_least(raw)
+        av = np.zeros(hgrid.shape)
+        av[piece] = vals[piece] / coeff
+        terms.append(Term(coeff, GridFunction(hgrid, av), b, AtomKind.TYPE_B))
+    assert not unassigned.any()
+    dec = Decomposition(terms, residual=0.0)
+    dec.residual = lp_norm(half - dec.reconstruct(), 1)
+    scale = lp_norm(half, 2) * math.sqrt(truncated_volume(Q))
+    vol = sum(ball_volume(b) for b in balls)
+    dec.ledger.update(
+        {
+            "case": "whitney",
+            "coefficient_constant": dec.coefficient_sum / scale,
+            "coefficient_constant_raw": raw_sum / scale,
+            "grid_overlap_max": int(counts.max()),
+            "n_balls": len(balls),
+            "n_layers": len({b.radius for b in balls}),
+            "overlap_max": cover_max_overlap(_cover(*balls)),
+            "volume_sum": float(vol),
+            "volume_ratio": float(vol / truncated_volume(Q)),
+        }
+    )
+    return dec
+
+
+def _roundtrip_2d_cases():
+    # the draws of the roundtrips experiment's 2-d leg at seed 0
+    grid = SpaceTimeGrid(2, 1.0, 20, -0.5, 0.5, 40)
+    for i in range(5):
+        rng = np.random.default_rng(i)
+        r = float(rng.uniform(0.15, 0.4))
+        x0 = tuple(rng.uniform(-0.4, 0.4, size=2))
+        Q = ball(float(rng.uniform(0.15, 0.95)) * r * r, x0, r)
+        yield make_atom(grid, Q, AtomKind.CLASSICAL_2, seed=i), Q
+
+
+def _r_odd_case(monkeypatch):
+    # the odd-extension atom and ball finite_norm_bound restricts for growth_T's box
+    grid = SpaceTimeGrid(1, 4.0, 64, 0.0, 4.0, 32)
+    tt, xx = grid.mesh()
+    f = GridFunction(grid, ((tt < 1.0) & (np.abs(xx) < 1.0)).astype(float))
+    seen = []
+
+    def spy(A, Q, tol=1e-8):
+        seen.append((A, Q))
+        return restrict_decompose(A, Q, tol=tol)
+
+    monkeypatch.setattr(decompose, "restrict_decompose", spy)
+    finite_norm_bound(f, strategy="r_odd")
+    (case,) = seen
+    return case
+
+
+def _dyadic_tie_case():
+    # top(Q ∩ X) = 4 makes every rho_k dyadic: row and lattice edges fall on
+    # cell midpoints, so the strict tests of the ball masks decide
+    grid = SpaceTimeGrid(1, 4.0, 32, -4.0, 4.0, 32)
+    Q = ball(2.0, 0.125, math.sqrt(2.0))
+    return make_atom(grid, Q, AtomKind.CLASSICAL_2, seed=5), Q
+
+
+def test_restrict_whitney_matches_per_ball_reference(straddle_setup, monkeypatch):
+    _, Q, A = straddle_setup
+    cases = [(A, Q), _dyadic_tie_case(), *_roundtrip_2d_cases(), _r_odd_case(monkeypatch)]
+    for A, Q in cases:
+        dec = restrict_decompose(A, Q)
+        ref = _reference_whitney(A, Q)
+        assert dec.ledger["case"] == "whitney"
+        assert len(dec.terms) == len(ref.terms) > 0
+        for got, want in zip(dec.terms, ref.terms):
+            assert got.coefficient == want.coefficient
+            assert got.ball == want.ball and got.kind is want.kind
+            assert np.array_equal(got.atom.values, want.atom.values)
+        assert dec.residual == ref.residual == 0.0
+        assert dec.ledger == ref.ledger
 
 
 # -- symmetrise + restrict ------------------------------------------------------
