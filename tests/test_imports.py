@@ -8,8 +8,16 @@ bound by import statements with the names the file reads.  Names listed in
 The same parse guards against dead code: every module-level function and class
 in src/hardyheat is read by some program file or exported in
 ``hardyheat.__all__``.  Code that only tests reach is not kept.
+
+At run time the program needs numpy and ``scipy.special`` only: no program
+file imports another scipy module, at module level or inside a function, and
+a fresh ``import hardyheat`` leaves scipy.integrate and scipy.optimize unloaded
+(tests may still import them as references).
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,6 +74,49 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name}: unused imports " + ", ".join(
         f"{name} (line {imported[name]})" for name in unused
     )
+
+
+def _scipy_imports(tree: ast.Module) -> dict[str, int]:
+    """Dotted scipy module -> line of every import of it, however nested."""
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = ([f"scipy.{alias.name}" for alias in node.names]
+                     if node.module == "scipy" else [node.module])
+        else:
+            continue
+        for name in names:
+            if name == "scipy" or name.startswith("scipy."):
+                modules.setdefault(name, node.lineno)
+    return modules
+
+
+def test_scan_flags_scipy_imports():
+    tree = ast.parse("import scipy.special\nfrom scipy import special, linalg\n"
+                     "from .scipy import x\ndef f():\n    from scipy.integrate import quad\n"
+                     "    import scipy\n")
+    assert _scipy_imports(tree) == {"scipy.special": 1, "scipy.linalg": 2,
+                                    "scipy.integrate": 5, "scipy": 6}
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_scipy_special_is_imported(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    other = {m: line for m, line in _scipy_imports(tree).items() if m != "scipy.special"}
+    assert not other, f"{path.name}: imports " + ", ".join(
+        f"{m} (line {line})" for m, line in other.items()
+    )
+
+
+def test_import_leaves_heavy_scipy_unloaded():
+    code = ("import sys, hardyheat, hardyheat.cli\n"
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_every_definition_is_read_or_exported():

@@ -29,7 +29,9 @@ from hardyheat.verify import (
     ExperimentResult,
     Settings,
     _annulus_rows,
+    _BOX,
     _box_cone_integral,
+    _kernel_dt_mass,
     _smooth_field,
     _window_moment,
     boundary_dichotomy,
@@ -333,10 +335,37 @@ def test_growth_T_increments_near_c_log2():
     assert last == pytest.approx(r.measured["log_slope"] * math.log(2.0), rel=0.05)
 
 
+def _box_cone_reference(a: float, b: float) -> float:
+    """The cone integral by adaptive quadrature, one window call per node."""
+    def inner(t: float) -> float:
+        W = 0.5 * math.sqrt(t)
+        return -float(image_window(_BOX, [t], -W, W)[0])
+
+    val, _ = quad(inner, a, b, epsabs=1e-13, epsrel=1e-12, limit=200)
+    return val
+
+
+_DEFAULT_PANELS = list(zip((4.0,) + Settings().growth_T_values, Settings().growth_T_values))
+
+
+@pytest.mark.parametrize("a, b", _DEFAULT_PANELS + [
+    (4.0, 6.0), (6.0, 16.0), (4.0, 100.0), (100.0, 1000.0),
+])
+def test_box_cone_integral_matches_adaptive_quad(a, b):
+    # beyond T ~ 1e4 the reference itself warns of roundoff
+    assert _box_cone_integral(a, b) == pytest.approx(_box_cone_reference(a, b), rel=1e-12)
+
+
 def test_box_cone_integral_additive():
+    # split off the dyadic edges so the two sides use different panels
     whole = _box_cone_integral(4.0, 16.0)
-    split = _box_cone_integral(4.0, 8.0) + _box_cone_integral(8.0, 16.0)
+    split = _box_cone_integral(4.0, 6.0) + _box_cone_integral(6.0, 16.0)
     assert whole == pytest.approx(split, abs=1e-11)
+
+
+@pytest.mark.parametrize("u", [1.0, 2.0, 17.0, 230.0, 1024.0])
+def test_kernel_dt_mass_scales_like_one_over_u(u):
+    assert u * _kernel_dt_mass(u) == pytest.approx(C_TSTAR, abs=1e-15)
 
 
 def test_growth_Tstar_constants():
