@@ -1,138 +1,31 @@
 """hardyheat: a numerical laboratory for parabolic Hardy spaces on the
 half-space X = (0, inf) x R^n and the heat maximal-regularity operator.
 
+The package namespace holds the library-use block of README.md: a grid,
+midpoint sampling, a parabolic ball, T and T*.  Everything else is imported
+from its submodule.
+
 Layout
 ------
 space      parabolic metric, balls, truncated volumes, dyadic annuli
-grid       uniform space-time grids, grid functions, extensions, IO
+grid       uniform space-time grids, grid functions, extensions
 atoms      atom kinds, certificates, molecules and decay reports
 heatop     heat semigroup, the operator T and its adjoint, reference oracles
 decompose  constructive atomic decompositions (Whitney, reflection, molecule)
 verify     experiment battery: certificates, counterexamples, stability probes
+config     flat key=value run configuration
 cli        command line entry point over the experiment catalogue
 """
-from .space import (
-    Annulus,
-    ParabolicBall,
-    SpacePoint,
-    ball,
-    ball_volume,
-    dilate,
-    parabolic_distance,
-    scaled_in_halfspace,
-    truncated_volume,
-)
-from .grid import (
-    GridFunction,
-    SpaceTimeGrid,
-    even_extend,
-    integrate,
-    lp_norm,
-    odd_extend,
-    read_binary,
-    restrict,
-    sample,
-    time_reflect,
-    write_binary,
-    write_csv,
-    zero_extend,
-)
-from .atoms import (
-    AtomCertificate,
-    AtomKind,
-    MoleculeReport,
-    fit_decay_exponent,
-    make_atom,
-    make_molecule,
-    molecule_report,
-    validate_atom,
-)
-from .decompose import (
-    Decomposition,
-    DecompositionError,
-    NormBound,
-    Term,
-    WHITNEY_OVERLAP_BOUND,
-    finite_norm_bound,
-    hz_decompose,
-    molecule_decompose,
-    restrict_decompose,
-    whitney_cover,
-)
-from .heatop import (
-    KernelSpec,
-    WHOLE,
-    apply_T,
-    apply_T_at,
-    apply_Tstar,
-    apply_Tstar_at,
-    duhamel_reference,
-    heat_kernel,
-    semigroup_apply,
-    spatial_quadrature_error,
-)
-from .verify import (
-    EXPERIMENTS,
-    ExperimentResult,
-    Settings,
-    run_experiment,
-)
+from .grid import SpaceTimeGrid, sample
+from .heatop import apply_T, apply_Tstar
+from .space import ball
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Annulus",
-    "AtomCertificate",
-    "AtomKind",
-    "GridFunction",
-    "MoleculeReport",
-    "ParabolicBall",
-    "SpacePoint",
     "SpaceTimeGrid",
-    "ball",
-    "ball_volume",
-    "dilate",
-    "even_extend",
-    "fit_decay_exponent",
-    "integrate",
-    "lp_norm",
-    "make_atom",
-    "make_molecule",
-    "molecule_report",
-    "odd_extend",
-    "parabolic_distance",
-    "read_binary",
-    "restrict",
-    "sample",
-    "scaled_in_halfspace",
-    "time_reflect",
-    "truncated_volume",
-    "validate_atom",
-    "write_binary",
-    "write_csv",
-    "zero_extend",
-    "Decomposition",
-    "DecompositionError",
-    "NormBound",
-    "Term",
-    "WHITNEY_OVERLAP_BOUND",
-    "finite_norm_bound",
-    "hz_decompose",
-    "molecule_decompose",
-    "restrict_decompose",
-    "whitney_cover",
-    "KernelSpec",
-    "WHOLE",
     "apply_T",
-    "apply_T_at",
     "apply_Tstar",
-    "apply_Tstar_at",
-    "duhamel_reference",
-    "heat_kernel",
-    "semigroup_apply",
-    "spatial_quadrature_error",
-    "EXPERIMENTS",
-    "ExperimentResult",
-    "Settings",
-    "run_experiment",
+    "ball",
+    "sample",
 ]

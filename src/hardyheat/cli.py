@@ -4,8 +4,9 @@ Each run writes one JSON result per experiment (sorted keys, UTF-8), an
 RFC-4180 CSV for the growth tables, and a manifest echoing the resolved
 configuration keys that affect results (the experiments and every setting)
 plus sha256 hashes of every artifact.  Identical configuration and seed give
-byte-identical artifacts and manifests, whatever the output directory or
-thread count, so manifests can be diffed directly.
+byte-identical artifacts and manifests, whatever the output directory, so
+manifests can be diffed directly.  Experiments run one after another in the
+order given.
 
 The configuration is validated before any experiment runs.  An experiment
 that raises is recorded as a failed result whose note names the exception;
@@ -24,7 +25,6 @@ import io
 import json
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .atoms import FIT_SLACK
@@ -146,20 +146,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides["growth_T_values"] = ",".join(repr(v) for v in values)
     if args.out is not None:
         overrides["out_dir"] = args.out
-    if args.threads is not None:
-        overrides["threads"] = str(args.threads)
 
     config = load_config(args.config, overrides)
     names = config.resolved_experiments()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    results: dict[str, ExperimentResult] = {}
-    with ThreadPoolExecutor(max_workers=config.resolved_threads()) as pool:
-        futures = {name: pool.submit(_run_one, name, config.settings)
-                   for name in names}
-        for name in names:
-            results[name] = futures[name].result()
+    results = {name: _run_one(name, config.settings) for name in names}
 
     written = _write_artifacts(config, results, out)
     failed = [n for n in names if not results[n].passed]
@@ -192,8 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser(
         "run",
         help="run experiments and write JSON/CSV artifacts plus a manifest",
-        epilog="Flags override config-file values.  Thread count falls back "
-               "to the environment variable HARDYHEAT_THREADS, then 1.  "
+        epilog="Flags override config-file values.  "
                "Experiments that support --n 2: "
                + ", ".join(n for n, e in EXPERIMENTS.items() if 2 in e.dims) + ".",
     )
@@ -209,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--tol", type=float,
                        help="relative moment/mean tolerance gates")
     p_run.add_argument("--out", metavar="DIR", help="artifact directory")
-    p_run.add_argument("--threads", type=int, help="experiment pool size")
     p_run.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override any flat config key (repeatable)")
     p_run.set_defaults(func=_cmd_run)

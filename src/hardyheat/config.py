@@ -1,6 +1,6 @@
 """Run configuration: a flat key=value layer over the experiment settings.
 
-A run is determined by (experiments, Settings, out_dir, threads); only the
+A run is determined by (experiments, Settings, out_dir); only the
 experiments and the Settings affect its results.  The config file format is
 one `key = value` per line so manifests diff line-by-line; command-line flags
 override file values.  Tuples are comma-separated in both directions, and
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping
@@ -42,32 +41,16 @@ class RunConfig:
     """Everything a run needs, flat and serializable.
 
     `experiments` holds experiment ids or aliases; the empty tuple means
-    "all".  The grid keys (length/spacing/horizon/step) describe the oracle
-    grid and must tile evenly.  `threads` caps the experiment pool; 0 defers to the environment
-    variable HARDYHEAT_THREADS and then to 1.
+    "all".  `out_dir` is where the artifacts go; it cannot change a result.
+    Experiments run one after another, in this order.
     """
 
     experiments: tuple[str, ...] = ()
     out_dir: str = "results"
-    threads: int = 0
     settings: Settings = field(default_factory=Settings)
 
     def resolved_experiments(self) -> tuple[str, ...]:
         return tuple(map(canonical, self.experiments)) or tuple(EXPERIMENTS)
-
-    def resolved_threads(self) -> int:
-        if self.threads > 0:
-            return self.threads
-        env = os.environ.get("HARDYHEAT_THREADS", "").strip()
-        if env:
-            try:
-                k = int(env)
-            except ValueError:
-                raise ConfigError(f"HARDYHEAT_THREADS={env!r} is not an integer")
-            if k <= 0:
-                raise ConfigError("HARDYHEAT_THREADS must be positive")
-            return k
-        return 1
 
 
 def canonical(name: str) -> str:
@@ -142,8 +125,6 @@ def _apply(config: RunConfig, pairs: Mapping[str, str]) -> RunConfig:
             run_updates["experiments"] = names
         elif key == "out_dir":
             run_updates["out_dir"] = raw.strip()
-        elif key == "threads":
-            run_updates["threads"] = parse_value(key, raw, int)
         elif key in _SETTINGS_FIELDS:
             f = _SETTINGS_FIELDS[key]
             kind = {"int": int, "float": float, "str": str, "bool": bool}.get(
@@ -193,12 +174,12 @@ def _validate(config: RunConfig) -> None:
 def dumps(config: RunConfig, run_keys: bool = True) -> str:
     """Canonical flat dump: run keys then settings keys, sorted, one per line.
 
-    run_keys=False leaves out out_dir and threads, which cannot change a
-    result; that is the run manifest's header.
+    run_keys=False leaves out out_dir, which cannot change a result; that
+    is the run manifest's header.
     """
     lines = ["experiments = " + ",".join(config.resolved_experiments())]
     if run_keys:
-        lines += [f"out_dir = {config.out_dir}", f"threads = {config.threads}"]
+        lines.append(f"out_dir = {config.out_dir}")
     s = dataclasses.asdict(config.settings)
     lines += [f"{k} = {format_value(s[k])}" for k in sorted(s)]
     return "\n".join(lines) + "\n"

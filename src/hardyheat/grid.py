@@ -8,15 +8,11 @@ produce the time-symmetric grid over (-T+, T+].
 """
 from __future__ import annotations
 
-import csv
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .space import ParabolicBall
-
-_HEADER = struct.Struct("<6d")  # n, L, h, T-, T+, tau
 
 
 @dataclass(frozen=True)
@@ -111,9 +107,6 @@ class GridFunction:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.grid, values)
-
     def __add__(self, other: "GridFunction") -> "GridFunction":
         if other.grid != self.grid:
             raise ValueError("grid mismatch")
@@ -175,14 +168,6 @@ def _extended_grid(g: SpaceTimeGrid) -> SpaceTimeGrid:
     return SpaceTimeGrid(g.n, g.length, g.nx, -g.t_max, g.t_max, 2 * g.nt)
 
 
-def zero_extend(f: GridFunction) -> GridFunction:
-    _check_halfspace(f)
-    g = _extended_grid(f.grid)
-    values = np.zeros(g.shape)
-    values[f.grid.nt :] = f.values
-    return GridFunction(g, values)
-
-
 def even_extend(f: GridFunction) -> GridFunction:
     _check_halfspace(f)
     g = _extended_grid(f.grid)
@@ -219,49 +204,3 @@ def restrict(F: GridFunction) -> GridFunction:
         raise ValueError("no slab edge at t = 0")
     sub = SpaceTimeGrid(g.n, g.length, g.nx, 0.0, g.t_max, g.nt - k0)
     return GridFunction(sub, F.values[k0:])
-
-
-# -- serialisation ------------------------------------------------------------
-
-def write_binary(f: GridFunction, path) -> None:
-    """Flat layout: 6 little-endian float64 header (n, L, h, T-, T+, tau), then
-    the cell values row-major as little-endian float64."""
-    g = f.grid
-    header = _HEADER.pack(float(g.n), g.length, g.h, g.t_min, g.t_max, g.tau)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(f.values.astype("<f8").tobytes(order="C"))
-
-
-def read_binary(path) -> GridFunction:
-    with open(path, "rb") as fh:
-        n, L, h, t_min, t_max, tau = _HEADER.unpack(fh.read(_HEADER.size))
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    grid = SpaceTimeGrid(
-        int(round(n)), L, int(round(2.0 * L / h)), t_min, t_max,
-        int(round((t_max - t_min) / tau)),
-    )
-    if raw.size != int(np.prod(grid.shape)):
-        raise ValueError("payload size does not match header geometry")
-    return GridFunction(grid, raw.reshape(grid.shape))
-
-
-def write_csv(f: GridFunction, path) -> None:
-    """One row per cell: t, x[, y], value, at cell midpoints."""
-    g = f.grid
-    cols = ["t", "x", "value"] if g.n == 1 else ["t", "x", "y", "value"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        if g.n == 1:
-            for i, t in enumerate(g.ts):
-                for j, x in enumerate(g.xs):
-                    writer.writerow([repr(float(t)), repr(float(x)), repr(float(f.values[i, j]))])
-        else:
-            for i, t in enumerate(g.ts):
-                for j, x in enumerate(g.xs):
-                    for k, y in enumerate(g.xs):
-                        writer.writerow(
-                            [repr(float(t)), repr(float(x)), repr(float(y)),
-                             repr(float(f.values[i, j, k]))]
-                        )

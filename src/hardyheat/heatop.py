@@ -41,10 +41,9 @@ offsets per lag u determines it, and the rows of all lags come from one
 vectorised erfc evaluation.  The half-line image term depends on i + j only
 (Hankel) and reads the same row.
 
-At arbitrary points (image_rows, image_window, and the one-row wrappers
-apply_T_at / apply_Tstar_at) both telescopings are summed by parts into one
-corner sum.  With D the mixed time/space jumps of g at the grid corners
-(t_m, e_j),
+At arbitrary points (image_rows, image_window) both telescopings are summed
+by parts into one corner sum.  With D the mixed time/space jumps of g at the
+grid corners (t_m, e_j),
 
     Tf(t, x)  =  Σ_{t_m < t} Σ_j D_mj ψ(t - t_m, x - e_j),
     T*f(t, x) = -Σ_{t_m > t} Σ_j D_mj ψ(t_m - t, x - e_j).
@@ -135,26 +134,6 @@ def gauss_kernel_dt(t, r2, n: int = 1):
     return gauss_kernel(t, r2, n) * (r2 / (4.0 * t * t) - n / (2.0 * t))
 
 
-def _r2(x, y, n: int):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if n == 1:
-        return (x - y) ** 2
-    d = x - y
-    return np.sum(d * d, axis=-1)
-
-
-def heat_kernel(t, x, y=0.0, spec: KernelSpec = WHOLE):
-    """K_t(x, y); for n = 2 the points carry their components on the last axis."""
-    if spec.is_whole:
-        return gauss_kernel(t, _r2(x, y, spec.n), spec.n)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return gauss_kernel(t, (x - y) ** 2, 1) + spec.image_sign * gauss_kernel(
-        t, (x + y) ** 2, 1
-    )
-
-
 # -- the heat-mass primitive ----------------------------------------------------
 
 def _psi(u, z):
@@ -228,19 +207,6 @@ def _apply_axes(X: np.ndarray, mats) -> np.ndarray:
         return X @ mats[0].T
     Ax, Ay = mats
     return np.matmul(np.matmul(Ax, X), Ay.T)
-
-
-def semigroup_apply(
-    grid: SpaceTimeGrid, u: float, g: np.ndarray, spec: KernelSpec = WHOLE
-) -> np.ndarray:
-    """e^{uΔ} applied to one spatial profile g (piecewise constant on cells),
-    with the kernel integrated exactly over each cell."""
-    if u < 0:
-        raise ValueError("u must be nonnegative")
-    g = np.asarray(g, dtype=float)
-    if g.shape != (grid.nx,) * grid.n:
-        raise ValueError("profile shape does not match the grid")
-    return _apply_axes(g[None], _matrices(grid, u, spec))[0]
 
 
 # -- the operator T and its adjoint --------------------------------------------
@@ -374,16 +340,6 @@ def image_window(f: GridFunction, ts, lo, hi, spec: KernelSpec = WHOLE, op: str 
 
     out = _corner_sum(f, ts, spec, op, term, np.zeros((len(ts), 2)), 2)
     return out[:, 1] - out[:, 0]
-
-
-def apply_T_at(f: GridFunction, t: float, x_out, spec: KernelSpec = WHOLE) -> np.ndarray:
-    """Tf(t, ·) on an arbitrary output lattice: one row of image_rows."""
-    return image_rows(f, [t], x_out, spec, "T")[0]
-
-
-def apply_Tstar_at(f: GridFunction, t: float, x_out, spec: KernelSpec = WHOLE) -> np.ndarray:
-    """T*f(t, ·) on an arbitrary output lattice; zero once every slab is past."""
-    return image_rows(f, [t], x_out, spec, "Tstar")[0]
 
 
 # -- independent Duhamel oracle --------------------------------------------------

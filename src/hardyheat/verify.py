@@ -46,7 +46,6 @@ from .heatop import (
     KernelSpec,
     _gl_nodes,
     apply_T,
-    apply_Tstar_at,
     duhamel_reference,
     gauss_kernel_dt,
     image_rows,
@@ -664,7 +663,7 @@ def tstar_images(settings: Settings) -> Measurement:
         # (the grid smears the support top t0 + r² by at most one slab)
         last = np.flatnonzero(np.abs(b.values).max(axis=1))[-1]
         t_past = float(b.grid.t_edges[last + 1])
-        probe = apply_Tstar_at(b, t_past, np.linspace(-0.6, 0.6, 9))
+        probe = image_rows(b, [t_past], np.linspace(-0.6, 0.6, 9), op="Tstar")[0]
         anticausal_max = max(anticausal_max, float(np.abs(probe).max()))
     return Measurement(
         parameters={"n_atoms_per_kind": settings.n_tstar_atoms, "J": settings.J},

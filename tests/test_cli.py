@@ -94,17 +94,6 @@ def test_format_value_tuple():
     assert format_value(True) == "true"
 
 
-def test_resolved_threads_env(monkeypatch):
-    monkeypatch.delenv("HARDYHEAT_THREADS", raising=False)
-    assert RunConfig().resolved_threads() == 1
-    monkeypatch.setenv("HARDYHEAT_THREADS", "4")
-    assert RunConfig().resolved_threads() == 4
-    assert RunConfig(threads=2).resolved_threads() == 2  # explicit beats env
-    monkeypatch.setenv("HARDYHEAT_THREADS", "zero")
-    with pytest.raises(ConfigError):
-        RunConfig().resolved_threads()
-
-
 def test_default_experiments_is_full_catalogue():
     assert RunConfig().resolved_experiments() == tuple(EXPERIMENTS)
 
@@ -225,24 +214,31 @@ def test_run_seed_changes_artifacts(tmp_path):
     assert first != second
 
 
-def test_run_parallel_matches_serial(tmp_path):
+def test_run_manifest_ignores_out_dir(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     common = ["run", "roundtrips", "l2_stability", "--seed", "3", *FAST_RUN]
-    assert main([*common, "--out", str(a), "--threads", "1"]) == 0
-    assert main([*common, "--out", str(b), "--threads", "2"]) == 0
-    fa, fb = _read_all(a), _read_all(b)
-    for name in ("roundtrips.json", "l2_stability.json"):
-        assert fa[name] == fb[name]
-
-
-def test_run_manifest_ignores_out_dir_and_threads(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    common = ["run", "roundtrips", "l2_stability", "--seed", "3", *FAST_RUN]
-    assert main([*common, "--out", str(a), "--threads", "1"]) == 0
-    assert main([*common, "--out", str(b), "--threads", "2"]) == 0
+    assert main([*common, "--out", str(a)]) == 0
+    assert main([*common, "--out", str(b)]) == 0
     manifest = (a / "manifest.txt").read_bytes()
     assert manifest == (b / "manifest.txt").read_bytes()
-    assert b"out_dir" not in manifest and b"threads" not in manifest
+    assert b"out_dir" not in manifest
+
+
+def test_run_has_no_threads_flag(tmp_path, capsys):
+    # experiments run serially; there is no pool to size
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "growth_Tstar", "--threads", "2", "--out", str(tmp_path / "r")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_run_rejects_threads_config_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("experiments = growth_Tstar\nthreads = 2\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert "unknown config key 'threads'" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_run_exception_is_a_failed_record(tmp_path, capsys, monkeypatch):

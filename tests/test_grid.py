@@ -1,10 +1,8 @@
-"""Grid layer: quadrature, extensions, reflections, serialisation."""
+"""Grid layer: quadrature, extensions, reflections."""
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hardyheat.grid import (
     GridFunction,
@@ -13,13 +11,9 @@ from hardyheat.grid import (
     integrate,
     lp_norm,
     odd_extend,
-    read_binary,
     restrict,
     sample,
     time_reflect,
-    write_binary,
-    write_csv,
-    zero_extend,
 )
 from hardyheat.space import ball
 
@@ -70,14 +64,12 @@ def test_values_are_immutable_and_copied():
 def test_extensions_shapes_and_parity():
     g = halfgrid()
     f = sample(g, lambda tt, xx: tt * (1.0 + xx**2))
-    fe, fo, fz = even_extend(f), odd_extend(f), zero_extend(f)
-    for F in (fe, fo, fz):
+    fe, fo = even_extend(f), odd_extend(f)
+    for F in (fe, fo):
         assert F.grid.t_min == -1.0 and F.grid.nt == 16
     # mirror slab pairing: slab k <-> slab 2*nt-1-k
     assert np.allclose(fe.values[:8], fe.values[15:7:-1])
     assert np.allclose(fo.values[:8], -fo.values[15:7:-1])
-    assert np.all(fz.values[:8] == 0.0)
-    assert np.allclose(fz.values[8:], f.values)
 
 
 def test_even_extension_doubles_mass_odd_kills_it():
@@ -91,7 +83,7 @@ def test_even_extension_doubles_mass_odd_kills_it():
 def test_restrict_inverts_extension():
     g = halfgrid()
     f = sample(g, lambda tt, xx: np.sin(3 * xx) + tt)
-    for ext in (even_extend, odd_extend, zero_extend):
+    for ext in (even_extend, odd_extend):
         back = restrict(ext(f))
         assert back.grid == g
         assert np.allclose(back.values, f.values)
@@ -106,40 +98,6 @@ def test_time_reflect_is_involution_and_swaps_parity():
     assert np.allclose(R.values, -F.values)  # odd in t
     E = even_extend(f)
     assert np.allclose(time_reflect(E).values, E.values)
-
-
-@given(st.integers(1, 2), st.integers(0, 10))
-@settings(max_examples=20, deadline=None)
-def test_binary_roundtrip(n, seed):
-    rng = np.random.default_rng(seed)
-    g = SpaceTimeGrid(n, 1.5, 6, 0.0, 2.0, 5)
-    f = GridFunction(g, rng.normal(size=g.shape))
-    path = f"/tmp/hardyheat_rt_{n}_{seed}.bin"
-    write_binary(f, path)
-    back = read_binary(path)
-    assert back.grid == g
-    assert np.array_equal(back.values, f.values)
-
-
-def test_binary_header_layout():
-    g = SpaceTimeGrid(1, 2.0, 4, 0.0, 1.0, 2)
-    f = GridFunction(g, np.arange(8, dtype=float).reshape(2, 4))
-    path = "/tmp/hardyheat_hdr.bin"
-    write_binary(f, path)
-    raw = np.fromfile(path, dtype="<f8")
-    assert raw[:6].tolist() == [1.0, 2.0, 1.0, 0.0, 1.0, 0.5]  # n, L, h, T-, T+, tau
-    assert raw[6:].tolist() == list(range(8))
-
-
-def test_csv_has_midpoints_and_values(tmp_path):
-    g = SpaceTimeGrid(1, 1.0, 2, 0.0, 1.0, 1)
-    f = GridFunction(g, np.array([[1.5, -2.5]]))
-    p = tmp_path / "f.csv"
-    write_csv(f, p)
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "t,x,value"
-    assert lines[1].split(",") == ["0.5", "-0.5", "1.5"]
-    assert lines[2].split(",") == ["0.5", "0.5", "-2.5"]
 
 
 def test_sample_broadcasts_scalar_fields():

@@ -20,16 +20,12 @@ from hardyheat.heatop import (
     KernelSpec,
     WHOLE,
     apply_T,
-    apply_T_at,
     apply_Tstar,
-    apply_Tstar_at,
     duhamel_reference,
     gauss_kernel,
     gauss_kernel_dt,
-    heat_kernel,
     image_rows,
     image_window,
-    semigroup_apply,
     spatial_quadrature_error,
 )
 from hardyheat.heatop import (
@@ -102,16 +98,6 @@ def test_dt_negativity_bound_is_tight_at_the_edge():
         assert edge == pytest.approx(_core_bound(t, n), rel=1e-13)
         uncorrected = -(n / (4.0 * t)) * (4.0 * math.pi * t) ** (-n / 2.0)
         assert edge > uncorrected  # the stronger constant fails here
-
-
-def test_half_line_kernels_are_images():
-    t, x, y = 0.7, 0.9, 0.4
-    p = lambda w: gauss_kernel(t, w * w, 1)
-    assert heat_kernel(t, x, y, DIRICHLET) == pytest.approx(p(x - y) - p(x + y))
-    assert heat_kernel(t, x, y, NEUMANN) == pytest.approx(p(x - y) + p(x + y))
-    assert heat_kernel(t, x, y, DIRICHLET) >= 0.0
-    # Dirichlet kernel vanishes at the wall
-    assert heat_kernel(t, 0.0, y, DIRICHLET) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_kernel_spec_validation():
@@ -243,6 +229,11 @@ def test_near_field_matrix_integrates_to_cell_mass_difference():
 
 
 # -- semigroup ------------------------------------------------------------------------
+
+def semigroup_apply(grid, u, g, spec=WHOLE):
+    """e^{uΔ} of one spatial profile g, the kernel integrated exactly over each cell."""
+    return _apply_axes(np.asarray(g, dtype=float)[None], _matrices(grid, u, spec))[0]
+
 
 def test_semigroup_identity_at_zero():
     g = xgrid()
@@ -403,9 +394,9 @@ def test_apply_T_at_agrees_with_grid_operator():
     out = apply_T(f)
     star = apply_Tstar(f)
     for i in (0, 5, 11):
-        at = apply_T_at(f, float(g.ts[i]), g.xs)
+        at = image_rows(f, [g.ts[i]], g.xs)[0]
         assert np.allclose(at, out.values[i], atol=1e-11)
-        at_star = apply_Tstar_at(f, float(g.ts[i]), g.xs)
+        at_star = image_rows(f, [g.ts[i]], g.xs, op="Tstar")[0]
         assert np.allclose(at_star, star.values[i], atol=1e-11)
 
 
@@ -414,13 +405,13 @@ def test_apply_T_at_beyond_the_grid():
     rng = np.random.default_rng(4)
     f = GridFunction(g, rng.normal(size=g.shape))
     # far output points see (almost) nothing
-    far = apply_T_at(f, 2.0, np.array([60.0, -60.0]))
+    far = image_rows(f, [2.0], [60.0, -60.0])[0]
     assert np.abs(far).max() < 1e-9
     # times after t_max are fine: every slab is completed
-    late = apply_T_at(f, 2.0 * g.t_max, g.xs)
+    late = image_rows(f, [2.0 * g.t_max], g.xs)[0]
     assert np.isfinite(late).all()
     # T* of anything at t >= t_max is zero
-    assert np.all(apply_Tstar_at(f, g.t_max, g.xs) == 0.0)
+    assert np.all(image_rows(f, [g.t_max], g.xs, op="Tstar") == 0.0)
 
 
 def test_apply_T_at_2d_shape():
@@ -429,9 +420,9 @@ def test_apply_T_at_2d_shape():
     f = GridFunction(g, rng.normal(size=g.shape))
     xo = np.array([-0.5, 0.0, 0.5])
     yo = np.array([0.25, 0.75])
-    out = apply_T_at(f, 0.9, (xo, yo))
+    out = image_rows(f, [0.9], (xo, yo))[0]
     assert out.shape == (3, 2)
-    grid_out = apply_T_at(f, float(g.ts[2]), (g.xs, g.xs))
+    grid_out = image_rows(f, [g.ts[2]], (g.xs, g.xs))[0]
     assert np.allclose(grid_out, apply_T(f).values[2], atol=1e-11)
 
 
@@ -465,14 +456,13 @@ def test_apply_Tstar_is_time_reversal_exactly(n, nx, nt, spec):
 def test_image_rows_match_one_row_calls(spec, op):
     g = SpaceTimeGrid(1, 1.0, 16, 0.0, 0.8, 8)
     f = GridFunction(g, np.random.default_rng(6).normal(size=g.shape))
-    at = {"T": apply_T_at, "Tstar": apply_Tstar_at}[op]
     # off-lattice times, a slab edge, and points on cell edges and past the box
     ts = np.array([0.05, g.t_edges[3], 0.47, 0.8, 1.9])
     xs = np.concatenate([g.x_edges[5:12], [-0.31, 0.2, 0.77, 3.5]])
     rows = image_rows(f, ts, xs, spec, op)
     assert rows.shape == (len(ts), len(xs))
     for t, row in zip(ts, rows):
-        assert np.array_equal(row, at(f, float(t), xs, spec))
+        assert np.array_equal(row, image_rows(f, [t], xs, spec, op)[0])
     # the slab-midpoint rows agree with the grid operator
     grid_op = {"T": apply_T, "Tstar": apply_Tstar}[op](f, spec).values
     mid = image_rows(f, g.ts, g.xs, spec, op)
@@ -541,7 +531,7 @@ def test_far_field_against_80_digit_reference(x, size):
     a, _ = _tstar_atom(AtomKind.TYPE_A, 0)
     t = 0.5059650805903846
     ref = _mp_reference(a, t, x, "Tstar")
-    got = float(apply_Tstar_at(a, t, np.array([x]))[0])
+    got = float(image_rows(a, [t], [x], op="Tstar")[0, 0])
     assert abs(got) == pytest.approx(size, rel=1e-3)
     assert got == pytest.approx(float(ref), rel=1e-11)
 
@@ -551,7 +541,7 @@ def test_far_field_T_against_80_digit_reference():
     f = GridFunction(g, np.random.default_rng(8).normal(size=g.shape))
     for t, x in ((0.9, 14.0), (0.3, -6.0), (0.45, 0.13)):
         ref = float(_mp_reference(f, t, x, "T"))
-        assert float(apply_T_at(f, t, np.array([x]))[0]) == pytest.approx(ref, rel=1e-11)
+        assert float(image_rows(f, [t], [x])[0, 0]) == pytest.approx(ref, rel=1e-11)
 
 
 # -- the independent oracle -------------------------------------------------------------

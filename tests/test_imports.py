@@ -5,9 +5,14 @@ rule: it parses each .py file under src/ and scripts/ and compares the names
 bound by import statements with the names the file reads.  Names listed in
 ``__all__`` (re-exports) and ``from __future__`` imports count as used.
 
-The same parse guards against dead code: every module-level function and class
-in src/hardyheat is read by some program file or exported in
-``hardyheat.__all__``.  Code that only tests reach is not kept.
+The same parse guards against dead code.  Every module-level function and
+class in src/hardyheat, and every method of those classes other than the
+dunders, must be read by a program file other than ``hardyheat/__init__.py``
+or be imported by the library-use block of README.md.  A name listed in
+``hardyheat.__all__`` does not count on its own, and code that only tests
+reach is not kept.  That README block is the public API: it runs as written,
+and ``hardyheat.__all__`` is exactly the set of names it imports from
+``hardyheat``.
 
 At run time the program needs numpy and ``scipy.special`` only: no program
 file imports another scipy module, at module level or inside a function, and
@@ -16,14 +21,18 @@ a fresh ``import hardyheat`` leaves scipy.integrate and scipy.optimize unloaded
 """
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import hardyheat
+
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src", "scripts") for p in (ROOT / d).rglob("*.py"))
+PACKAGE = ROOT / "src" / "hardyheat"
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -119,25 +128,77 @@ def test_import_leaves_heavy_scipy_unloaded():
     assert out.strip() == "[]"
 
 
+def _library_block() -> str:
+    """The fenced python block after "Library use" in README.md."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    match = re.search(r"Library use.*?```python\n(.*?)```", text, re.S)
+    assert match, "README.md has no python block after 'Library use'"
+    return match.group(1)
+
+
+def _public_names() -> list[str]:
+    """Names the README library block imports from the package itself."""
+    return [alias.name for node in ast.walk(ast.parse(_library_block()))
+            if isinstance(node, ast.ImportFrom) and node.module == "hardyheat"
+            for alias in node.names]
+
+
+def test_readme_library_block_runs_and_is_the_public_api():
+    block = _library_block()
+    tree = ast.parse(block)
+    assert not set(_imported(tree)) - _used(tree), "the block imports a name it never uses"
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert abs(namespace["gap"]) < 1e-13  # the adjointness it prints
+    assert sorted(hardyheat.__all__) == sorted(_public_names())
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Every name loaded and every attribute used anywhere in the tree."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _definitions(tree: ast.Module):
+    """(line, label, name) of each module-level function and class and of each
+    non-dunder method of those classes."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            yield node.lineno, node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield item.lineno, f"{node.name}.{item.name}", item.name
+
+
+def _unreached(modules: dict[str, ast.Module], readers, public) -> list[str]:
+    read = set(public).union(*map(_reads, readers))
+    return [f"{fname}:{line} {label}" for fname, tree in modules.items()
+            for line, label, name in _definitions(tree) if name not in read]
+
+
+def test_scan_flags_unreached_definitions():
+    module = ast.parse("__all__ = ['f', 'g']\ndef f(): pass\ndef g(): pass\n"
+                       "def h(): pass\nclass C:\n    def used(self): pass\n"
+                       "    def unused(self): pass\n    def __len__(self): return 0\n")
+    reader = ast.parse("from m import C, h\nh(C().used)\n")
+    assert _unreached({"m.py": module}, [reader], ["g"]) == ["m.py:2 f", "m.py:7 C.unused"]
+
+
 def test_every_definition_is_read_or_exported():
     # a name counts as read wherever it is loaded or used as an attribute, so
-    # a function that shares its name with some method is let through
-    defines = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    read, exported = set(), set()
-    for path in FILES:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-        if path == ROOT / "src" / "hardyheat" / "__init__.py":
-            exported = _exported(tree)
-    unreached = []
-    for path in FILES:
-        if path.parent != ROOT / "src" / "hardyheat":
-            continue
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, defines) and node.name not in read | exported:
-                unreached.append(f"{path.name}:{node.lineno} {node.name}")
-    assert not unreached, "defined but never read or exported: " + ", ".join(unreached)
+    # a definition that shares its name with something read elsewhere is let
+    # through; being listed in hardyheat.__all__ is not enough
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in FILES}
+    modules = {p.name: t for p, t in trees.items() if p.parent == PACKAGE}
+    readers = [t for p, t in trees.items() if p != PACKAGE / "__init__.py"]
+    unreached = _unreached(modules, readers, _public_names())
+    assert not unreached, ("read by no program file and not imported by README's "
+                           "library block: " + ", ".join(unreached))

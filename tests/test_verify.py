@@ -18,8 +18,8 @@ from hardyheat.heatop import (
     WHOLE,
     KernelSpec,
     _operator_input,
-    apply_T_at,
     gauss_kernel,
+    image_rows,
     image_window,
 )
 from hardyheat.space import Annulus, ball, dilate, truncated_volume
@@ -241,9 +241,7 @@ def test_image_report_matches_grid_quadrature():
     nt_big = math.ceil((outer.t0 + outer.radius**2) / g.tau)
     big = SpaceTimeGrid(1, 4.0 * g.length, 4 * g.nx, 0.0, nt_big * g.tau, nt_big)
     assert big.covers_ball(outer, clip_time=True)
-    Ta = np.empty(big.shape)
-    for i, t in enumerate(big.ts):
-        Ta[i] = apply_T_at(a, float(t), big.xs)
+    Ta = image_rows(a, big.ts, big.xs)
     tt, xx = big.mesh()
     for j, m_local in zip((1, 2), report.weighted_norms):
         msk = Annulus(Q, j).mask(tt, xx)
