@@ -21,6 +21,7 @@ recorded in the decomposition ledger.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -166,13 +167,6 @@ class WhitneyCover:
             i -= len(layer)
         raise IndexError("cover ball index out of range")
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(t0, radius, centre) of every ball, flattened in cover order."""
-        t0 = np.concatenate([np.repeat(L.rows, len(L.centres)) for L in self.layers])
-        rad = np.concatenate([np.full(len(L), L.rho) for L in self.layers])
-        X = np.concatenate([np.tile(L.centres, (len(L.rows), 1)) for L in self.layers])
-        return t0, rad, X
-
 
 def whitney_cover(Q: ParabolicBall, t_floor: float | None = None) -> WhitneyCover:
     """Cover Q ∩ X down to t_floor by balls with type (b) geometry.
@@ -248,40 +242,74 @@ def whitney_cover(Q: ParabolicBall, t_floor: float | None = None) -> WhitneyCove
 def cover_max_overlap(cover: WhitneyCover) -> int:
     """Maximum number of cover balls sharing a point: exact for n = 1, upper bound for n = 2.
 
-    The sweep treats each ball as the box |t - t0| < r^2, |x_i - c_i| < r.
-    For n = 1 that is the ball itself, and the maximum is attained on the
-    interior of some cell of the endpoint arrangement; sweep elementary
-    intervals axis by axis.  For n = 2 the spatial part is a Euclidean disk
-    and the box its bounding square, so the count can exceed the true
-    overlap and a gate on it is conservative.
+    Each ball counts as the box |t - t0| < r^2, |x_i - c_i| < r.  For n = 1
+    that is the ball itself and the count is exact; for n = 2 the box is the
+    bounding square of the spatial disk, so the count can exceed the true
+    overlap and a gate on it is conservative.  The box count is constant on
+    the cells of the arrangement of box faces.  Within a layer every ball is a
+    (row, centre) pair, so at a cell the count is sum_k a_k(t) b_k(x): the rows
+    of layer k whose interval holds t times the centres of layer k whose box
+    holds x.  a comes from a difference array over the time cells; for each
+    distinct row of a, the boxes of all centres, weighted by a_k, go into one
+    difference array over the spatial cells, and the maximum of its sums is
+    the result.
+
+    Faces that coincide in exact arithmetic, such as c_j + rho and
+    c_{j+2} - rho, can differ by an ulp in floating point.  Counted apart, the
+    sliver between them would be a cell where open balls that only touch
+    appear to meet, so faces closer than 32 ulps of the axis' largest face
+    magnitude are merged.  Distinct faces of a Whitney cover are much farther
+    apart.  Time faces lie on (rho_K^2 / 2)Z and the faces of each spatial
+    axis on a shift of rho_K Z, with rho_K the last layer's radius.  Below
+    _MAX_COVER_BALLS the last layer has at least one row of 2 r / rho_K
+    centres per axis, so rho_K > 1e-5 r and rho_K^2 > 2e-11 times the cover's
+    top time.  That is far above the merge tolerance in time, and in space
+    unless Q's centre lies about 1e9 radii from the origin.
     """
     if not len(cover):
         return 0
-    t0, rad, X = cover.arrays()
-    r2 = rad * rad
-    t_ev = np.unique(np.concatenate([t0 - r2, t0 + r2]))
-    best = 0
-    for tm in 0.5 * (t_ev[:-1] + t_ev[1:]):
-        act = np.abs(tm - t0) < r2
-        if int(act.sum()) <= best:
-            continue
-        best = _axis_overlap(X[act], rad[act], 0, best)
-    return int(best)
+    layers = cover.layers
+    rho = np.array([L.rho for L in layers])
+    row_layer = np.repeat(np.arange(len(layers)), [len(L.rows) for L in layers])
+    centre_layer = np.repeat(np.arange(len(layers)), [len(L.centres) for L in layers])
+    # a[c, k]: rows of layer k whose interval holds time cell c
+    rows = np.concatenate([L.rows for L in layers])[:, None]
+    (lo,), (hi,), (n_t,) = _box_cells(rows, rho[row_layer] ** 2)
+    a = np.zeros((n_t, len(layers)), dtype=np.int64)
+    np.add.at(a, (lo, row_layer), 1)
+    np.add.at(a, (hi, row_layer), -1)
+    a = np.unique(np.cumsum(a, axis=0), axis=0)
+    # per distinct a row, the spatial difference array of every centre's box
+    # weighted by its layer's row count, summed up along each axis
+    centres = np.concatenate([L.centres for L in layers])
+    lo, hi, shape = _box_cells(centres, rho[centre_layer])
+    weight = a.T[centre_layer]
+    counts = np.zeros((math.prod(shape), len(a)), dtype=np.int64)
+    for corner in itertools.product((0, 1), repeat=len(shape)):
+        at = np.ravel_multi_index([h if c else l for c, l, h in zip(corner, lo, hi)], shape)
+        np.add.at(counts, at, (-1) ** sum(corner) * weight)
+    counts = counts.reshape(shape + (len(a),))
+    for axis in range(len(shape)):
+        counts = np.cumsum(counts, axis=axis)
+    return int(counts.max())
 
 
-def _axis_overlap(X: np.ndarray, rad: np.ndarray, axis: int, best: int) -> int:
-    c = X[:, axis]
-    ev = np.unique(np.concatenate([c - rad, c + rad]))
-    mids = 0.5 * (ev[:-1] + ev[1:])
-    if axis == X.shape[1] - 1:
-        counts = (np.abs(mids[:, None] - c[None, :]) < rad[None, :]).sum(axis=1)
-        return max(best, int(counts.max()) if counts.size else 0)
-    for xm in mids:
-        act = np.abs(xm - c) < rad
-        if int(act.sum()) <= best:
-            continue
-        best = _axis_overlap(X[act], rad[act], axis + 1, best)
-    return best
+def _box_cells(points: np.ndarray, half: np.ndarray):
+    """Per axis, the cells [lo, hi) that each box |x - p| < half covers.
+
+    The cells are the elementary intervals between the merged faces of all
+    boxes on that axis, indexed from 0; returns (lo, hi, cells + 1) with one
+    entry per axis.  A cell is covered when its midpoint lies strictly inside.
+    """
+    lo, hi, shape = [], [], []
+    for p in points.T:
+        faces = np.sort(np.concatenate([p - half, p + half]))
+        faces = faces[np.r_[True, np.diff(faces) > 32.0 * np.spacing(np.abs(faces).max())]]
+        mids = 0.5 * (faces[:-1] + faces[1:])
+        lo.append(np.searchsorted(mids, p - half))
+        hi.append(np.searchsorted(mids, p + half))
+        shape.append(len(faces))
+    return lo, hi, tuple(shape)
 
 
 def cover_stats(cover: WhitneyCover, Q: ParabolicBall) -> dict:

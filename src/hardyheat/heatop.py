@@ -63,7 +63,9 @@ integral (midpoint-in-space ∂_u kernel matrices under Gauss-Legendre panels
 away from the singularity, plus an analytically differentiated near-field),
 sharing no telescoping shortcut with apply_T; it is the oracle the
 acceptance suite compares against.  It takes a sequence of inputs on one grid
-and builds its input-independent matrix stack once per call.
+and builds its input-independent matrix stack once per call.  Its entries,
+like apply_T's, depend on i - j only, so the stack is assembled from one row
+of offsets per quadrature node and gathered through the same Toeplitz index.
 """
 from __future__ import annotations
 
@@ -194,11 +196,6 @@ def _gather(grid: SpaceTimeGrid, spec: KernelSpec):
         return (A,)
 
     return tables
-
-
-def _matrices(grid, u, spec, eps_tail=EPS_TAIL):
-    """Per-axis operator matrices for one semigroup application (time u)."""
-    return _gather(grid, spec)(_cell_mass_rows(grid, [u], eps_tail)[0])
 
 
 def _apply_axes(X: np.ndarray, mats) -> np.ndarray:
@@ -355,8 +352,18 @@ def _gl_nodes(lo: float, hi: float, order: int):
     return mid + half * z, half * w
 
 
-def _dt_quad_matrix(grid: SpaceTimeGrid, u: float) -> np.ndarray:
-    """Two-point Gauss sampling per cell of the T kernel ∂_u p_u(x_i - y).
+def _offset_row(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i - b_j at every offset k = i - j, read from the grid's own arrays.
+
+    Entry nx - 1 + k is a[k] - b[0] for k >= 0 and a[0] - b[-k] for k < 0.
+    On the uniform grid that is a_i - b_j for every i - j = k, bit for bit on
+    dyadic grids; _gather's Toeplitz index reads it back as a matrix.
+    """
+    return np.concatenate([a[0] - b[:0:-1], a - b[0]])
+
+
+def _gauss2_row(grid: SpaceTimeGrid, kernel, u: float, diff: np.ndarray) -> np.ndarray:
+    """Two-point Gauss sampling per cell of kernel(u, ·) at every offset in diff.
 
     (h/2) [k(x_i - y_j + d) + k(x_i - y_j - d)] with d = h / (2 sqrt 3):
     exact for cubics in y, so the oracle's spatial error is O(h^4) while
@@ -364,25 +371,23 @@ def _dt_quad_matrix(grid: SpaceTimeGrid, u: float) -> np.ndarray:
     collapses fast under h-refinement.
     """
     d = grid.h / (2.0 * math.sqrt(3.0))
-    diff = grid.xs[:, None] - grid.xs[None, :]
-    return 0.5 * grid.h * (
-        gauss_kernel_dt(u, (diff - d) ** 2, 1) + gauss_kernel_dt(u, (diff + d) ** 2, 1)
-    )
+    return 0.5 * grid.h * (kernel(u, (diff - d) ** 2, 1) + kernel(u, (diff + d) ** 2, 1))
 
 
-def _near_field_matrix(grid: SpaceTimeGrid, u_hi: float, order: int = 8, halvings: int = 42):
-    """∫_0^{u_hi} ∂_u A(u) du via the differentiated cell-mass formula.
+def _near_field_row(grid: SpaceTimeGrid, u_hi: float, order: int = 8, halvings: int = 42):
+    """∫_0^{u_hi} ∂_u A(u) du via the differentiated cell-mass formula, as a row.
 
     d/du of the cell mass is (4 sqrt(pi) u^{3/2})^{-1} [w_hi e^{-w_hi^2/4u}
     - w_lo e^{-w_lo^2/4u}] with w = x_i - edge; integrable through u -> 0
     (each term vanishes faster than any power).  Geometric panels halving
     down from u_hi resolve the boundary layer; below the last panel the
     integrand is < erfc(h / (4 sqrt(u_min))), i.e. zero to double precision.
+    The result has one entry per offset i - j (see _offset_row).
     """
     xs, edges = grid.xs, grid.x_edges
-    w_lo = xs[:, None] - edges[None, :-1]
-    w_hi = xs[:, None] - edges[None, 1:]
-    total = np.zeros((grid.nx, grid.nx))
+    w_lo = _offset_row(xs, edges[:-1])
+    w_hi = _offset_row(xs, edges[1:])
+    total = np.zeros(2 * grid.nx - 1)
     hi = u_hi
     for _ in range(halvings):
         lo = hi / 2.0
@@ -395,6 +400,34 @@ def _near_field_matrix(grid: SpaceTimeGrid, u_hi: float, order: int = 8, halving
             total += (w * c) * term
         hi = lo
     return total
+
+
+def _duhamel_rows(grid: SpaceTimeGrid, u_switch: float, gl_order: int) -> np.ndarray:
+    """The row of every slab matrix C_m of duhamel_reference: shape (nt, 2 nx - 1).
+
+    C_0 integrates ∂_u A(u) over (0, tau/2): the near field below u_switch,
+    Gauss-Legendre panels above it.  C_m (m >= 1) integrates over
+    ((m - 1/2) tau, (m + 1/2) tau).  Each entry accumulates the same nodes in
+    the same order as an entry-by-entry build of the matrices would.
+    """
+    diff = _offset_row(grid.xs, grid.xs)
+
+    def far_integral(lo: float, hi: float) -> np.ndarray:
+        # geometric panels from lo upward (integrand steepest at small u)
+        out = np.zeros(2 * grid.nx - 1)
+        edges = [lo]
+        while edges[-1] < hi:
+            edges.append(min(2.0 * edges[-1], hi))
+        for a, b in zip(edges[:-1], edges[1:]):
+            us, ws = _gl_nodes(a, b, gl_order)
+            for u, w in zip(us, ws):
+                out += w * _gauss2_row(grid, gauss_kernel_dt, u, diff)
+        return out
+
+    tau = grid.tau
+    rows = [_near_field_row(grid, u_switch) + far_integral(u_switch, tau / 2.0)]
+    rows += [far_integral((m - 0.5) * tau, (m + 0.5) * tau) for m in range(1, grid.nt)]
+    return np.array(rows)
 
 
 def duhamel_reference(
@@ -416,7 +449,9 @@ def duhamel_reference(
     Takes a sequence of inputs on one grid and returns their references in
     order.  The stack of slab matrices C_m depends only on the grid, so it is
     built once per call and applied to every input; nothing is kept between
-    calls.
+    calls.  On the uniform grid every entry depends on i - j only, so each
+    quadrature node is evaluated on one row of 2 nx - 1 offsets and each C_m
+    is gathered from its accumulated row (_duhamel_rows).
     """
     fs = list(fs)
     if not fs:
@@ -434,21 +469,8 @@ def duhamel_reference(
     if not 0.0 < u_switch <= tau / 2.0:
         raise ValueError("u_switch must lie in (0, tau/2]")
 
-    def far_integral(lo: float, hi: float) -> np.ndarray:
-        # geometric panels from lo upward (integrand steepest at small u)
-        out = np.zeros((grid.nx, grid.nx))
-        edges = [lo]
-        while edges[-1] < hi:
-            edges.append(min(2.0 * edges[-1], hi))
-        for a, b in zip(edges[:-1], edges[1:]):
-            us, ws = _gl_nodes(a, b, gl_order)
-            for u, w in zip(us, ws):
-                out += w * _dt_quad_matrix(grid, u)
-        return out
-
-    C = [_near_field_matrix(grid, u_switch) + far_integral(u_switch, tau / 2.0)]
-    for m in range(1, grid.nt):
-        C.append(far_integral((m - 0.5) * tau, (m + 0.5) * tau))
+    tables = _gather(grid, WHOLE)
+    C = [tables(row)[0] for row in _duhamel_rows(grid, u_switch, gl_order)]
 
     refs = []
     for f in fs:
@@ -472,12 +494,8 @@ def spatial_quadrature_error(f: GridFunction, u: float) -> float:
     grid = f.grid
     if grid.n != 1:
         raise ValueError("defined for n = 1")
-    d = grid.h / (2.0 * math.sqrt(3.0))
-    diff_x = grid.xs[:, None] - grid.xs[None, :]
-    A_q = 0.5 * grid.h * (
-        gauss_kernel(u, (diff_x - d) ** 2, 1) + gauss_kernel(u, (diff_x + d) ** 2, 1)
-    )
-    (A_cell,) = _matrices(grid, u, WHOLE, eps_tail=0.0)
-    resid = (f.values @ (A_q - A_cell).T) ** 2
+    row = _gauss2_row(grid, gauss_kernel, u, _offset_row(grid.xs, grid.xs))
+    (gap,) = _gather(grid, WHOLE)(row - _cell_mass_rows(grid, [u], eps_tail=0.0)[0])
+    resid = (f.values @ gap.T) ** 2
     per_slab = np.sqrt(resid.sum(axis=1) * grid.h)
     return float(math.sqrt(grid.tau) * per_slab.sum())

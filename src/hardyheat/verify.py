@@ -756,11 +756,14 @@ def growth_T(settings: Settings) -> Measurement:
     logs = np.log([T for T in settings.growth_T_values])
     slope, intercept = np.polyfit(logs, vals, 1)
     resid = float(np.abs(np.asarray(vals) - (slope * logs + intercept)).max())
-    # single-signedness spot check on the cone
-    sign_max = -math.inf
-    for t in np.linspace(4.0, max(Ts), 37):
-        W = 0.5 * math.sqrt(t)
-        sign_max = max(sign_max, float(image_rows(_BOX, [t], np.linspace(-W, W, 21)).max()))
+    # single-signedness spot check on the cone: 21 points across |x| <= √t/2
+    # at each of 37 times, all in one call; each time reads its own points,
+    # the diagonal blocks of the (time, time, point) result
+    ts = np.linspace(4.0, max(Ts), 37)
+    W = 0.5 * np.sqrt(ts)
+    xs = np.linspace(-W, W, 21, axis=1)
+    rows = image_rows(_BOX, ts, xs.ravel()).reshape(len(ts), len(ts), -1)
+    sign_max = float(rows[np.arange(len(ts)), np.arange(len(ts))].max())
     # the same box is certified by the odd-extension route
     grid = SpaceTimeGrid(1, 4.0, 64, 0.0, 4.0, 32)
     tt, xx = grid.mesh()
@@ -873,12 +876,10 @@ def roundtrips(settings: Settings) -> Measurement:
     """
     if settings.n == 2:
         grid_N = SpaceTimeGrid(2, 1.0, 20, -0.5, 0.5, 40)
-        n_balls = min(settings.n_roundtrip_balls, 20)  # 2-d covers are wide
     else:
         grid_N = SpaceTimeGrid(1, 3.0, 48, -2.0, 2.0, 64)
-        n_balls = settings.n_roundtrip_balls
     overlaps, constants = [], []
-    for i in range(n_balls):
+    for i in range(settings.n_roundtrip_balls):
         rng = np.random.default_rng(settings.seed * 4001 + i)
         if settings.n == 2:
             r = float(rng.uniform(0.15, 0.4))
@@ -897,7 +898,7 @@ def roundtrips(settings: Settings) -> Measurement:
                     f"(n = {settings.n})")
     if settings.n == 2:
         return Measurement(
-            parameters={"n": 2, "n_balls": n_balls},
+            parameters={"n": 2, "n_balls": settings.n_roundtrip_balls},
             measured={"restrict_residual_max": 0.0,
                       "overlap_max": max(overlaps),
                       "coefficient_constant_max": max(constants)},

@@ -171,7 +171,8 @@ def test_whitney_cover_order(Q):
 def test_whitney_cover_len_and_keyword_sweep():
     # an outside tracer counts len(cover) and reads the argument named cover
     cover = whitney_cover(STRADDLE, t_floor=1.0 / 64)
-    assert len(cover) == sum(1 for _ in cover) == len(cover.arrays()[0])
+    assert len(cover) == sum(1 for _ in cover) == sum(len(L.rows) * len(L.centres)
+                                                      for L in cover.layers)
     assert cover_max_overlap(cover=cover) == cover_max_overlap(cover)
 
 
@@ -209,6 +210,93 @@ def test_cover_max_overlap_handmade():
     # n = 2 sweeps bounding squares: these disks share no point, their
     # squares overlap at the corner
     assert cover_max_overlap(_cover(ball(1.0, (0.0, 0.0), 1.0), ball(1.0, (1.9, 1.9), 1.0))) == 2
+
+
+def test_cover_max_overlap_merges_coincident_faces():
+    # three centres rho apart on one row: c_0 + rho and c_2 - rho are the same
+    # point, computed two ways; open balls that only touch there do not meet
+    for rho, centres in ((0.6, (1.1, 1.7, 2.3)), (0.9, (-1.4, -0.5, 0.4)),
+                         (0.3, (0.7, 1.0, 1.3))):
+        layer = CoverLayer(rho, np.array([1.0]), np.array(centres)[:, None])
+        assert cover_max_overlap(WhitneyCover((layer,))) == 2
+        # the same balls as one-ball layers
+        assert cover_max_overlap(_cover(*WhitneyCover((layer,)))) == 2
+
+
+def _lattice_overlap(cover):
+    """Exact box overlap of a Whitney cover on its integer lattice.
+
+    Time faces lie on (rho_K^2 / 2)Z and spatial faces on c + rho_K Z, with
+    rho_K the last layer's radius and c any centre, so in those units every
+    face is an integer and each cell of the arrangement holds the point half
+    a unit above its lower face.  The count there is the rows whose interval
+    holds it times the centres whose box holds it, summed over layers.
+    """
+    rho_K = cover.layers[-1].rho
+    origin = cover.layers[0].centres[0]
+
+    def lattice(v):
+        k = np.rint(v).astype(np.int64)
+        assert np.all(np.abs(v - k) < 1e-6)
+        return k
+
+    T = [lattice(2.0 * L.rows / rho_K**2) for L in cover.layers]
+    wt = [lattice(2.0 * L.rho**2 / rho_K**2) for L in cover.layers]
+    X = [lattice((L.centres - origin) / rho_K) for L in cover.layers]
+    wx = [lattice(L.rho / rho_K) for L in cover.layers]
+    pt = np.unique(np.concatenate([np.r_[t - w, t + w] for t, w in zip(T, wt)])) + 0.5
+    px = [np.unique(np.concatenate([np.r_[x[:, i] - w, x[:, i] + w] for x, w in zip(X, wx)]))
+          + 0.5 for i in range(cover.layers[0].centres.shape[1])]
+    pts = np.array(list(product(*px)))
+    a = np.stack([(np.abs(pt[:, None] - t) < w).sum(1) for t, w in zip(T, wt)], axis=1)
+    B = np.stack([(np.abs(pts[:, None, :] - x) < w).all(2).sum(1) for x, w in zip(X, wx)],
+                 axis=1)
+    return int((a @ B.T).max())
+
+
+def _roundtrip_covers(seed, n, n_balls):
+    # the covers restrict_decompose builds for the roundtrips experiment's
+    # draws: t_floor = max(tau / 2, bottom) on the experiment's grid
+    tau = 4.0 / 64 if n == 1 else 1.0 / 40
+    for i in range(n_balls):
+        rng = np.random.default_rng(seed * 4001 + i)
+        if n == 2:
+            r = float(rng.uniform(0.15, 0.4))
+            x0 = tuple(rng.uniform(-0.4, 0.4, size=2))
+        else:
+            r = float(rng.uniform(0.3, 0.9))
+            x0 = float(rng.uniform(-2.0, 2.0))
+        Q = ball(float(rng.uniform(0.15, 0.95)) * r * r, x0, r)
+        yield whitney_cover(Q, t_floor=max(tau / 2.0, Q.t0 - r * r, 0.0))
+
+
+@pytest.mark.parametrize("n, n_balls, expected", [(1, 100, 6), (2, 20, 12)])
+def test_cover_max_overlap_equals_lattice_count(n, n_balls, expected):
+    for seed in range(3):
+        got = []
+        for cover in _roundtrip_covers(seed, n, n_balls):
+            got.append(cover_max_overlap(cover))
+            assert got[-1] == _lattice_overlap(cover)
+        assert max(got) == expected
+
+
+@pytest.mark.parametrize("Q, t_floor", [
+    (ball(0.5, 0.25, 1.0), 1.5 * 2.0**-22), (ball(0.05, (0.1, -0.2), 0.3), 0.14 * 2.0**-10),
+], ids=["n1", "n2"])
+def test_cover_faces_stay_apart_near_the_ball_cap(Q, t_floor):
+    # the merge tolerance of cover_max_overlap (32 ulps of the largest face)
+    # stays far below the lattice spacing of the faces near _MAX_COVER_BALLS
+    cover = whitney_cover(Q, t_floor=t_floor)
+    assert 0.8 * decompose._MAX_COVER_BALLS < len(cover) <= decompose._MAX_COVER_BALLS
+    rho_K = cover.layers[-1].rho
+    t_faces = np.concatenate([np.r_[L.rows - L.rho**2, L.rows + L.rho**2] for L in cover.layers])
+    x_faces = np.concatenate([np.r_[L.centres - L.rho, L.centres + L.rho] for L in cover.layers])
+    for faces, unit, origin in ((t_faces, rho_K**2 / 2.0, 0.0),
+                                (x_faces, rho_K, cover.layers[0].centres[0])):
+        k = (faces - origin) / unit
+        assert np.all(np.abs(k - np.rint(k)) < 1e-6)
+        assert 32.0 * np.spacing(np.abs(faces).max()) < 1e-3 * unit
+    assert cover_max_overlap(cover) == (6 if Q.n == 1 else 12)
 
 
 @settings(max_examples=15, deadline=None)

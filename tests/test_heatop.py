@@ -31,8 +31,10 @@ from hardyheat.heatop import (
 from hardyheat.heatop import (
     _apply_axes,
     _cell_mass_rows,
-    _matrices,
-    _near_field_matrix,
+    _duhamel_rows,
+    _gather,
+    _gl_nodes,
+    _near_field_row,
     _operator_input,
     _psi,
 )
@@ -47,6 +49,11 @@ def xgrid(L=4.0, nx=64, T=4.0, nt=16):
 
 def inner(f, g):
     return float((f.values * g.values).sum() * f.grid.cell_measure)
+
+
+def _matrices(grid, u, spec, eps_tail=EPS_TAIL):
+    """Per-axis operator matrices for one semigroup application (time u)."""
+    return _gather(grid, spec)(_cell_mass_rows(grid, [u], eps_tail)[0])
 
 
 # -- pointwise kernel values ------------------------------------------------------
@@ -223,7 +230,7 @@ def test_near_field_matrix_integrates_to_cell_mass_difference():
     # independent panel quadrature of dA/du must land on A(u) - I
     g = xgrid(nx=32)
     u = g.tau / 8.0
-    N = _near_field_matrix(g, u)
+    (N,) = _gather(g, WHOLE)(_near_field_row(g, u))
     (A,) = _matrices(g, u, WHOLE, eps_tail=0.0)
     assert np.max(np.abs(N - (A - np.eye(g.nx)))) < 1e-10
 
@@ -553,6 +560,64 @@ def test_duhamel_reference_close_at_default_grid():
     gap = lp_norm(apply_T(f) - ref, 2)
     assert gap / lp_norm(f, 2) < 1e-4
     assert gap <= 10.0 * spatial_quadrature_error(f, g.tau / 8.0)
+
+
+def _dense_duhamel_stack(grid, u_switch, gl_order=12):
+    """The oracle's slab matrices C_m built entry by entry: every quadrature
+    node evaluates the full nx x nx matrix of x_i - y_j, with no row reuse."""
+    xs, edges, h, tau = grid.xs, grid.x_edges, grid.h, grid.tau
+    diff = xs[:, None] - xs[None, :]
+    d = h / (2.0 * math.sqrt(3.0))
+    w_lo = xs[:, None] - edges[None, :-1]
+    w_hi = xs[:, None] - edges[None, 1:]
+
+    def far_integral(lo, hi):
+        out = np.zeros((grid.nx, grid.nx))
+        panel = [lo]
+        while panel[-1] < hi:
+            panel.append(min(2.0 * panel[-1], hi))
+        for a, b in zip(panel[:-1], panel[1:]):
+            for u, w in zip(*_gl_nodes(a, b, gl_order)):
+                out += w * (0.5 * h * (gauss_kernel_dt(u, (diff - d) ** 2, 1)
+                                       + gauss_kernel_dt(u, (diff + d) ** 2, 1)))
+        return out
+
+    near = np.zeros((grid.nx, grid.nx))
+    hi = u_switch
+    for _ in range(42):
+        lo = hi / 2.0
+        for u, w in zip(*_gl_nodes(lo, hi, 8)):
+            c = 1.0 / (4.0 * math.sqrt(math.pi) * u**1.5)
+            near += (w * c) * (w_hi * np.exp(-w_hi * w_hi / (4.0 * u))
+                               - w_lo * np.exp(-w_lo * w_lo / (4.0 * u)))
+        hi = lo
+    C = [near + far_integral(u_switch, tau / 2.0)]
+    return C + [far_integral((m - 0.5) * tau, (m + 0.5) * tau) for m in range(1, grid.nt)]
+
+
+@pytest.mark.parametrize("L, nx, T, nt", [
+    (4.0, 64, 4.0, 16), (4.0, 128, 4.0, 16), (3.0, 48, 2.0, 10),
+])
+def test_duhamel_rows_equal_dense_build(L, nx, T, nt):
+    # the battery's coarse and refined oracle grids, and one whose tau is not
+    # dyadic: x offsets are exact on all three, so the rows gather to the
+    # same floating-point matrices as the entry-by-entry build
+    g = SpaceTimeGrid(1, L, nx, 0.0, T, nt)
+    tables = _gather(g, WHOLE)
+    dense = _dense_duhamel_stack(g, g.tau / 8.0)
+    rows = _duhamel_rows(g, g.tau / 8.0, 12)
+    assert len(rows) == len(dense) == nt
+    for row, C in zip(rows, dense):
+        assert np.array_equal(tables(row)[0], C)
+
+
+def test_duhamel_rows_match_dense_build_off_dyadic_offsets():
+    # h = 1/6: x_i - x_j carries different roundings than x_k - x_0, so the
+    # entries agree to rounding only (measured at most 8e-16 of max |C_m|)
+    g = SpaceTimeGrid(1, 2.0, 24, 0.0, 2.0, 12)
+    tables = _gather(g, WHOLE)
+    for row, C in zip(_duhamel_rows(g, g.tau / 8.0, 12), _dense_duhamel_stack(g, g.tau / 8.0)):
+        assert np.max(np.abs(tables(row)[0] - C)) <= 1e-13 * np.max(np.abs(C))
 
 
 def test_duhamel_reference_batch_equals_single_calls():
