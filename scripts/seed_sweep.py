@@ -3,7 +3,10 @@
 
 One line per (experiment, seed): the verdict and every scalar in the result's
 ``measured`` record, which includes the value each gate compares against its
-bound.  A closing line per experiment gives the pass rate.  Defaults to the
+bound.  A closing line per experiment gives the pass rate, followed by one
+line per gate that applies: the worst value over the seeds that ran, the
+bound and the signed slack (positive passes; relative to |bound| when the
+bound is a nonzero number, absolute otherwise).  Defaults to the
 four molecule experiments at their full default sizes; ``--set key=value``
 overrides any flat settings key, as in ``hardyheat run``.  ``--json PATH``
 also writes the records, so two checkouts can be compared value by value.
@@ -19,8 +22,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from hardyheat.atoms import FIT_SLACK
 from hardyheat.config import ConfigError, load_config
-from hardyheat.verify import run_experiment
+from hardyheat.verify import EXPERIMENTS, run_experiment
 
 MOLECULES = ("atom_images", "tstar_images", "boundary_dirichlet", "boundary_neumann")
 
@@ -30,6 +34,19 @@ def scalars(measured: dict) -> dict:
             if isinstance(v, (int, float)) and not isinstance(v, bool)}
 
 
+def slack(op: str, value, bound) -> tuple[float, bool]:
+    """(signed slack of value against the bound, whether it is relative).
+
+    The slack is how far value may move toward the bound before the gate
+    fails, so a gate with "==" reads 0 when it holds and "fit>=" counts
+    FIT_SLACK in; it is divided by |bound| when the bound is a nonzero number.
+    """
+    relative = isinstance(bound, (int, float)) and not isinstance(bound, bool) and bound != 0
+    value, edge = float(value), float(bound) - (FIT_SLACK if op == "fit>=" else 0.0)
+    gap = {"<=": edge - value, "==": 0.0 - abs(value - edge)}.get(op, value - edge)
+    return (gap / abs(bound) if relative else gap), relative
+
+
 def run(args: argparse.Namespace) -> int:
     if any("=" not in kv for kv in args.set):
         raise ConfigError("--set takes KEY=VALUE")
@@ -37,6 +54,7 @@ def run(args: argparse.Namespace) -> int:
     records = []
     for name in args.experiments or MOLECULES:
         passes = 0
+        worst = {}  # gate -> (slack, relative, value, limit, seed)
         for seed in range(args.seeds + 1):
             config = load_config(None, {**overrides, "experiments": name,
                                         "seed": str(seed)})
@@ -48,6 +66,12 @@ def run(args: argparse.Namespace) -> int:
                                 "passed": False, "error": repr(exc)})
                 continue
             passes += bool(res.passed)
+            for gate in EXPERIMENTS[name].gates:
+                if config.settings.n in gate.dims:
+                    value, limit = res.measured[gate.key], gate.limit(config.settings)
+                    margin = (*slack(gate.op, value, limit), value, limit, seed)
+                    if gate not in worst or margin[0] < worst[gate][0]:
+                        worst[gate] = margin
             values = scalars(res.to_json_dict()["measured"])
             records.append({"experiment": name, "seed": seed,
                             "passed": bool(res.passed), "measured": values})
@@ -55,6 +79,10 @@ def run(args: argparse.Namespace) -> int:
             print(f"{name} seed={seed} {'pass' if res.passed else 'FAIL'} {bits}",
                   flush=True)
         print(f"{name}: {passes}/{args.seeds + 1} seeds pass", flush=True)
+        for gate, (margin, relative, value, limit, seed) in worst.items():
+            print(f"{name} gate {gate.key} {gate.op} {limit}: worst {float(value):.10g} "
+                  f"at seed={seed}, slack {margin:+.4g} "
+                  f"{'relative' if relative else 'absolute'}", flush=True)
     if args.json:
         Path(args.json).write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
     return 0

@@ -6,6 +6,9 @@ certified atoms on X:
 * ``restrict_decompose`` — restrict a classical atom to X; depending on how
   far its ball sits from the t = 0 wall this is a single type (a) or type (b)
   atom, or a Whitney-type boundary cover with one type (b) atom per cover ball.
+  The Whitney terms are kept as arrays (``WhitneyTerms``): a term's atom and
+  ball are built only when it is indexed, and the reconstruction is one
+  scatter of coefficient times atom value into a zero grid.
 * ``hz_decompose`` — push a decomposition of the even extension back down to X
   by symmetrising and restricting each term, recentring straddling balls.
 * ``molecule_decompose`` — split a certified molecule into dyadic-annulus
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,12 +64,16 @@ class DecompositionError(RuntimeError):
     """A decomposition routine could not produce certified output."""
 
 
-def _pow2_at_least(s: float) -> float:
-    """Smallest power of two >= s (s itself when s is one)."""
-    if not (s > 0.0) or not math.isfinite(s):
-        raise ValueError(f"need a positive finite scale, got {s}")
-    m, e = math.frexp(s)  # s = m * 2**e with m in [0.5, 1)
-    return s if m == 0.5 else math.ldexp(1.0, e)
+def _pow2_at_least(s: float | np.ndarray) -> float | np.ndarray:
+    """Smallest power of two >= s (s itself when s is one), elementwise.
+
+    A float gives a float, an array an array of the same shape.
+    """
+    if not (np.all(s > 0.0) and np.all(np.isfinite(s))):
+        raise ValueError(f"need positive finite scales, got {s}")
+    m, e = np.frexp(s)  # s = m * 2**e with m in [0.5, 1)
+    p = np.where(m == 0.5, s, np.ldexp(1.0, e))
+    return float(p) if p.ndim == 0 else p
 
 
 @dataclass(frozen=True)
@@ -76,11 +84,11 @@ class Term:
     kind: AtomKind
 
     def to_json_dict(self) -> dict:
-        return {
-            "coefficient": float(self.coefficient),
-            "kind": self.kind.value,
-            "ball": _ball_dict(self.ball),
-        }
+        return _term_dict(self.coefficient, self.kind, self.ball)
+
+
+def _term_dict(coefficient: float, kind: AtomKind, b: ParabolicBall) -> dict:
+    return {"coefficient": float(coefficient), "kind": kind.value, "ball": _ball_dict(b)}
 
 
 @dataclass
@@ -92,17 +100,23 @@ class Decomposition:
     producing routine wants on the record; treat it as append-only.
     """
 
-    terms: list[Term]
+    terms: Sequence[Term]
     residual: float
     ledger: dict = field(default_factory=dict)
 
     @property
     def coefficient_sum(self) -> float:
-        return float(sum(abs(t.coefficient) for t in self.terms))
+        if isinstance(self.terms, WhitneyTerms):
+            coefficients = self.terms.coefficients.tolist()
+        else:
+            coefficients = [t.coefficient for t in self.terms]
+        return float(sum(abs(c) for c in coefficients))
 
     def reconstruct(self) -> GridFunction:
         if not self.terms:
             raise DecompositionError("cannot reconstruct from an empty decomposition")
+        if isinstance(self.terms, WhitneyTerms):
+            return self.terms.reconstruct()
         grid = self.terms[0].atom.grid
         acc = np.zeros(grid.shape)
         for t in self.terms:
@@ -112,13 +126,72 @@ class Decomposition:
         return GridFunction(grid, acc)
 
     def to_json_dict(self) -> dict:
+        if isinstance(self.terms, WhitneyTerms):
+            terms = self.terms.to_json_dicts()
+        else:
+            terms = [t.to_json_dict() for t in self.terms]
         return {
             "n_terms": len(self.terms),
             "coefficient_sum": self.coefficient_sum,
             "residual": float(self.residual),
             "ledger": self.ledger,
-            "terms": [t.to_json_dict() for t in self.terms],
+            "terms": terms,
         }
+
+
+@dataclass(frozen=True, eq=False)
+class WhitneyTerms(Sequence):
+    """The type (b) terms of a Whitney restriction, kept as arrays.
+
+    Term i has coefficient coefficients[i], ball cover.ball(owners[i]) and an
+    atom that is values[bounds[i]:bounds[i + 1]] at the flat cell indices
+    cells[bounds[i]:bounds[i + 1]] of grid and zero elsewhere.  Indexing or
+    iterating builds the Terms; len, coefficients, to_json_dicts and
+    reconstruct build none.
+    """
+
+    grid: SpaceTimeGrid
+    cover: WhitneyCover
+    cells: np.ndarray
+    values: np.ndarray
+    bounds: np.ndarray
+    owners: np.ndarray
+    coefficients: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.coefficients)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        if not -len(self) <= i < len(self):
+            raise IndexError("term index out of range")
+        i %= len(self)
+        a, b = self.bounds[i], self.bounds[i + 1]
+        av = np.zeros(self.grid.shape)
+        av.flat[self.cells[a:b]] = self.values[a:b]
+        return Term(
+            float(self.coefficients[i]),
+            GridFunction(self.grid, av),
+            self.cover.ball(self.owners[i]),
+            AtomKind.TYPE_B,
+        )
+
+    def to_json_dicts(self) -> list[dict]:
+        """Term.to_json_dict of every term, without building the atoms."""
+        return [_term_dict(c, AtomKind.TYPE_B, self.cover.ball(o))
+                for c, o in zip(self.coefficients, self.owners)]
+
+    def reconstruct(self) -> GridFunction:
+        """Sum of coefficient * atom: one scatter into a zero grid.
+
+        The pieces are disjoint, so each cell receives 0.0 + c * (v / c), the
+        same sum the term-by-term loop of Decomposition.reconstruct forms.
+        """
+        acc = np.zeros(self.grid.shape)
+        per_cell = np.repeat(self.coefficients, np.diff(self.bounds))
+        acc.flat[self.cells] += per_cell * self.values
+        return GridFunction(self.grid, acc)
 
 
 # -- Whitney boundary cover ----------------------------------------------------
@@ -312,11 +385,14 @@ def _box_cells(points: np.ndarray, half: np.ndarray):
     return lo, hi, tuple(shape)
 
 
+def _layer_volumes(cover: WhitneyCover) -> list[float]:
+    """nu of one ball per layer; every ball of a layer has the same radius."""
+    return [ball_volume(L.ball(0)) for L in cover.layers]
+
+
 def cover_stats(cover: WhitneyCover, Q: ParabolicBall) -> dict:
     """Measured cover quality: ball count, layers, overlap, volume ratio."""
-    per_ball = np.repeat(
-        [ball_volume(L.ball(0)) for L in cover.layers], [len(L) for L in cover.layers]
-    )
+    per_ball = np.repeat(_layer_volumes(cover), [len(L) for L in cover.layers])
     # cumsum adds one ball at a time in cover order (np.sum would pair terms)
     vol = float(np.cumsum(per_ball)[-1]) if per_ball.size else 0.0
     tv = truncated_volume(Q)
@@ -380,8 +456,13 @@ def restrict_decompose(
     * 2Q pokes out: Whitney cover of Q ∩ X; the cells of Q ∩ X are assigned
       to the first cover ball containing their midpoint (a disjoint partition
       refining the cover), and each slice becomes one type (b) term.  The
-      reconstruction residual is exactly zero.  The cover's overlap is
-      checked against WHITNEY_OVERLAP_BOUND before any term is built.
+      cover's overlap is checked against WHITNEY_OVERLAP_BOUND first.  The
+      terms come back as a WhitneyTerms sequence: per-piece coefficients,
+      owner balls and cell values as arrays, with a term's atom and ball
+      built only when the term is indexed.  The residual is measured on the
+      reconstruction, one scatter of coefficient * atom value into a zero
+      grid; it is exactly zero because the pieces are disjoint and the
+      coefficients powers of two.
 
     The coefficient bound Cauchy–Schwarz gives — sum of coefficients over
     ||A|_X||_2 nu(Q ∩ X)^(1/2) — is measured and recorded in the ledger.
@@ -434,25 +515,36 @@ def restrict_decompose(
     cells, own = cells[order], own[order]
     pv = half.values.ravel()[cells]
     sq = pv**2
-    cuts = np.flatnonzero(np.diff(own)) + 1
-    cm = hgrid.cell_measure
-    terms: list[Term] = []
-    raw_sum = 0.0
-    for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(cells)]):
-        w = math.sqrt(float(sq[a:b].sum()) * cm)
-        if w == 0.0:
-            continue
-        bl = cover.ball(own[a])
-        raw = w * math.sqrt(ball_volume(bl))
-        raw_sum += raw
-        coeff = _pow2_at_least(raw)
-        av = np.zeros(hgrid.shape)
-        av.flat[cells[a:b]] = pv[a:b] / coeff  # exact: coeff is a power of two
-        terms.append(Term(coeff, GridFunction(hgrid, av), bl, AtomKind.TYPE_B))
+    starts = np.r_[0, np.flatnonzero(np.diff(own)) + 1]
+    lengths = np.diff(np.r_[starts, len(cells)])
+    # per-piece sums of squares, each bit-identical to sq[a:b].sum(): numpy
+    # adds fewer than 8 terms left to right, as bincount does, and unrolls
+    # longer sums 8 ways, so the few long pieces are summed one by one
+    seg = np.repeat(np.arange(len(starts)), lengths)
+    ss = np.bincount(seg, weights=sq, minlength=len(starts))
+    for k in np.flatnonzero(lengths >= 8):
+        ss[k] = sq[starts[k]:starts[k] + lengths[k]].sum()
+    w = np.sqrt(ss * hgrid.cell_measure)
+    keep = w != 0.0
+    owners = own[starts[keep]]
+    layer_starts = np.cumsum([0] + [len(L) for L in cover.layers])
+    layer = np.searchsorted(layer_starts, owners, side="right") - 1
+    raw = w[keep] * np.sqrt(_layer_volumes(cover))[layer]
+    coeffs = _pow2_at_least(raw)
+    in_kept = np.repeat(keep, lengths)
+    terms = WhitneyTerms(
+        hgrid,
+        cover,
+        cells[in_kept],
+        pv[in_kept] / np.repeat(coeffs, lengths[keep]),  # exact: powers of two
+        np.r_[0, np.cumsum(lengths[keep])],
+        owners,
+        coeffs,
+    )
 
-    dec = Decomposition(terms, residual=0.0)
-    recon = dec.reconstruct() if terms else GridFunction(hgrid, np.zeros(hgrid.shape))
-    dec.residual = lp_norm(half - recon, 1)
+    dec = Decomposition(terms, residual=lp_norm(half - terms.reconstruct(), 1))
+    # cumsum adds the raw constants one at a time, in term order
+    raw_sum = float(np.cumsum(raw)[-1]) if raw.size else 0.0
     half_l2 = lp_norm(half, 2)
     scale = half_l2 * math.sqrt(truncated_volume(Q))
     dec.ledger.update(

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from hardyheat import decompose
 from hardyheat.atoms import AtomKind, make_atom, make_molecule, validate_atom
+from hardyheat.config import Settings
 from hardyheat.decompose import (
     CoverLayer,
     Decomposition,
@@ -43,6 +44,7 @@ from hardyheat.space import (
     scaled_in_halfspace,
     truncated_volume,
 )
+from hardyheat.verify import run_experiment
 
 STRADDLE = ball(1.0, 0.0, 1.0)  # t0 = r^2: intersection reaches the wall
 
@@ -66,11 +68,21 @@ def test_pow2_roundtrip_exact(s, x):
     assert (x / p) * p == x
 
 
+def test_pow2_elementwise_on_arrays():
+    s = np.array([1.0, 0.75, 2.0, 2.1, 15.81, 0.3, 2.0**-1074, 1.5e300])
+    got = _pow2_at_least(s)
+    assert got.shape == s.shape
+    assert got.tolist() == [_pow2_at_least(float(v)) for v in s]
+    assert _pow2_at_least(np.array([])).shape == (0,)
+
+
 def test_pow2_rejects_nonpositive():
     with pytest.raises(ValueError):
         _pow2_at_least(0.0)
     with pytest.raises(ValueError):
         _pow2_at_least(math.inf)
+    with pytest.raises(ValueError):
+        _pow2_at_least(np.array([1.0, -2.0]))
 
 
 # -- Whitney covers -------------------------------------------------------------
@@ -533,6 +545,85 @@ def test_restrict_whitney_matches_per_ball_reference(straddle_setup, monkeypatch
             assert np.array_equal(got.atom.values, want.atom.values)
         assert dec.residual == ref.residual == 0.0
         assert dec.ledger == ref.ledger
+
+
+def _assert_same_terms(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g.coefficient) is float and g.coefficient == w.coefficient
+        assert g.ball == w.ball and g.kind is w.kind and g.atom.grid == w.atom.grid
+        assert np.array_equal(g.atom.values, w.atom.values)
+
+
+def test_whitney_term_sequence_matches_per_ball_reference(straddle_setup, monkeypatch):
+    _, Q, A = straddle_setup
+    cases = [(A, Q), _dyadic_tie_case(), *_roundtrip_2d_cases(), _r_odd_case(monkeypatch)]
+    for A, Q in cases:
+        dec = restrict_decompose(A, Q)
+        ref = _reference_whitney(A, Q)
+        assert dec.to_json_dict() == ref.to_json_dict()
+        assert dec.coefficient_sum == ref.coefficient_sum
+        _assert_same_terms([dec.terms[-1]], [ref.terms[-1]])
+        _assert_same_terms([dec.terms[-len(ref.terms)]], [ref.terms[0]])
+        _assert_same_terms(dec.terms[::3], ref.terms[::3])
+        _assert_same_terms(list(dec.terms), ref.terms)
+        assert dec.terms[len(ref.terms):] == []
+        for i in (len(ref.terms), -len(ref.terms) - 1):
+            with pytest.raises(IndexError):
+                dec.terms[i]
+        assert np.array_equal(dec.reconstruct().values, ref.reconstruct().values)
+
+
+def test_r_odd_bound_matches_per_ball_reference(box_function, monkeypatch):
+    got = finite_norm_bound(box_function, strategy="r_odd")
+    monkeypatch.setattr(decompose, "restrict_decompose",
+                        lambda A, Q, tol=1e-8: _reference_whitney(A, Q))
+    want = finite_norm_bound(box_function, strategy="r_odd")
+    assert got.to_json_dict() == want.to_json_dict()
+    assert got.decomposition.ledger == want.decomposition.ledger
+
+
+def test_restrict_whitney_builds_terms_only_on_demand(straddle_setup, monkeypatch):
+    # the Whitney leg builds one GridFunction (the reconstruction) and one
+    # ball per layer for the volumes, however many pieces Q ∩ X breaks into
+    _, Q, A = straddle_setup
+    cases = [(A, Q), *_roundtrip_2d_cases()]
+    calls = {"GridFunction": 0, "ball": 0}
+
+    def counting(name, make):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return make(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(decompose, "GridFunction", counting("GridFunction", GridFunction))
+    monkeypatch.setattr(decompose, "ball", counting("ball", ball))
+    pieces = built = 0
+    for A, Q in cases:
+        before = dict(calls)
+        dec = restrict_decompose(A, Q)
+        assert dec.ledger["case"] == "whitney" and dec.residual == 0.0
+        assert dec.coefficient_sum > 0.0
+        assert calls["GridFunction"] - before["GridFunction"] == 1
+        assert calls["ball"] - before["ball"] <= 2 * dec.ledger["n_layers"]
+        pieces += len(dec.terms)
+        built += sum(calls.values()) - sum(before.values())
+        # the record needs each term's ball, not its atom
+        assert dec.to_json_dict()["n_terms"] == len(dec.terms)
+        assert calls["GridFunction"] - before["GridFunction"] == 1
+        before = dict(calls)
+        dec.terms[0]
+        assert calls == {k: v + 1 for k, v in before.items()}
+    # a per-piece build would have made a GridFunction and a ball per term
+    assert pieces > 700 and built < 60
+
+
+def test_roundtrips_fails_when_coefficients_are_not_powers_of_two(monkeypatch):
+    # negative control: the zero residual comes from power-of-two rounding,
+    # so a coefficient that is not one must make the experiment fail
+    monkeypatch.setattr(decompose, "_pow2_at_least", lambda s: s * 1.1)
+    with pytest.raises(AssertionError, match="restriction residual must be exactly zero"):
+        run_experiment("roundtrips", Settings(seed=0, n_roundtrip_balls=3, n_hz_given=1))
 
 
 # -- symmetrise + restrict ------------------------------------------------------
