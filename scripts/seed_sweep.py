@@ -10,13 +10,18 @@ bound is a nonzero number, absolute otherwise).  Defaults to the
 four molecule experiments at their full default sizes; ``--set key=value``
 overrides any flat settings key, as in ``hardyheat run``.  ``--json PATH``
 also writes the records, so two checkouts can be compared value by value.
+``--against OLD.json`` reads such a file from an earlier run and prints, for
+each experiment and measured key, the largest relative drift of this run
+from it (|new - old| / |old|), and every seed whose verdict changed.
 
     python3 scripts/seed_sweep.py --seeds 9
     python3 scripts/seed_sweep.py --seeds 3 --set n_atoms=5 atom_images
+    python3 scripts/seed_sweep.py --seeds 19 --json new.json --against old.json
 """
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -45,6 +50,35 @@ def slack(op: str, value, bound) -> tuple[float, bool]:
     value, edge = float(value), float(bound) - (FIT_SLACK if op == "fit>=" else 0.0)
     gap = {"<=": edge - value, "==": 0.0 - abs(value - edge)}.get(op, value - edge)
     return (gap / abs(bound) if relative else gap), relative
+
+
+def drift(old: float, new: float) -> float:
+    """|new - old| / |old|; 0 when both are 0, inf when only old is."""
+    if old == new:
+        return 0.0
+    return abs(new - old) / abs(old) if old else math.inf
+
+
+def print_drifts(records: list, old_records: list) -> None:
+    """Largest relative drift per (experiment, measured key), and verdict changes."""
+    old = {(r["experiment"], r["seed"]): r for r in old_records}
+    worst = {}  # (experiment, key) -> (drift, seed, old value, new value)
+    for r in records:
+        before = old.get((r["experiment"], r["seed"]))
+        if before is None:
+            continue
+        if before["passed"] != r["passed"]:
+            print(f"{r['experiment']} seed={r['seed']} verdict "
+                  f"{'pass' if before['passed'] else 'FAIL'} -> "
+                  f"{'pass' if r['passed'] else 'FAIL'}", flush=True)
+        new_values, old_values = r.get("measured", {}), before.get("measured", {})
+        for key in sorted(new_values.keys() & old_values.keys()):
+            d = drift(old_values[key], new_values[key])
+            if (r["experiment"], key) not in worst or d > worst[r["experiment"], key][0]:
+                worst[r["experiment"], key] = (d, r["seed"], old_values[key], new_values[key])
+    for (name, key), (d, seed, a, b) in worst.items():
+        print(f"{name} drift {key}: {d:.3g} at seed={seed} ({a:.17g} -> {b:.17g})",
+              flush=True)
 
 
 def run(args: argparse.Namespace) -> int:
@@ -85,6 +119,8 @@ def run(args: argparse.Namespace) -> int:
                   f"{'relative' if relative else 'absolute'}", flush=True)
     if args.json:
         Path(args.json).write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+    if args.against:
+        print_drifts(records, json.loads(Path(args.against).read_text()))
     return 0
 
 
@@ -96,6 +132,8 @@ if __name__ == "__main__":
     ap.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                     help="override a settings key; repeatable")
     ap.add_argument("--json", metavar="PATH", help="also write the records as JSON")
+    ap.add_argument("--against", metavar="OLD.json",
+                    help="print the largest drift of each measured key from a --json file")
     args = ap.parse_args()
     try:
         sys.exit(run(args))

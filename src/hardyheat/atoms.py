@@ -174,7 +174,6 @@ def make_atom(
     Q: ParabolicBall,
     kind: AtomKind,
     seed: int = 0,
-    bumps: int = 3,
 ) -> GridFunction:
     """Random atom of the given kind adapted to Q, normalised to equality in
     the size bound.  Moment-bearing kinds are demeaned on the support, so the
@@ -190,7 +189,7 @@ def make_atom(
 
     rng = np.random.default_rng(seed)
     mask = Q.mask(*grid.mesh())
-    vals = _bump_field(grid, mask, rng, bumps)
+    vals = _bump_field(grid, mask, rng)
     if kind.needs_moment:
         vals[mask] -= vals[mask].mean()
     if np.abs(vals).max() < 1e-12:
@@ -260,17 +259,13 @@ class MoleculeReport:
         s = self.moment_scale
         return abs(self.moment) / s if s > 0 else 0.0
 
-    def certifies(self, alpha_min: float | None = None, moment_rel: float | None = None) -> bool:
-        """Decay at least as fast as alpha_min (default: the target alpha), and,
-        when a moment tolerance is given, a relative moment below it.
+    def certifies(self, alpha_min: float | None = None) -> bool:
+        """Decay at least as fast as alpha_min (default: the target alpha).
 
         The exponent comparison allows FIT_SLACK (1e-9) of slack.
         """
         target = self.alpha if alpha_min is None else alpha_min
-        ok = self.fitted_alpha >= target - FIT_SLACK
-        if moment_rel is not None:
-            ok = ok and self.moment_rel <= moment_rel
-        return ok
+        return self.fitted_alpha >= target - FIT_SLACK
 
     def to_json_dict(self) -> dict:
         return {

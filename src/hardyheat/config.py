@@ -34,6 +34,8 @@ class ConfigError(ValueError):
 
 
 _SETTINGS_FIELDS = {f.name: f for f in fields(Settings)}
+_COUNTS = ("mean_times", "n_atoms", "n_tstar_atoms", "l2_inputs", "oracle_inputs",
+           "n_roundtrip_balls", "n_hz_given")
 
 
 @dataclass(frozen=True)
@@ -153,6 +155,12 @@ def _validate(config: RunConfig) -> None:
     s = config.settings
     if s.n not in (1, 2):
         raise ConfigError(f"n must be 1 or 2, got {s.n}")
+    # a count of 0 samples nothing: its gates would certify an empty set
+    for key in _COUNTS:
+        if getattr(s, key) < 1:
+            raise ConfigError(f"{key} must be at least 1, got {getattr(s, key)}")
+    if s.J < 2:
+        raise ConfigError(f"J must be at least 2 (a decay fit needs two annuli), got {s.J}")
     if len(s.oracle_grid) != 4:
         raise ConfigError("oracle_grid needs four entries: L, nx, T, nt")
     L, nx, T, nt = s.oracle_grid

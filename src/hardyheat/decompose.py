@@ -564,12 +564,7 @@ def restrict_decompose(
 # -- halving/symmetrisation of even-extension decompositions --------------------
 
 
-def hz_decompose(
-    f: GridFunction,
-    given: Decomposition,
-    tol: float = 1e-8,
-    recon_rtol: float = 1e-9,
-) -> Decomposition:
+def hz_decompose(f: GridFunction, given: Decomposition) -> Decomposition:
     """Turn a decomposition of the even extension of f into one of f on X.
 
     Each given term atom A is symmetrised to (A + A(-., .)) / 2 — which
@@ -589,7 +584,7 @@ def hz_decompose(
     recon = given.reconstruct()
     scale = max(lp_norm(fe, 2), 1e-300)
     err = lp_norm(recon - fe, 2) / scale
-    if err > recon_rtol:
+    if err > 1e-9:
         raise DecompositionError(
             f"given decomposition does not reconstruct the even extension "
             f"(relative L2 error {err:.3e})"
@@ -617,7 +612,7 @@ def hz_decompose(
         else:
             out_ball = ball(r * r, x0, r)
             cases["straddling"] += 1
-        cert = validate_atom(a, out_ball, AtomKind.CLASSICAL_2, tol)
+        cert = validate_atom(a, out_ball, AtomKind.CLASSICAL_2)
         if not cert.passed:
             raise DecompositionError(
                 f"symmetrised term failed validation: {cert.to_json_dict()}"
@@ -646,8 +641,6 @@ def molecule_decompose(
     Q: ParabolicBall,
     alpha: float = 0.5,
     J: int = 8,
-    tol: float = 1e-8,
-    moment_rel: float | None = None,
 ) -> Decomposition:
     """Split a certified molecule into annulus atoms plus correction atoms.
 
@@ -666,7 +659,7 @@ def molecule_decompose(
     as a mean-zero L2 atom on the (recentred) ball around 2^(j+1) Q.
     """
     report = molecule_report(m, Q, alpha=alpha, J=J)
-    if not report.certifies(alpha, moment_rel):
+    if not report.certifies(alpha):
         raise DecompositionError(
             f"molecule report does not certify decay alpha={alpha}: "
             f"{report.to_json_dict()}"
@@ -789,7 +782,7 @@ def _support_box(f: GridFunction):
     return t_lo, t_hi, tuple(centre), rho
 
 
-def _direct_bound(f: GridFunction, tol: float) -> NormBound | None:
+def _direct_bound(f: GridFunction) -> NormBound | None:
     """Try to certify f itself as a multiple of a single half-space atom.
 
     Candidate balls around the support box: the box's own parabolic ball,
@@ -814,7 +807,7 @@ def _direct_bound(f: GridFunction, tol: float) -> NormBound | None:
     for Qc, kind in candidates:
         lam = l2 * math.sqrt(ball_volume(Qc))
         a = f * (1.0 / lam)
-        cert = validate_atom(a, Qc, kind, tol)
+        cert = validate_atom(a, Qc, kind)
         if cert.passed:
             dec = Decomposition(
                 [Term(lam, a, Qc, kind)],
@@ -826,9 +819,7 @@ def _direct_bound(f: GridFunction, tol: float) -> NormBound | None:
     return None
 
 
-def finite_norm_bound(
-    f: GridFunction, strategy: str = "auto", tol: float = 1e-8
-) -> NormBound:
+def finite_norm_bound(f: GridFunction, strategy: str = "auto") -> NormBound:
     """Certified upper bound for the atomic norm of f on X, with a witness.
 
     strategy "direct" certifies f itself as a multiple of a single atom (the
@@ -846,7 +837,7 @@ def finite_norm_bound(
     moment = integrate(f)
 
     if strategy in ("auto", "direct"):
-        nb = _direct_bound(f, tol)
+        nb = _direct_bound(f)
         if nb is not None:
             return nb
         if strategy == "direct":
@@ -860,7 +851,7 @@ def finite_norm_bound(
         fe = even_extend(f)
         l2 = lp_norm(fe, 2)
         mom_rel = abs(2.0 * moment) / (math.sqrt(vol) * l2)
-        if mom_rel > tol:
+        if mom_rel > 1e-8:
             if strategy == "hz":
                 raise DecompositionError(
                     "f does not have a vanishing moment; the even-extension "
@@ -874,13 +865,13 @@ def finite_norm_bound(
                 residual=0.0,
                 ledger={"origin": "enclosing-ball"},
             )
-            dec = hz_decompose(f, given, tol=tol)
+            dec = hz_decompose(f, given)
             return NormBound(dec.coefficient_sum, "hz", Qh, moment, dec)
 
     F = odd_extend(f)
     lam = _pow2_at_least(lp_norm(F, 2) * math.sqrt(vol))
     A = GridFunction(F.grid, F.values / lam)
-    dec = restrict_decompose(A, Qh, tol=tol)
+    dec = restrict_decompose(A, Qh)
     value = lam * dec.coefficient_sum
     dec.ledger["odd_extension_coefficient"] = float(lam)
     return NormBound(value, "r_odd", Qh, moment, dec)

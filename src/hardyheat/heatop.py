@@ -13,9 +13,10 @@ telescopes exactly:
     active slab    (a < t < b): e^{(t-a)Δ} g - g
 
 There is no time-quadrature error anywhere; the only discretisation left is
-spatial.  T* is the time reversal of T: apply_Tstar = R apply_T R with R
-reversing the slabs, so the adjointness identity <Tf, w> = <f, T*w> holds to
-rounding (the test suite checks it).
+spatial.  T* is the time reversal R T R, with R reversing the slabs, so the
+adjointness identity <Tf, w> = <f, T*w> holds to rounding (the test suite
+checks it).  Both evaluators below only compute the causal whole-space T: T*
+and the half lines are transformations of the input.
 
 Every number computed here is a heat mass of piecewise-constant data, built
 from one primitive: ψ(u, z) = -1/2 sgn(z) erfc(|z| / 2√u), the response
@@ -38,25 +39,24 @@ reaches the matmuls.  All entries lie in [0, 1] and rows sum to at most 1
 (+ rounding), the discrete maximum principle.  On the uniform grid
 x_i - lo_j = (i - j + 1/2) h, so the table is Toeplitz: one row of 2 nx - 1
 offsets per lag u determines it, and the rows of all lags come from one
-vectorised erfc evaluation.  The half-line image term depends on i + j only
-(Hankel) and reads the same row.
+vectorised erfc evaluation.
 
-At arbitrary points (image_rows, image_window) both telescopings are summed
-by parts into one corner sum.  With D the mixed time/space jumps of g at the
+At arbitrary points (image_rows, image_window) the telescoping is summed by
+parts into one corner sum.  With D the mixed time/space jumps of g at the
 grid corners (t_m, e_j),
 
-    Tf(t, x)  =  Σ_{t_m < t} Σ_j D_mj ψ(t - t_m, x - e_j),
-    T*f(t, x) = -Σ_{t_m > t} Σ_j D_mj ψ(t_m - t, x - e_j).
+    Tf(t, x) = Σ_{t_m < t} Σ_j D_mj ψ(t - t_m, x - e_j).
 
-No tail is cut here, so molecule decay is measured down to the underflow of
+T* is the same sum on the slab-reversed input at the reflected time.  No
+tail is cut here, so molecule decay is measured down to the underflow of
 erfc instead of to a truncation radius.  On a cell edge ψ(u, 0) = 0 and the
 sum reads the midpoint of the jump (H(0) = 1/2).  Window integrals over x
 replace ψ by Ψ.
 
 Half-line kernels (n = 1) come from the method of images,
-K_u(x, y) = p_u(x-y) ∓ p_u(x+y) for Dirichlet/Neumann; inputs and outputs
-are masked to x > 0.  In the corner sum every corner at e_j gains an image
-corner at -e_j.
+K_u(x, y) = p_u(x-y) ∓ p_u(x+y) for Dirichlet/Neumann (Carslaw & Jaeger
+§2.5): the half-line T of f is the whole-space T of f on x > 0 plus ∓ its
+mirror image (_operator_input), read at x > 0.
 
 `duhamel_reference` is an independent brute-force quadrature of the defining
 integral (midpoint-in-space ∂_u kernel matrices under Gauss-Legendre panels
@@ -173,29 +173,15 @@ def _cell_mass_rows(grid: SpaceTimeGrid, us, eps_tail: float = EPS_TAIL) -> np.n
     return rows
 
 
-def _gather(grid: SpaceTimeGrid, spec: KernelSpec):
+def _gather(grid: SpaceTimeGrid):
     """The map from a lag's row to its per-axis matrices.
 
-    A(u)[i, j] depends only on i - j (Toeplitz).  The half-line image term
-    ∫_cell_j p_u(x_i + y) dy depends only on i + j, since -x_i - mid_j =
-    (nx - 1 - i - j) h, so it reads the same row (Hankel).
+    A(u)[i, j] depends only on i - j (Toeplitz).  The tables are whole-space
+    only: a half line's image is in its input (_operator_input).
     """
     i = np.arange(grid.nx)
     toeplitz = grid.nx - 1 + i[:, None] - i[None, :]
-    if spec.is_whole:
-        return lambda row: (row[toeplitz],) * grid.n
-    hankel = 2 * grid.nx - 2 - i[:, None] - i[None, :]
-    outside = grid.xs <= 0.0
-
-    def tables(row):
-        A = row[toeplitz] + spec.image_sign * row[hankel]
-        if spec.image_sign < 0:
-            A = np.maximum(A, 0.0)
-        A[outside, :] = 0.0
-        A[:, outside] = 0.0
-        return (A,)
-
-    return tables
+    return lambda row: (row[toeplitz],) * grid.n
 
 
 def _apply_axes(X: np.ndarray, mats) -> np.ndarray:
@@ -209,13 +195,15 @@ def _apply_axes(X: np.ndarray, mats) -> np.ndarray:
 # -- the operator T and its adjoint --------------------------------------------
 
 def _operator_input(f: GridFunction, spec: KernelSpec) -> np.ndarray:
+    """The whole-space input g of T: half lines take f on x > 0 plus image_sign
+    times its mirror image (the grid is [-L, L], so cell j mirrors to nx - 1 - j)."""
     if f.grid.t_min < 0:
         raise ValueError("T acts on functions on X; grid must start at t >= 0")
-    g = f.values
+    g = np.asarray(f.values, dtype=float)
     if not spec.is_whole:
-        keep = f.grid.xs > 0.0
-        g = g * keep[None, :]
-    return np.asarray(g, dtype=float)
+        g = g * (f.grid.xs > 0.0)
+        g = g + spec.image_sign * g[:, ::-1]
+    return g
 
 
 def _telescoped(grid: SpaceTimeGrid, g: np.ndarray, spec: KernelSpec):
@@ -225,16 +213,19 @@ def _telescoped(grid: SpaceTimeGrid, g: np.ndarray, spec: KernelSpec):
     delta_k = g_k - g_{k-1} (delta_0 = g_0), the completed/active slab sums
     rearrange to Tf_i = sum_m A_m delta_{i-m} - g_i, which is what is
     evaluated.  The rows of every A_m come from one vectorised call; each A_m
-    is gathered from its row and consumed in a single pass.
+    is gathered from its row and consumed in a single pass.  Half lines read
+    0 at x <= 0.
     """
     delta = g.copy()
     delta[1:] -= g[:-1]
     out = np.zeros_like(g)
-    tables = _gather(grid, spec)
+    tables = _gather(grid)
     rows = _cell_mass_rows(grid, (np.arange(grid.nt) + 0.5) * grid.tau)
     for m, row in enumerate(rows):
         out[m:] += _apply_axes(delta[: grid.nt - m], tables(row))
     out -= g
+    if not spec.is_whole:
+        out[:, grid.xs <= 0.0] = 0.0
     return out
 
 
@@ -260,33 +251,34 @@ _CHUNK = 1 << 16  # elements per temporary array in a corner sum
 
 
 def _corner_sum(f: GridFunction, ts, spec: KernelSpec, op: str, term, out, per_edge: int):
-    """Add term(i, u, edges, ±D_m) to out[i] for every corner time t_m of f.
+    """Add term(i, u, edges, D_m) to out[i] for every corner time t_m of f.
 
-    D_m holds the mixed time/space jumps of g at the corners (t_m, edges).
-    u = t - t_m for T; T* takes u = t_m - t and weight -1.  Only u > 0
-    contributes.  Half lines add an image corner at -e for each corner at e,
-    weighted -image_sign.  Times go in batches whose temporaries hold about
-    _CHUNK elements (per_edge elements per edge and time).
+    D_m holds the mixed time/space jumps of the whole-space input g
+    (_operator_input) at the corners (t_m, edges), and u = t - t_m; only
+    u > 0 contributes.  T* is T of the slab-reversed input at the reflected
+    times t_min + t_max - t.  The reflection rounds t once: within an ulp of
+    a slab edge, where the image is only Hölder-1/2 in t, T* moves by about
+    √ulp of the input's jumps.  Times go in batches whose temporaries hold
+    about _CHUNK elements (per_edge elements per edge and time).
     """
     if op not in ("T", "Tstar"):
         raise ValueError("op must be 'T' or 'Tstar'")
-    sign = 1.0 if op == "T" else -1.0
-    D = np.pad(_operator_input(f, spec), 1)
+    g = _operator_input(f, spec)
+    if op == "Tstar":
+        g, ts = g[::-1], f.grid.t_min + f.grid.t_max - ts
+    D = np.pad(g, 1)
     for axis in range(D.ndim):
         D = np.diff(D, axis=axis)
     edges = f.grid.x_edges
-    if not spec.is_whole:
-        edges = np.concatenate([edges, -edges])
-        D = np.concatenate([D, -spec.image_sign * D], axis=1)
     if f.grid.n == 1:  # edges without jumps add nothing
         keep = D.any(axis=0)
         edges, D = edges[keep], D[:, keep]
     step = max(1, _CHUNK // max(1, per_edge * len(edges)))
     for m, tm in enumerate(f.grid.t_edges):
-        live = np.flatnonzero(sign * (ts - tm) > 0.0) if D[m].any() else []
+        live = np.flatnonzero(ts > tm) if D[m].any() else []
         for c in range(0, len(live), step):
             i = live[c : c + step]
-            out[i] += term(i, sign * (ts[i] - tm), edges, sign * D[m])
+            out[i] += term(i, ts[i] - tm, edges, D[m])
     return out
 
 
@@ -374,14 +366,15 @@ def _gauss2_row(grid: SpaceTimeGrid, kernel, u: float, diff: np.ndarray) -> np.n
     return 0.5 * grid.h * (kernel(u, (diff - d) ** 2, 1) + kernel(u, (diff + d) ** 2, 1))
 
 
-def _near_field_row(grid: SpaceTimeGrid, u_hi: float, order: int = 8, halvings: int = 42):
+def _near_field_row(grid: SpaceTimeGrid, u_hi: float):
     """∫_0^{u_hi} ∂_u A(u) du via the differentiated cell-mass formula, as a row.
 
     d/du of the cell mass is (4 sqrt(pi) u^{3/2})^{-1} [w_hi e^{-w_hi^2/4u}
     - w_lo e^{-w_lo^2/4u}] with w = x_i - edge; integrable through u -> 0
-    (each term vanishes faster than any power).  Geometric panels halving
-    down from u_hi resolve the boundary layer; below the last panel the
-    integrand is < erfc(h / (4 sqrt(u_min))), i.e. zero to double precision.
+    (each term vanishes faster than any power).  42 geometric panels of 8
+    Gauss-Legendre nodes, halving down from u_hi, resolve the boundary layer;
+    below the last panel the integrand is < erfc(h / (4 sqrt(u_min))), i.e.
+    zero to double precision.
     The result has one entry per offset i - j (see _offset_row).
     """
     xs, edges = grid.xs, grid.x_edges
@@ -389,9 +382,9 @@ def _near_field_row(grid: SpaceTimeGrid, u_hi: float, order: int = 8, halvings: 
     w_hi = _offset_row(xs, edges[1:])
     total = np.zeros(2 * grid.nx - 1)
     hi = u_hi
-    for _ in range(halvings):
+    for _ in range(42):
         lo = hi / 2.0
-        us, ws = _gl_nodes(lo, hi, order)
+        us, ws = _gl_nodes(lo, hi, 8)
         for u, w in zip(us, ws):
             c = 1.0 / (4.0 * math.sqrt(math.pi) * u**1.5)
             term = w_hi * np.exp(-w_hi * w_hi / (4.0 * u)) - w_lo * np.exp(
@@ -431,10 +424,7 @@ def _duhamel_rows(grid: SpaceTimeGrid, u_switch: float, gl_order: int) -> np.nda
 
 
 def duhamel_reference(
-    fs: Sequence[GridFunction],
-    u_switch: float | None = None,
-    gl_order: int = 12,
-    spec: KernelSpec = WHOLE,
+    fs: Sequence[GridFunction], u_switch: float | None = None
 ) -> list[GridFunction]:
     """Brute-force space-time quadrature of the defining integral of T.
 
@@ -443,8 +433,8 @@ def duhamel_reference(
     ∂_u kernel matrix under Gauss-Legendre panels in u (geometrically refined
     toward u_switch); for u < u_switch — only the active slab reaches it —
     the analytic u-derivative of the cell mass is integrated instead, so no
-    route through the telescoped semigroup formula of apply_T is used.
-    Whole-space, n = 1.
+    route through the telescoped semigroup formula of apply_T is used.  The
+    far panels carry 12 Gauss-Legendre nodes each.  Whole-space, n = 1.
 
     Takes a sequence of inputs on one grid and returns their references in
     order.  The stack of slab matrices C_m depends only on the grid, so it is
@@ -459,7 +449,7 @@ def duhamel_reference(
     grid = fs[0].grid
     if any(f.grid != grid for f in fs):
         raise ValueError("the inputs of one call must share one grid")
-    if grid.n != 1 or not spec.is_whole:
+    if grid.n != 1:
         raise ValueError("the reference oracle is implemented for n = 1, whole space")
     if grid.t_min < 0:
         raise ValueError("T acts on functions on X")
@@ -469,8 +459,8 @@ def duhamel_reference(
     if not 0.0 < u_switch <= tau / 2.0:
         raise ValueError("u_switch must lie in (0, tau/2]")
 
-    tables = _gather(grid, WHOLE)
-    C = [tables(row)[0] for row in _duhamel_rows(grid, u_switch, gl_order)]
+    tables = _gather(grid)
+    C = [tables(row)[0] for row in _duhamel_rows(grid, u_switch, 12)]
 
     refs = []
     for f in fs:
@@ -495,7 +485,7 @@ def spatial_quadrature_error(f: GridFunction, u: float) -> float:
     if grid.n != 1:
         raise ValueError("defined for n = 1")
     row = _gauss2_row(grid, gauss_kernel, u, _offset_row(grid.xs, grid.xs))
-    (gap,) = _gather(grid, WHOLE)(row - _cell_mass_rows(grid, [u], eps_tail=0.0)[0])
+    (gap,) = _gather(grid)(row - _cell_mass_rows(grid, [u], eps_tail=0.0)[0])
     resid = (f.values @ gap.T) ** 2
     per_slab = np.sqrt(resid.sum(axis=1) * grid.h)
     return float(math.sqrt(grid.tau) * per_slab.sum())

@@ -460,7 +460,6 @@ def certify_T_on_atom(
     a: GridFunction,
     Q: ParabolicBall,
     settings: Settings = Settings(),
-    spec: KernelSpec = WHOLE,
 ) -> tuple[MoleculeReport, ExperimentResult]:
     """Certify Ta as a mean-zero molecule adapted to Q.
 
@@ -480,8 +479,7 @@ def certify_T_on_atom(
             notes=("zero input: Ta vanishes identically",),
         )
     else:
-        report, _ = image_molecule_report(a, Q, "T", settings.alpha, settings.J,
-                                          spec=spec)
+        report, _ = image_molecule_report(a, Q, "T", settings.alpha, settings.J)
         m = Measurement(
             parameters={"ball": {"t0": Q.t0, "x0": Q.center.x, "radius": Q.radius},
                         "J": settings.J},

@@ -2,7 +2,9 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -296,6 +298,25 @@ def test_run_2d_on_1d_experiment_exits_2(tmp_path, capsys):
     assert not (tmp_path / "r").exists()  # rejected before anything ran
 
 
+@pytest.mark.parametrize("key, experiment, bad", [
+    ("mean_times", "atom_images", 0),
+    ("n_atoms", "atom_images", 0),
+    ("n_tstar_atoms", "tstar_images", 0),
+    ("l2_inputs", "l2_stability", 0),
+    ("oracle_inputs", "telescoping_oracle", 0),
+    ("n_roundtrip_balls", "roundtrips", -3),
+    ("n_hz_given", "roundtrips", 0),
+    ("J", "atom_images", 1),
+])
+def test_run_rejects_empty_counts(tmp_path, capsys, key, experiment, bad):
+    # mean_times=0 used to pass atom_images with no time sampled; the others
+    # crashed at run time (exit 1) after the output directory was made
+    code = main(["run", experiment, "--set", f"{key}={bad}", "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()  # rejected before anything ran
+
+
 def test_run_2d_roundtrips(tmp_path):
     out = tmp_path / "res"
     code = main(["run", "roundtrips", "--n", "2", "--out", str(out),
@@ -322,3 +343,30 @@ def test_run_config_file_with_flag_override(tmp_path):
                  str(tmp_path / "flag")]) == 0
     assert not (tmp_path / "fromfile").exists()
     assert (tmp_path / "flag" / "growth_Tstar.json").is_file()
+
+
+def _seed_sweep():
+    spec = importlib.util.spec_from_file_location(
+        "seed_sweep", Path(__file__).resolve().parents[1] / "scripts" / "seed_sweep.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_seed_sweep_against_reports_largest_drift_and_verdict_changes(capsys):
+    sweep = _seed_sweep()
+    assert sweep.drift(2.0, 2.0) == 0.0 and sweep.drift(0.0, 0.0) == 0.0
+    assert sweep.drift(0.0, 1e-300) == math.inf
+    old = [{"experiment": "e", "seed": s, "passed": True,
+            "measured": {"a": 1.0, "b": -4.0}} for s in (0, 1)]
+    new = [{"experiment": "e", "seed": 0, "passed": True,
+            "measured": {"a": 1.0 + 1e-12, "b": -4.0}},
+           {"experiment": "e", "seed": 1, "passed": False,
+            "measured": {"a": 1.0 - 3e-12, "b": -4.0}},
+           {"experiment": "e", "seed": 2, "passed": True, "measured": {"a": 9.0}}]
+    sweep.print_drifts(new, old)
+    out = capsys.readouterr().out.splitlines()
+    assert "e seed=1 verdict pass -> FAIL" in out
+    assert any(line.startswith("e drift a: 3e-12 at seed=1 ") for line in out)
+    assert any(line.startswith("e drift b: 0 at seed=0 ") for line in out)
+    assert len(out) == 3  # seed 2 has no old record

@@ -51,9 +51,9 @@ def inner(f, g):
     return float((f.values * g.values).sum() * f.grid.cell_measure)
 
 
-def _matrices(grid, u, spec, eps_tail=EPS_TAIL):
-    """Per-axis operator matrices for one semigroup application (time u)."""
-    return _gather(grid, spec)(_cell_mass_rows(grid, [u], eps_tail)[0])
+def _matrices(grid, u, eps_tail=EPS_TAIL):
+    """Per-axis whole-space matrices for one semigroup application (time u)."""
+    return _gather(grid)(_cell_mass_rows(grid, [u], eps_tail)[0])
 
 
 # -- pointwise kernel values ------------------------------------------------------
@@ -181,7 +181,12 @@ def _dense_cell_mass(u, x_out, edges):
 
 
 def _dense_matrices(g, u):
-    """Reference tables for whole space, Dirichlet and Neumann at lag u."""
+    """Reference tables for whole space, Dirichlet and Neumann at lag u.
+
+    The half-line tables are the image kernels p(x-y) ∓ p(x+y) entry by entry,
+    clipped at 0 (Dirichlet) and masked to x > 0 on both sides: an
+    independent reference for the image that apply_T carries in its input.
+    """
     base = _dense_cell_mass(u, g.xs, g.x_edges)
     refl = _dense_cell_mass(u, -g.xs, g.x_edges)  # ∫_cell p(x + y) dy
     out = {WHOLE: base}
@@ -196,11 +201,10 @@ def _dense_matrices(g, u):
 
 
 def _table_pairs(g):
-    """(row-built, dense) table pairs over u = 0, every lag and every boundary."""
+    """(row-built, dense) whole-space table pairs over u = 0 and every lag."""
     for u in [0.0] + [(m + 0.5) * g.tau for m in range(g.nt)]:
-        for spec, B in _dense_matrices(g, u).items():
-            (A,) = _matrices(g, u, spec)
-            yield A, B
+        (A,) = _matrices(g, u)
+        yield A, _dense_matrices(g, u)[WHOLE]
 
 
 @pytest.mark.parametrize("L, nx, T, nt", [
@@ -219,7 +223,7 @@ def test_row_tables_equal_dense_tables_on_dyadic_grids(L, nx, T, nt):
 ])
 def test_row_tables_match_dense_tables_on_other_grids(L, nx, T, nt):
     # offsets carry different roundings off dyadic grids (measured at most
-    # 2.9e-15); the tail cut and the clip must still zero the same entries
+    # 2.9e-15); the tail cut must still zero the same entries
     g = SpaceTimeGrid(1, L, nx, 0.0, T, nt)
     for A, B in _table_pairs(g):
         assert np.max(np.abs(A - B)) <= 1e-14
@@ -230,16 +234,24 @@ def test_near_field_matrix_integrates_to_cell_mass_difference():
     # independent panel quadrature of dA/du must land on A(u) - I
     g = xgrid(nx=32)
     u = g.tau / 8.0
-    (N,) = _gather(g, WHOLE)(_near_field_row(g, u))
-    (A,) = _matrices(g, u, WHOLE, eps_tail=0.0)
+    (N,) = _gather(g)(_near_field_row(g, u))
+    (A,) = _matrices(g, u, eps_tail=0.0)
     assert np.max(np.abs(N - (A - np.eye(g.nx)))) < 1e-10
 
 
 # -- semigroup ------------------------------------------------------------------------
 
 def semigroup_apply(grid, u, g, spec=WHOLE):
-    """e^{uΔ} of one spatial profile g, the kernel integrated exactly over each cell."""
-    return _apply_axes(np.asarray(g, dtype=float)[None], _matrices(grid, u, spec))[0]
+    """e^{uΔ} of one spatial profile g, the kernel integrated exactly over each cell.
+
+    Half lines go through _operator_input's image and read 0 at x <= 0.
+    """
+    one = SpaceTimeGrid(grid.n, grid.length, grid.nx, 0.0, 1.0, 1)
+    g = _operator_input(GridFunction(one, np.asarray(g, dtype=float)[None]), spec)
+    out = _apply_axes(g, _matrices(grid, u))[0]
+    if not spec.is_whole:
+        out[grid.xs <= 0.0] = 0.0
+    return out
 
 
 def test_semigroup_identity_at_zero():
@@ -434,16 +446,23 @@ def test_apply_T_at_2d_shape():
 
 
 def _mirrored_Tstar(f, spec):
-    """T* by the anticausal slab sum T*f_i = sum_m A_m eps_{i+m} - g_i, eps_k = g_k - g_{k+1}."""
+    """T* by the anticausal slab sum T*f_i = sum_m A_m eps_{i+m} - g_i, eps_k = g_k - g_{k+1}.
+
+    Whole-space tables on the input with its half-line image; half lines
+    read 0 at x <= 0.
+    """
     grid = f.grid
     g = _operator_input(f, spec)
     eps = g.copy()
     eps[:-1] -= g[1:]
     out = np.zeros_like(g)
     for m in range(grid.nt):
-        mats = _matrices(grid, (m + 0.5) * grid.tau, spec)
+        mats = _matrices(grid, (m + 0.5) * grid.tau)
         out[: grid.nt - m] += _apply_axes(eps[m:], mats)
-    return out - g
+    out -= g
+    if not spec.is_whole:
+        out[:, grid.xs <= 0.0] = 0.0
+    return out
 
 
 @pytest.mark.parametrize("n, nx, nt, spec", [
@@ -456,6 +475,44 @@ def test_apply_Tstar_is_time_reversal_exactly(n, nx, nt, spec):
     g = SpaceTimeGrid(n, 4.0, nx, 0.0, 4.0, nt)
     f = GridFunction(g, np.random.default_rng(nx + nt).normal(size=g.shape))
     assert np.array_equal(apply_Tstar(f, spec).values, _mirrored_Tstar(f, spec))
+
+
+def _dense_slab_sums(f, spec):
+    """Tf and T*f by the causal and anticausal slab sums of the dense image tables.
+
+    Tf_i = sum_m B_m delta_{i-m} - g_i and T*f_i = sum_m B_m eps_{i+m} - g_i,
+    with B_m = _dense_matrices(grid, (m + 1/2) tau)[spec] and g = f on x > 0.
+    """
+    grid = f.grid
+    g = f.values * (grid.xs > 0.0)
+    delta, eps = g.copy(), g.copy()
+    delta[1:] -= g[:-1]
+    eps[:-1] -= g[1:]
+    T, Tstar = -g, -g
+    for m in range(grid.nt):
+        B = _dense_matrices(grid, (m + 0.5) * grid.tau)[spec]
+        T[m:] = T[m:] + delta[: grid.nt - m] @ B.T
+        Tstar[: grid.nt - m] = Tstar[: grid.nt - m] + eps[m:] @ B.T
+    return T, Tstar
+
+
+@pytest.mark.parametrize("L, nx, T, nt", [
+    (4.0, 128, 4.0, 16), (4.0, 64, 4.0, 20),  # dyadic
+    (2.0, 24, 2.0, 12), (3.0, 48, 2.0, 10),   # offsets off the dyadic lattice
+    (4.0, 33, 4.0, 16), (1.0, 17, 0.5, 7),    # odd nx: the middle cell is the wall
+])
+@pytest.mark.parametrize("spec", [DIRICHLET, NEUMANN])
+def test_half_line_operators_match_dense_image_tables(L, nx, T, nt, spec):
+    # apply_T and apply_Tstar carry the image in their input and evaluate
+    # whole-space tables; the reference adds p(x + y) entry by entry, so the
+    # two agree to rounding (measured at most 1.2e-15 of max |out|)
+    g = SpaceTimeGrid(1, L, nx, 0.0, T, nt)
+    f = GridFunction(g, np.random.default_rng(nx + nt).normal(size=g.shape))
+    ref_T, ref_Tstar = _dense_slab_sums(f, spec)
+    for got, ref in ((apply_T(f, spec).values, ref_T),
+                     (apply_Tstar(f, spec).values, ref_Tstar)):
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.all(got[:, g.xs <= 0.0] == 0.0)
 
 
 @pytest.mark.parametrize("spec", [WHOLE, DIRICHLET, NEUMANN])
@@ -494,20 +551,16 @@ def test_image_rows_edge_conventions(op):
     assert on == pytest.approx(after, abs=1e-6)
 
 
-def _mp_reference(f, t, x, op):
-    """Tf or T*f at (t, x) by the slab sum of cell masses in 80-digit arithmetic."""
+def _mp_slab_sum(f, t, op, mass, cells):
+    """Σ over slabs and cells of f · (mass(u1, cell) - mass(u2, cell)), 80 digits.
+
+    u1, u2 are the lags of the slab's far and near ends (T: t - a, t - b;
+    T*: b - t, a - t; clipped at 0); cells(lo, hi) lists the cells that a
+    grid cell (lo, hi) contributes, each with its weight.
+    """
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 80
-    t, x = mp.mpf(t), mp.mpf(x)
-
-    def mass(u, lo, hi):  # ∫_lo^hi p_u(x - y) dy, in the tail that keeps it exact
-        if u == 0:
-            return mp.mpf(int(lo <= x < hi))
-        s = 2 * mp.sqrt(u)
-        if x < (lo + hi) / 2:
-            return (mp.erfc((lo - x) / s) - mp.erfc((hi - x) / s)) / 2
-        return (mp.erfc((x - hi) / s) - mp.erfc((x - lo) / s)) / 2
-
+    t = mp.mpf(t)
     total = mp.mpf(0)
     te, xe = f.grid.t_edges, f.grid.x_edges
     for k in range(f.grid.nt):
@@ -519,9 +572,58 @@ def _mp_reference(f, t, x, op):
         if u1 <= 0:
             continue
         for j in np.flatnonzero(f.values[k]):
-            lo, hi = mp.mpf(xe[j]), mp.mpf(xe[j + 1])
-            total += mp.mpf(f.values[k, j]) * (mass(u1, lo, hi) - mass(u2, lo, hi))
+            for w, lo, hi in cells(mp.mpf(xe[j]), mp.mpf(xe[j + 1])):
+                total += w * mp.mpf(f.values[k, j]) * (mass(u1, lo, hi) - mass(u2, lo, hi))
     return total
+
+
+def _mp_cells(image_sign):
+    """The direct cell, plus its image (-hi, -lo) weighted image_sign if nonzero."""
+    if image_sign == 0:
+        return lambda lo, hi: [(1, lo, hi)]
+    return lambda lo, hi: [(1, lo, hi), (image_sign, -hi, -lo)]
+
+
+def _mp_reference(f, t, x, op, image_sign=0):
+    """Tf or T*f at (t, x) by the slab sum of cell masses in 80-digit arithmetic."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 80
+    x = mp.mpf(x)
+
+    def mass(u, lo, hi):  # ∫_lo^hi p_u(x - y) dy, in the tail that keeps it exact
+        if u == 0:
+            return mp.mpf(int(lo <= x < hi))
+        s = 2 * mp.sqrt(u)
+        if x < (lo + hi) / 2:
+            return (mp.erfc((lo - x) / s) - mp.erfc((hi - x) / s)) / 2
+        return (mp.erfc((x - hi) / s) - mp.erfc((x - lo) / s)) / 2
+
+    return _mp_slab_sum(f, t, op, mass, _mp_cells(image_sign))
+
+
+def _mp_window_reference(f, t, x_lo, x_hi, op, image_sign=0):
+    """∫_{x_lo}^{x_hi} (Tf or T*f)(t, x) dx in 80-digit arithmetic.
+
+    The double integral of p_u over window × cell is
+    (s/2) [F((x_hi - lo)/s) - F((x_hi - hi)/s) - F((x_lo - lo)/s) + F((x_lo - hi)/s)]
+    with s = 2√u and F(z) = z erf z + (e^{-z²} - 1)/√π; at u = 0 it is the
+    overlap length.
+    """
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 80
+    x_lo, x_hi = mp.mpf(x_lo), mp.mpf(x_hi)
+
+    def F(z):
+        return z * mp.erf(z) + (mp.exp(-z * z) - 1) / mp.sqrt(mp.pi)
+
+    def mass(u, lo, hi):
+        if u == 0:
+            return max(mp.mpf(0), min(hi, x_hi) - max(lo, x_lo))
+        s = 2 * mp.sqrt(u)
+        return s / 2 * (F((x_hi - lo) / s) - F((x_hi - hi) / s)
+                        - F((x_lo - lo) / s) + F((x_lo - hi) / s))
+
+    return _mp_slab_sum(f, t, op, mass, _mp_cells(image_sign))
 
 
 @pytest.mark.parametrize("x, size", [
@@ -541,6 +643,30 @@ def test_far_field_against_80_digit_reference(x, size):
     got = float(image_rows(a, [t], [x], op="Tstar")[0, 0])
     assert abs(got) == pytest.approx(size, rel=1e-3)
     assert got == pytest.approx(float(ref), rel=1e-11)
+
+
+@pytest.mark.parametrize("spec", [DIRICHLET, NEUMANN])
+@pytest.mark.parametrize("op", ["T", "Tstar"])
+def test_half_line_far_field_against_80_digit_reference(spec, op):
+    # the direct cells of f on x > 0 plus their image cells (-hi, -lo),
+    # weighted by the image sign, summed entry by entry in 80 digits; early
+    # and mid times, off the slab edges and before the late-time cancellation
+    # floor of the corner sums (measured at most 6.3e-14 on rows down to
+    # 1e-118, 4.6e-13 on windows)
+    g = SpaceTimeGrid(1, 0.5, 10, 0.0, 0.5, 5)
+    f = GridFunction(g, np.random.default_rng(8).normal(size=g.shape))
+    inside = GridFunction(g, f.values * (g.xs > 0.0))
+    s = spec.image_sign
+    for t in (0.05, 0.17, 0.45):
+        for x in (0.01, 0.6, 6.0, 14.0):
+            ref = float(_mp_reference(inside, t, x, op, s))
+            got = float(image_rows(f, [t], [x], spec, op)[0, 0])
+            assert got == pytest.approx(ref, rel=1e-11, abs=1e-300)
+    for t in (0.05, 0.45):
+        for lo, hi in ((0.0, 0.4), (1.0, 3.0)):
+            ref = float(_mp_window_reference(inside, t, lo, hi, op, s))
+            got = float(image_window(f, [t], lo, hi, spec, op)[0])
+            assert got == pytest.approx(ref, rel=1e-11)
 
 
 def test_far_field_T_against_80_digit_reference():
@@ -603,7 +729,7 @@ def test_duhamel_rows_equal_dense_build(L, nx, T, nt):
     # dyadic: x offsets are exact on all three, so the rows gather to the
     # same floating-point matrices as the entry-by-entry build
     g = SpaceTimeGrid(1, L, nx, 0.0, T, nt)
-    tables = _gather(g, WHOLE)
+    tables = _gather(g)
     dense = _dense_duhamel_stack(g, g.tau / 8.0)
     rows = _duhamel_rows(g, g.tau / 8.0, 12)
     assert len(rows) == len(dense) == nt
@@ -615,7 +741,7 @@ def test_duhamel_rows_match_dense_build_off_dyadic_offsets():
     # h = 1/6: x_i - x_j carries different roundings than x_k - x_0, so the
     # entries agree to rounding only (measured at most 8e-16 of max |C_m|)
     g = SpaceTimeGrid(1, 2.0, 24, 0.0, 2.0, 12)
-    tables = _gather(g, WHOLE)
+    tables = _gather(g)
     for row, C in zip(_duhamel_rows(g, g.tau / 8.0, 12), _dense_duhamel_stack(g, g.tau / 8.0)):
         assert np.max(np.abs(tables(row)[0] - C)) <= 1e-13 * np.max(np.abs(C))
 

@@ -17,7 +17,6 @@ from hardyheat.heatop import (
     HALF_LINE_NEUMANN,
     WHOLE,
     KernelSpec,
-    _operator_input,
     gauss_kernel,
     image_rows,
     image_window,
@@ -150,9 +149,10 @@ def test_cell_window_mass_exactness():
 def _slab_window_integrand(f, spec, win):
     """t -> ∫_win Tf(t, x) dx by the slab sum of exact cell-window masses.
 
-    Half lines add the image cell (-hi, -lo) with the kernel's image sign.
+    Half lines take f on x > 0 and add the image cell (-hi, -lo) with the
+    kernel's image sign.
     """
-    g = _operator_input(f, spec)
+    g = f.values if spec.is_whole else f.values * (f.grid.xs > 0.0)
     lo_e, hi_e = f.grid.x_edges[:-1], f.grid.x_edges[1:]
 
     def W(u):
