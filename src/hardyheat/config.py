@@ -66,14 +66,9 @@ def canonical(name: str) -> str:
 
 
 def parse_value(key: str, raw: str, kind: type) -> object:
+    """raw as a Settings value: kind is int, float, or tuple (of floats)."""
     raw = raw.strip()
     try:
-        if kind is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         if kind is int:
             return int(raw)
         if kind is float:
@@ -81,10 +76,8 @@ def parse_value(key: str, raw: str, kind: type) -> object:
             if not math.isfinite(value):
                 raise ValueError("non-finite")
             return value
-        if kind is tuple:
-            parts = [p.strip() for p in raw.split(",") if p.strip()]
-            return tuple(float(p) for p in parts)
-        return raw
+        parts = [p.strip() for p in raw.split(",") if p.strip()]
+        return tuple(float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
 
@@ -129,8 +122,7 @@ def _apply(config: RunConfig, pairs: Mapping[str, str]) -> RunConfig:
             run_updates["out_dir"] = raw.strip()
         elif key in _SETTINGS_FIELDS:
             f = _SETTINGS_FIELDS[key]
-            kind = {"int": int, "float": float, "str": str, "bool": bool}.get(
-                f.type.split("[")[0], tuple)
+            kind = {"int": int, "float": float}.get(f.type.split("[")[0], tuple)
             settings_updates[key] = parse_value(key, raw, kind)
         else:
             raise ConfigError(f"unknown config key {key!r}")

@@ -14,6 +14,10 @@ certified atoms on X:
 * ``molecule_decompose`` — split a certified molecule into dyadic-annulus
   atoms plus telescoping correction atoms via a finite Abel summation.
 
+``finite_norm_bound`` bounds the atomic norm of a function on X through the
+first route: its odd extension in time is one classical atom on an enclosing
+ball, whose restriction to X is the function.
+
 All coefficients are rounded up to the nearest power of two before the term
 atom is normalised.  Division and multiplication by a power of two are exact
 in binary floating point, so ``coefficient * atom`` reproduces the sliced
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atoms import AtomKind, _ball_dict, molecule_report, validate_atom
+from .atoms import AtomKind, molecule_report, validate_atom
 from .grid import (
     GridFunction,
     SpaceTimeGrid,
@@ -83,13 +87,6 @@ class Term:
     ball: ParabolicBall
     kind: AtomKind
 
-    def to_json_dict(self) -> dict:
-        return _term_dict(self.coefficient, self.kind, self.ball)
-
-
-def _term_dict(coefficient: float, kind: AtomKind, b: ParabolicBall) -> dict:
-    return {"coefficient": float(coefficient), "kind": kind.value, "ball": _ball_dict(b)}
-
 
 @dataclass
 class Decomposition:
@@ -125,19 +122,6 @@ class Decomposition:
             acc += t.coefficient * t.atom.values
         return GridFunction(grid, acc)
 
-    def to_json_dict(self) -> dict:
-        if isinstance(self.terms, WhitneyTerms):
-            terms = self.terms.to_json_dicts()
-        else:
-            terms = [t.to_json_dict() for t in self.terms]
-        return {
-            "n_terms": len(self.terms),
-            "coefficient_sum": self.coefficient_sum,
-            "residual": float(self.residual),
-            "ledger": self.ledger,
-            "terms": terms,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class WhitneyTerms(Sequence):
@@ -146,8 +130,7 @@ class WhitneyTerms(Sequence):
     Term i has coefficient coefficients[i], ball cover.ball(owners[i]) and an
     atom that is values[bounds[i]:bounds[i + 1]] at the flat cell indices
     cells[bounds[i]:bounds[i + 1]] of grid and zero elsewhere.  Indexing or
-    iterating builds the Terms; len, coefficients, to_json_dicts and
-    reconstruct build none.
+    iterating builds the Terms; len, coefficients and reconstruct build none.
     """
 
     grid: SpaceTimeGrid
@@ -176,11 +159,6 @@ class WhitneyTerms(Sequence):
             self.cover.ball(self.owners[i]),
             AtomKind.TYPE_B,
         )
-
-    def to_json_dicts(self) -> list[dict]:
-        """Term.to_json_dict of every term, without building the atoms."""
-        return [_term_dict(c, AtomKind.TYPE_B, self.cover.ball(o))
-                for c, o in zip(self.coefficients, self.owners)]
 
     def reconstruct(self) -> GridFunction:
         """Sum of coefficient * atom: one scatter into a zero grid.
@@ -405,24 +383,20 @@ def cover_stats(cover: WhitneyCover, Q: ParabolicBall) -> dict:
     }
 
 
-def _first_ball_owner(
-    cover: WhitneyCover, grid: SpaceTimeGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cover index of the first ball containing each cell midpoint, and the cover count.
+def _first_ball_owner(cover: WhitneyCover, grid: SpaceTimeGrid) -> np.ndarray:
+    """Cover index of the first ball containing each cell midpoint.
 
-    Both are (nt, cells per time slab) arrays, with owner -1 where no ball
-    contains the cell.  Within a layer a ball contains a cell iff its row
-    contains the cell's time and its centre the cell's position, with the
-    strict tests of ParabolicBall.mask.  Balls run (layer, row, centre), so
-    the first containing ball pairs the first such row with the first such
-    centre, in the first layer that has both.
+    An (nt, cells per time slab) array, -1 where no ball contains the cell.
+    Within a layer a ball contains a cell iff its row contains the cell's
+    time and its centre the cell's position, with the strict tests of
+    ParabolicBall.mask.  Balls run (layer, row, centre), so the first
+    containing ball pairs the first such row with the first such centre, in
+    the first layer that has both.
     """
     mesh = grid.mesh()
     ts = mesh[0].ravel()
     space = [m[0] for m in mesh[1:]]  # per-axis midpoints, broadcastable
-    shape = (grid.nt, grid.nx**grid.n)
-    owner = np.full(shape, -1, dtype=np.int64)
-    counts = np.zeros(shape, dtype=np.int64)
+    owner = np.full((grid.nt, grid.nx**grid.n), -1, dtype=np.int64)
     start = 0
     for layer in cover.layers:
         r2 = layer.rho**2
@@ -436,17 +410,14 @@ def _first_ball_owner(
         first = start + in_t.argmax(0)[:, None] * len(layer.centres) + in_x.argmax(0)
         new = in_t.any(0)[:, None] & in_x.any(0) & (owner < 0)
         owner[new] = first[new]
-        counts += in_t.sum(0)[:, None] * in_x.sum(0)
         start += len(layer)
-    return owner, counts
+    return owner
 
 
 # -- restriction of classical atoms --------------------------------------------
 
 
-def restrict_decompose(
-    A: GridFunction, Q: ParabolicBall, tol: float = 1e-8
-) -> Decomposition:
+def restrict_decompose(A: GridFunction, Q: ParabolicBall) -> Decomposition:
     """Decompose the restriction to X of a classical L2 atom.
 
     Three positions of Q relative to the t = 0 wall:
@@ -470,7 +441,7 @@ def restrict_decompose(
     grid = A.grid
     if not grid.covers_ball(Q, clip_time=grid.over_halfspace()):
         raise DecompositionError("grid does not cover Q (clipped to X)")
-    cert = validate_atom(A, Q, AtomKind.CLASSICAL_2, tol)
+    cert = validate_atom(A, Q, AtomKind.CLASSICAL_2)
     if not cert.passed:
         raise DecompositionError(f"input is not a classical L2 atom: {cert.to_json_dict()}")
     if truncated_volume(Q) <= 0.0:
@@ -503,7 +474,7 @@ def restrict_decompose(
             f"cover overlap {stats['overlap_max']} exceeds the bound {bound}"
         )
     inq = Q.mask(*hgrid.mesh()).reshape(hgrid.nt, -1)
-    owner, counts = _first_ball_owner(cover, hgrid)
+    owner = _first_ball_owner(cover, hgrid)
     escaped = int((inq & (owner < 0)).sum())
     if escaped:
         raise DecompositionError(f"{escaped} cells of Q ∩ X escaped the cover")
@@ -554,7 +525,6 @@ def restrict_decompose(
             # Cauchy-Schwarz constant is the one stable across inputs
             "coefficient_constant": dec.coefficient_sum / scale if scale > 0 else 0.0,
             "coefficient_constant_raw": raw_sum / scale if scale > 0 else 0.0,
-            "grid_overlap_max": int(np.where(inq, counts, 0).max()),
             **stats,
         }
     )
@@ -659,7 +629,7 @@ def molecule_decompose(
     as a mean-zero L2 atom on the (recentred) ball around 2^(j+1) Q.
     """
     report = molecule_report(m, Q, alpha=alpha, J=J)
-    if not report.certifies(alpha):
+    if not report.certifies():
         raise DecompositionError(
             f"molecule report does not certify decay alpha={alpha}: "
             f"{report.to_json_dict()}"
@@ -748,29 +718,17 @@ class NormBound:
     """An upper bound for an atomic-decomposition norm, with its witness."""
 
     value: float
-    strategy: str
     ball: ParabolicBall
     moment: float
     decomposition: Decomposition
 
-    def to_json_dict(self) -> dict:
-        return {
-            "value": float(self.value),
-            "strategy": self.strategy,
-            "ball": _ball_dict(self.ball),
-            "moment": float(self.moment),
-            "n_terms": len(self.decomposition.terms),
-            "residual": float(self.decomposition.residual),
-        }
-
 
 def _support_box(f: GridFunction):
-    """(t_lo, t_hi, centre, rho) cell-edge bounding box of the support of f."""
+    """(t_hi, centre, rho) of the cell-edge bounding box of the support of f."""
     grid = f.grid
     idx = np.argwhere(f.values != 0.0)
     if idx.size == 0:
         raise DecompositionError("input is identically zero")
-    t_lo = grid.t_edges[int(idx[:, 0].min())]
     t_hi = grid.t_edges[int(idx[:, 0].max()) + 1]
     centre = []
     rho = 0.0
@@ -779,99 +737,25 @@ def _support_box(f: GridFunction):
         hi = grid.x_edges[int(idx[:, 1 + ax].max()) + 1]
         centre.append(0.5 * (lo + hi))
         rho = max(rho, 0.5 * (hi - lo))
-    return t_lo, t_hi, tuple(centre), rho
+    return t_hi, tuple(centre), rho
 
 
-def _direct_bound(f: GridFunction) -> NormBound | None:
-    """Try to certify f itself as a multiple of a single half-space atom.
-
-    Candidate balls around the support box: the box's own parabolic ball,
-    typed by its distance to the wall, and — when that ball is deep enough
-    for type (a) but f carries a moment — an inflation just large enough to
-    break 4Q ⊆ X, which is type (b) and needs no moment.  The bound is the
-    exact normalising coefficient — no rounding, so a unit atom scores <= 1.
-    """
-    t_lo, t_hi, centre, rho = _support_box(f)
-    l2 = lp_norm(f, 2)
-    candidates = []
-    R0 = max(rho, math.sqrt(0.5 * (t_hi - t_lo)))
-    t_c = 0.5 * (t_lo + t_hi)
-    Qc = ball(t_c, centre, R0)
-    two_in, four_in = halfspace_flags(Qc)
-    if four_in:
-        candidates.append((Qc, AtomKind.TYPE_A))
-        Rb = (1.0 + 1e-9) * math.sqrt(t_c) / 4.0
-        candidates.append((ball(t_c, centre, max(R0, Rb)), AtomKind.TYPE_B))
-    elif two_in:
-        candidates.append((Qc, AtomKind.TYPE_B))
-    for Qc, kind in candidates:
-        lam = l2 * math.sqrt(ball_volume(Qc))
-        a = f * (1.0 / lam)
-        cert = validate_atom(a, Qc, kind)
-        if cert.passed:
-            dec = Decomposition(
-                [Term(lam, a, Qc, kind)],
-                residual=0.0,
-                ledger={"certificate": cert.to_json_dict()},
-            )
-            dec.residual = lp_norm(f - dec.reconstruct(), 1)
-            return NormBound(lam, "direct", Qc, integrate(f), dec)
-    return None
-
-
-def finite_norm_bound(f: GridFunction, strategy: str = "auto") -> NormBound:
+def finite_norm_bound(f: GridFunction) -> NormBound:
     """Certified upper bound for the atomic norm of f on X, with a witness.
 
-    strategy "direct" certifies f itself as a multiple of a single atom (the
-    tight route when f already is one).  "hz" wraps the even extension in a
-    classical atom on the enclosing ball and pushes it through
-    ``hz_decompose`` — this needs the integral of f to vanish, and fails
-    otherwise.  "r_odd" wraps the odd extension (whose integral always
-    vanishes) and restricts it through ``restrict_decompose``.  "auto" tries
-    them in that order.
+    The odd extension of f in time has vanishing integral whatever the
+    moment of f, so, scaled by a power of two, it is a classical L2 atom on
+    the ball Q_h of centre (0, support centre) that encloses the support.
+    Its restriction to X is f; ``restrict_decompose`` splits it into type
+    (b) atoms, and the bound is the scale times their coefficient sum.
     """
-    if strategy not in ("auto", "direct", "hz", "r_odd"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     if not f.grid.over_halfspace():
         raise DecompositionError("f must live on a grid over X")
-    moment = integrate(f)
-
-    if strategy in ("auto", "direct"):
-        nb = _direct_bound(f)
-        if nb is not None:
-            return nb
-        if strategy == "direct":
-            raise DecompositionError("f is not a multiple of a single atom")
-
-    t_lo, t_hi, centre, rho = _support_box(f)
+    t_hi, centre, rho = _support_box(f)
     Qh = ball(0.0, centre, max(rho, math.sqrt(t_hi)))
-    vol = ball_volume(Qh)
-
-    if strategy in ("auto", "hz"):
-        fe = even_extend(f)
-        l2 = lp_norm(fe, 2)
-        mom_rel = abs(2.0 * moment) / (math.sqrt(vol) * l2)
-        if mom_rel > 1e-8:
-            if strategy == "hz":
-                raise DecompositionError(
-                    "f does not have a vanishing moment; the even-extension "
-                    f"route does not apply (relative moment {mom_rel:.3e})"
-                )
-        else:
-            lam = _pow2_at_least(l2 * math.sqrt(vol))
-            A = GridFunction(fe.grid, fe.values / lam)
-            given = Decomposition(
-                [Term(lam, A, Qh, AtomKind.CLASSICAL_2)],
-                residual=0.0,
-                ledger={"origin": "enclosing-ball"},
-            )
-            dec = hz_decompose(f, given)
-            return NormBound(dec.coefficient_sum, "hz", Qh, moment, dec)
-
     F = odd_extend(f)
-    lam = _pow2_at_least(lp_norm(F, 2) * math.sqrt(vol))
+    lam = _pow2_at_least(lp_norm(F, 2) * math.sqrt(ball_volume(Qh)))
     A = GridFunction(F.grid, F.values / lam)
     dec = restrict_decompose(A, Qh)
-    value = lam * dec.coefficient_sum
     dec.ledger["odd_extension_coefficient"] = float(lam)
-    return NormBound(value, "r_odd", Qh, moment, dec)
+    return NormBound(lam * dec.coefficient_sum, Qh, integrate(f), dec)

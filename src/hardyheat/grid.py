@@ -89,10 +89,9 @@ class SpaceTimeGrid:
             abs(c) + Q.radius <= self.length + 1e-9 * self.length for c in Q.center.x
         )
 
-    def refine(self, factor: int = 2) -> "SpaceTimeGrid":
-        return SpaceTimeGrid(
-            self.n, self.length, self.nx * factor, self.t_min, self.t_max, self.nt * factor
-        )
+    def refine(self) -> "SpaceTimeGrid":
+        """The same box with every cell and slab halved."""
+        return SpaceTimeGrid(self.n, self.length, 2 * self.nx, self.t_min, self.t_max, 2 * self.nt)
 
 
 @dataclass(frozen=True)

@@ -41,17 +41,17 @@ x_i - lo_j = (i - j + 1/2) h, so the table is Toeplitz: one row of 2 nx - 1
 offsets per lag u determines it, and the rows of all lags come from one
 vectorised erfc evaluation.
 
-At arbitrary points (image_rows, image_window) the telescoping is summed by
-parts into one corner sum.  With D the mixed time/space jumps of g at the
-grid corners (t_m, e_j),
+At arbitrary points (image_rows, image_window; n = 1) the telescoping is
+summed by parts into one corner sum.  With D the mixed time/space jumps of g
+at the grid corners (t_m, e_j),
 
     Tf(t, x) = Σ_{t_m < t} Σ_j D_mj ψ(t - t_m, x - e_j).
 
-T* is the same sum on the slab-reversed input at the reflected time.  No
-tail is cut here, so molecule decay is measured down to the underflow of
-erfc instead of to a truncation radius.  On a cell edge ψ(u, 0) = 0 and the
-sum reads the midpoint of the jump (H(0) = 1/2).  Window integrals over x
-replace ψ by Ψ.
+T* is the same sum on the slab-reversed input, each lag read from the
+reversed time edges.  No tail is cut here, so molecule decay is measured
+down to the underflow of erfc instead of to a truncation radius.  On a cell
+edge ψ(u, 0) = 0 and the sum reads the midpoint of the jump (H(0) = 1/2).
+Window integrals over x replace ψ by Ψ.
 
 Half-line kernels (n = 1) come from the method of images,
 K_u(x, y) = p_u(x-y) ∓ p_u(x+y) for Dirichlet/Neumann (Carslaw & Jaeger
@@ -199,6 +199,8 @@ def _operator_input(f: GridFunction, spec: KernelSpec) -> np.ndarray:
     times its mirror image (the grid is [-L, L], so cell j mirrors to nx - 1 - j)."""
     if f.grid.t_min < 0:
         raise ValueError("T acts on functions on X; grid must start at t >= 0")
+    if not spec.is_whole and f.grid.n != 1:
+        raise ValueError("half-line kernels require a one-dimensional grid")
     g = np.asarray(f.values, dtype=float)
     if not spec.is_whole:
         g = g * (f.grid.xs > 0.0)
@@ -251,63 +253,52 @@ _CHUNK = 1 << 16  # elements per temporary array in a corner sum
 
 
 def _corner_sum(f: GridFunction, ts, spec: KernelSpec, op: str, term, out, per_edge: int):
-    """Add term(i, u, edges, D_m) to out[i] for every corner time t_m of f.
+    """Add term(i, u, edges, D_m) to out[i] for every corner time t_m of f (n = 1).
 
     D_m holds the mixed time/space jumps of the whole-space input g
     (_operator_input) at the corners (t_m, edges), and u = t - t_m; only
-    u > 0 contributes.  T* is T of the slab-reversed input at the reflected
-    times t_min + t_max - t.  The reflection rounds t once: within an ulp of
-    a slab edge, where the image is only Hölder-1/2 in t, T* moves by about
-    √ulp of the input's jumps.  Times go in batches whose temporaries hold
-    about _CHUNK elements (per_edge elements per edge and time).
+    u > 0 contributes.  T* is T of the slab-reversed input, whose corner m
+    sits at t_min + t_max - t_edges[nt - m]: its lag is t_edges[nt - m] - t,
+    read from the grid's own edges, so no reflected time is ever rounded.
+    Times go in batches whose temporaries hold about _CHUNK elements
+    (per_edge elements per edge and time).
     """
     if op not in ("T", "Tstar"):
         raise ValueError("op must be 'T' or 'Tstar'")
+    if f.grid.n != 1:
+        raise ValueError("corner sums are one-dimensional")
     g = _operator_input(f, spec)
     if op == "Tstar":
-        g, ts = g[::-1], f.grid.t_min + f.grid.t_max - ts
-    D = np.pad(g, 1)
-    for axis in range(D.ndim):
-        D = np.diff(D, axis=axis)
-    edges = f.grid.x_edges
-    if f.grid.n == 1:  # edges without jumps add nothing
-        keep = D.any(axis=0)
-        edges, D = edges[keep], D[:, keep]
+        g, lags = g[::-1], f.grid.t_edges[::-1, None] - ts
+    else:
+        lags = ts - f.grid.t_edges[:, None]
+    D = np.diff(np.diff(np.pad(g, 1), axis=0), axis=1)
+    keep = D.any(axis=0)  # edges without jumps add nothing
+    edges, D = f.grid.x_edges[keep], D[:, keep]
     step = max(1, _CHUNK // max(1, per_edge * len(edges)))
-    for m, tm in enumerate(f.grid.t_edges):
-        live = np.flatnonzero(ts > tm) if D[m].any() else []
+    for m, u in enumerate(lags):
+        live = np.flatnonzero(u > 0.0) if D[m].any() else []
         for c in range(0, len(live), step):
             i = live[c : c + step]
-            out[i] += term(i, ts[i] - tm, edges, D[m])
+            out[i] += term(i, u[i], edges, D[m])
     return out
 
 
 def image_rows(f: GridFunction, ts, x_out, spec: KernelSpec = WHOLE, op: str = "T"):
     """Tf (op="T") or T*f (op="Tstar") at every time in ts on the lattice x_out.
 
-    Shape (len(ts), len(x_out)), or (len(ts), nx_out, ny_out) for n = 2 with
-    x_out the two per-axis arrays.  For n = 1 this is the corner sum of the
-    module docstring.  For n = 2 the time corners act through per-axis
-    tables: (H + ψ_x) D_m (H + ψ_y)ᵀ - H D_m Hᵀ, expanded so nothing cancels.
+    Shape (len(ts), len(x_out)): the corner sum of the module docstring, n = 1.
     Half lines read 0 at x <= 0.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    axes = [np.atleast_1d(np.asarray(ax, dtype=float))
-            for ax in ((x_out,) if f.grid.n == 1 else x_out)]
-    if f.grid.n == 1:
-        def term(i, u, edges, Dm):
-            return _psi(u[:, None, None], axes[0][:, None] - edges) @ Dm
-    else:
-        Hx, Hy = (np.heaviside(ax[:, None] - f.grid.x_edges, 0.5) for ax in axes)
+    x_out = np.atleast_1d(np.asarray(x_out, dtype=float))
 
-        def term(i, u, edges, Dm):
-            Px, Py = (_psi(u[:, None, None], ax[:, None] - edges) for ax in axes)
-            return Px @ Dm @ np.swapaxes(Hy + Py, 1, 2) + Hx @ Dm @ np.swapaxes(Py, 1, 2)
+    def term(i, u, edges, Dm):
+        return _psi(u[:, None, None], x_out[:, None] - edges) @ Dm
 
-    out = np.zeros((len(ts),) + tuple(len(ax) for ax in axes))
-    _corner_sum(f, ts, spec, op, term, out, sum(map(len, axes)))
+    out = _corner_sum(f, ts, spec, op, term, np.zeros((len(ts), len(x_out))), len(x_out))
     if not spec.is_whole:
-        out[:, axes[0] <= 0.0] = 0.0
+        out[:, x_out <= 0.0] = 0.0
     return out
 
 
@@ -317,8 +308,6 @@ def image_window(f: GridFunction, ts, lo, hi, spec: KernelSpec = WHOLE, op: str 
     lo and hi broadcast against ts.  Each corner term integrates in closed
     form, Ψ(u, hi - e) - Ψ(u, lo - e); half lines integrate over x > 0.
     """
-    if f.grid.n != 1:
-        raise ValueError("window moments are one-dimensional")
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     ends = np.stack(np.broadcast_arrays(lo, hi, ts)[:2], axis=-1).astype(float)
     if not spec.is_whole:
@@ -342,6 +331,20 @@ def _gl_nodes(lo: float, hi: float, order: int):
     z, w = _leggauss(order)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * z, half * w
+
+
+def _dyadic_edges(a: float, b: float) -> list[float]:
+    """a, 2a, 4a, … up to b, the last panel clipped at b."""
+    edges = [a]
+    while edges[-1] < b:
+        edges.append(min(2.0 * edges[-1], b))
+    return edges
+
+
+def _panels(edges, order: int):
+    """Gauss–Legendre nodes and weights on each [edges[k], edges[k+1]]: (panels, order)."""
+    e = np.asarray(edges, dtype=float)[:, None]
+    return _gl_nodes(e[:-1], e[1:], order)
 
 
 def _offset_row(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -408,9 +411,7 @@ def _duhamel_rows(grid: SpaceTimeGrid, u_switch: float, gl_order: int) -> np.nda
     def far_integral(lo: float, hi: float) -> np.ndarray:
         # geometric panels from lo upward (integrand steepest at small u)
         out = np.zeros(2 * grid.nx - 1)
-        edges = [lo]
-        while edges[-1] < hi:
-            edges.append(min(2.0 * edges[-1], hi))
+        edges = _dyadic_edges(lo, hi)
         for a, b in zip(edges[:-1], edges[1:]):
             us, ws = _gl_nodes(a, b, gl_order)
             for u, w in zip(us, ws):

@@ -44,7 +44,9 @@ from .heatop import (
     HALF_LINE_NEUMANN,
     WHOLE,
     KernelSpec,
+    _dyadic_edges,
     _gl_nodes,
+    _panels,
     apply_T,
     duhamel_reference,
     gauss_kernel_dt,
@@ -313,10 +315,9 @@ def _time_panels(grid: SpaceTimeGrid, t_lo: float, t_hi: float) -> list[float]:
     edges = {t_lo, t_hi}
     edges.update(float(e) for e in grid.t_edges if t_lo < e < t_hi)
     if t_hi > grid.t_max:
-        e = max(grid.t_max, t_lo) * 2.0
-        while e < t_hi:
-            edges.add(e)
-            e *= 2.0
+        # t_edges[-1] can differ from t_max by an ulp; a second edge there
+        # would add a sliver panel, so the doubling starts one step up
+        edges.update(_dyadic_edges(max(grid.t_max, t_lo), t_hi)[1:])
     return sorted(edges)
 
 
@@ -681,20 +682,6 @@ def tstar_images(settings: Settings) -> Measurement:
 _PANEL_ORDER = 16
 
 
-def _dyadic_edges(a: float, b: float) -> list[float]:
-    """a, 2a, 4a, … up to b, the last panel clipped at b."""
-    edges = [a]
-    while edges[-1] < b:
-        edges.append(min(2.0 * edges[-1], b))
-    return edges
-
-
-def _panels(edges, order: int = _PANEL_ORDER):
-    """Gauss–Legendre nodes and weights on each [edges[k], edges[k+1]]: (panels, order)."""
-    e = np.asarray(edges, dtype=float)[:, None]
-    return _gl_nodes(e[:-1], e[1:], order)
-
-
 # f = χ_{(0,1)×(-1,1)}: one cell, one slab
 _BOX = GridFunction(SpaceTimeGrid(1, 1.0, 1, 0.0, 1.0, 1), np.ones((1, 1)))
 
@@ -708,7 +695,7 @@ def _box_cone_integral(a: float, b: float) -> float:
     [a, b]; it decays like a power of t, so dyadic panels [a, 2a], [2a, 4a], …
     keep every panel equally well resolved.  One window call takes every node.
     """
-    ts, ws = map(np.ravel, _panels(_dyadic_edges(a, b)))
+    ts, ws = map(np.ravel, _panels(_dyadic_edges(a, b), _PANEL_ORDER))
     W = 0.5 * np.sqrt(ts)
     return -float(ws @ image_window(_BOX, ts, -W, W))
 
@@ -766,7 +753,7 @@ def growth_T(settings: Settings) -> Measurement:
     grid = SpaceTimeGrid(1, 4.0, 64, 0.0, 4.0, 32)
     tt, xx = grid.mesh()
     f = GridFunction(grid, ((tt < 1.0) & (np.abs(xx) < 1.0)).astype(float))
-    bound = finite_norm_bound(f, strategy="r_odd")
+    bound = finite_norm_bound(f)
     return Measurement(
         parameters={"T_values": list(settings.growth_T_values), "t_start": 4.0},
         measured={
@@ -793,7 +780,7 @@ def _kernel_dt_mass(u: float) -> float:
     """
     xstar = math.sqrt(2.0 * u)
     edges = np.concatenate(([0.0], xstar + math.sqrt(u) * np.arange(41.0)))
-    xs, ws = map(np.ravel, _panels(edges))
+    xs, ws = map(np.ravel, _panels(edges, _PANEL_ORDER))
     return 2.0 * float(ws @ np.abs(gauss_kernel_dt(u, xs * xs, 1)))
 
 
@@ -959,7 +946,7 @@ def l2_stability(settings: Settings) -> Measurement:
     """
     grids = [SpaceTimeGrid(1, 2.0, 24, 0.0, 2.0, 12)]
     for _ in range(2):
-        grids.append(grids[-1].refine(2))
+        grids.append(grids[-1].refine())
     sups = []
     for grid in grids:
         best = 0.0
@@ -1001,7 +988,7 @@ def lp_probe(settings: Settings) -> Measurement:
     """
     grids = [SpaceTimeGrid(1, 2.0, 16, 0.0, 2.0, 8)]
     for _ in range(2):
-        grids.append(grids[-1].refine(2))
+        grids.append(grids[-1].refine())
     table: dict[float, list[float]] = {p: [] for p in settings.lp_exponents}
     for grid in grids:
         fields = [GridFunction(grid, _smooth_field(settings.seed * 2003 + i, grid))

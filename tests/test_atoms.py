@@ -140,8 +140,8 @@ def test_make_molecule_hits_profile_exactly():
         assert M == pytest.approx(2.0 ** (-0.5 * j), rel=1e-10)
     assert rep.fitted_alpha == pytest.approx(0.5, abs=1e-6)
     assert rep.constant == pytest.approx(1.0, rel=1e-10)
-    assert rep.certifies(alpha_min=0.5 - 1e-9)
-    assert not rep.certifies(alpha_min=0.6)
+    assert rep.certifies()
+    assert not molecule_report(m, Q, alpha=0.6, J=4).certifies()
 
 
 def test_molecule_report_weights_use_truncated_volume():

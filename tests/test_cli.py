@@ -5,6 +5,8 @@ import hashlib
 import importlib.util
 import json
 import math
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,7 +44,6 @@ def test_parse_value_types():
     assert parse_value("k", "7", int) == 7
     assert parse_value("k", "0.5", float) == 0.5
     assert parse_value("k", "8, 16 ,32", tuple) == (8.0, 16.0, 32.0)
-    assert parse_value("k", "true", bool) is True
     with pytest.raises(ConfigError):
         parse_value("k", "inf", float)
     with pytest.raises(ConfigError):
@@ -370,3 +371,17 @@ def test_seed_sweep_against_reports_largest_drift_and_verdict_changes(capsys):
     assert any(line.startswith("e drift a: 3e-12 at seed=1 ") for line in out)
     assert any(line.startswith("e drift b: 0 at seed=0 ") for line in out)
     assert len(out) == 3  # seed 2 has no old record
+
+
+@pytest.mark.parametrize("script, args", [
+    ("atom_gallery.py", ["--atoms", "1"]),
+    ("growth_curves.py", ["--tmax", "16"]),
+])
+def test_scripts_run_to_a_passing_exit(script, args, monkeypatch, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    monkeypatch.setattr(sys, "argv", [str(path), *args])
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(path), run_name="__main__")
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out

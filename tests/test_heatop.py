@@ -433,16 +433,19 @@ def test_apply_T_at_beyond_the_grid():
     assert np.all(image_rows(f, [g.t_max], g.xs, op="Tstar") == 0.0)
 
 
-def test_apply_T_at_2d_shape():
-    g = SpaceTimeGrid(2, 2.0, 12, 0.0, 1.0, 4)
-    rng = np.random.default_rng(5)
-    f = GridFunction(g, rng.normal(size=g.shape))
-    xo = np.array([-0.5, 0.0, 0.5])
-    yo = np.array([0.25, 0.75])
-    out = image_rows(f, [0.9], (xo, yo))[0]
-    assert out.shape == (3, 2)
-    grid_out = image_rows(f, [g.ts[2]], (g.xs, g.xs))[0]
-    assert np.allclose(grid_out, apply_T(f).values[2], atol=1e-11)
+def test_half_lines_and_corner_sums_reject_2d_grids():
+    # KernelSpec.n defaults to 1, so only the grid can tell a half-line spec
+    # that its input is two-dimensional
+    g = SpaceTimeGrid(2, 1.0, 8, 0.0, 1.0, 4)
+    f = GridFunction(g, np.ones(g.shape))
+    half = KernelSpec(boundary=HALF_LINE_DIRICHLET)
+    for op in (apply_T, apply_Tstar):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            op(f, half)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        image_rows(f, [0.5], [0.0, 0.5])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        image_window(f, [0.5], -0.5, 0.5)
 
 
 def _mirrored_Tstar(f, spec):
@@ -667,6 +670,19 @@ def test_half_line_far_field_against_80_digit_reference(spec, op):
             ref = float(_mp_window_reference(inside, t, lo, hi, op, s))
             got = float(image_window(f, [t], lo, hi, spec, op)[0])
             assert got == pytest.approx(ref, rel=1e-11)
+
+
+def test_Tstar_next_to_a_slab_edge_against_80_digit_reference():
+    # the image is only Hölder-1/2 in t at a slab edge, so a lag rounded by
+    # one ulp there would move T* by about √ulp of the input's jumps
+    g = SpaceTimeGrid(1, 0.5, 10, 0.0, 0.5, 5)
+    f = GridFunction(g, np.random.default_rng(8).normal(size=g.shape))
+    inside = GridFunction(g, f.values * (g.xs > 0.0))
+    for k in range(1, g.nt):
+        for t in (np.nextafter(g.t_edges[k], 0.0), g.t_edges[k]):
+            ref = float(_mp_window_reference(inside, t, 0.0, 0.4, "Tstar", -1))
+            got = float(image_window(f, [t], 0.0, 0.4, DIRICHLET, "Tstar")[0])
+            assert got == pytest.approx(ref, rel=1e-13)
 
 
 def test_far_field_T_against_80_digit_reference():
