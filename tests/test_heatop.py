@@ -16,7 +16,6 @@ from hardyheat.grid import GridFunction, SpaceTimeGrid, lp_norm, sample
 from hardyheat.heatop import (
     HALF_LINE_DIRICHLET,
     HALF_LINE_NEUMANN,
-    EPS_TAIL,
     KernelSpec,
     WHOLE,
     apply_T,
@@ -32,6 +31,7 @@ from hardyheat.heatop import (
     _apply_axes,
     _cell_mass_rows,
     _duhamel_rows,
+    _fast_len,
     _gather,
     _gl_nodes,
     _near_field_row,
@@ -51,9 +51,9 @@ def inner(f, g):
     return float((f.values * g.values).sum() * f.grid.cell_measure)
 
 
-def _matrices(grid, u, eps_tail=EPS_TAIL):
+def _matrices(grid, u):
     """Per-axis whole-space matrices for one semigroup application (time u)."""
-    return _gather(grid)(_cell_mass_rows(grid, [u], eps_tail)[0])
+    return _gather(grid)(_cell_mass_rows(grid, [u])[0])
 
 
 # -- pointwise kernel values ------------------------------------------------------
@@ -138,7 +138,10 @@ def test_dt_kernel_hoelder_shadow(t, x_rel, shift_rel, n):
     C = {1: 0.20, 2: 0.09}[n]
     s = math.sqrt(t)
     x, dy = x_rel * s, shift_rel * s  # |y - x0| <= sqrt(t)
-    lhs = abs(gauss_kernel_dt(t, (x - dy) ** 2, n) - gauss_kernel_dt(t, x * x, n))
+    # both squares by one multiply: pow(z, 2) can differ from z * z by an ulp,
+    # which at dy = 0 left lhs ~ 3e-17 against rhs = 0
+    xm = x - dy
+    lhs = abs(gauss_kernel_dt(t, xm * xm, n) - gauss_kernel_dt(t, x * x, n))
     rhs = C * (abs(dy) / s) * t ** (-1.0 - n / 2.0) * math.exp(-x * x / (16.0 * t))
     assert lhs <= rhs + 1e-300
 
@@ -147,8 +150,10 @@ def test_dt_kernel_hoelder_shadow(t, x_rel, shift_rel, n):
 
 @pytest.mark.parametrize("L, nx, T, nt", [(4.0, 64, 4.0, 16), (4.0, 128, 4.0, 32)])
 def test_cell_mass_rows_match_40_digit_erf_differences(L, nx, T, nt):
-    # every kept entry, the far tail where both erf values sit near ±1
-    # included, to 1e-12 relative (measured at most 3.6e-14)
+    # every nonzero entry, the far tail down to 1e-111 included, to 1e-12
+    # relative (measured at most 3.6e-14); off the centre cell the reference
+    # is a difference of erfc in the tail, since both erf values sit so near
+    # ±1 that 40 digits return 0 for their difference
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     g = SpaceTimeGrid(1, L, nx, 0.0, T, nt)
@@ -159,7 +164,12 @@ def test_cell_mass_rows_match_40_digit_erf_differences(L, nx, T, nt):
         for j in np.flatnonzero(row):
             k = j - (nx - 1)
             hi, lo = mp.mpf((k + 0.5) * g.h), mp.mpf((k - 0.5) * g.h)
-            ref = (mp.erf(hi / s) - mp.erf(lo / s)) / 2
+            if k > 0:
+                ref = (mp.erfc(lo / s) - mp.erfc(hi / s)) / 2
+            elif k < 0:
+                ref = (mp.erfc(-hi / s) - mp.erfc(-lo / s)) / 2
+            else:
+                ref = (mp.erf(hi / s) - mp.erf(lo / s)) / 2
             assert abs(row[j] - ref) <= 1e-12 * ref
 
 
@@ -174,9 +184,7 @@ def _dense_cell_mass(u, x_out, edges):
     if u == 0.0:
         return A
     A = A + (_psi(u, to_lo) - _psi(u, to_hi))
-    R = math.sqrt(4.0 * u * math.log(1.0 / EPS_TAIL)) + (edges[1] - edges[0])
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    A[np.abs(x_out[:, None] - mid[None, :]) > R] = 0.0
+    A[np.abs(A) < np.finfo(float).tiny] = 0.0
     return A
 
 
@@ -223,7 +231,7 @@ def test_row_tables_equal_dense_tables_on_dyadic_grids(L, nx, T, nt):
 ])
 def test_row_tables_match_dense_tables_on_other_grids(L, nx, T, nt):
     # offsets carry different roundings off dyadic grids (measured at most
-    # 2.9e-15); the tail cut must still zero the same entries
+    # 2.9e-15); the subnormal flush must still zero the same entries
     g = SpaceTimeGrid(1, L, nx, 0.0, T, nt)
     for A, B in _table_pairs(g):
         assert np.max(np.abs(A - B)) <= 1e-14
@@ -235,7 +243,7 @@ def test_near_field_matrix_integrates_to_cell_mass_difference():
     g = xgrid(nx=32)
     u = g.tau / 8.0
     (N,) = _gather(g)(_near_field_row(g, u))
-    (A,) = _matrices(g, u, eps_tail=0.0)
+    (A,) = _matrices(g, u)
     assert np.max(np.abs(N - (A - np.eye(g.nx)))) < 1e-10
 
 
@@ -473,11 +481,62 @@ def _mirrored_Tstar(f, spec):
     (2, 32, 16, KernelSpec(2)),
 ])
 def test_apply_Tstar_is_time_reversal_exactly(n, nx, nt, spec):
-    # R T R reproduces the anticausal slab sum bit for bit, so artifacts built
-    # on apply_Tstar do not move
+    # T* is R T R bit for bit, R reversing the slabs; the anticausal slab sum
+    # agrees to rounding (measured at most 8.8e-16 of max |ref|)
     g = SpaceTimeGrid(n, 4.0, nx, 0.0, 4.0, nt)
     f = GridFunction(g, np.random.default_rng(nx + nt).normal(size=g.shape))
-    assert np.array_equal(apply_Tstar(f, spec).values, _mirrored_Tstar(f, spec))
+    got = apply_Tstar(f, spec).values
+    reversed_T = apply_T(GridFunction(g, f.values[::-1]), spec).values[::-1]
+    assert np.array_equal(got, reversed_T)
+    ref = _mirrored_Tstar(f, spec)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _direct_T(f, spec):
+    """T by the causal slab sum Tf_i = sum_m A_m delta_{i-m} - g_i, one matmul per lag.
+
+    The O(nt² nx²) reference for apply_T's FFT correlation: whole-space tables
+    on the input with its half-line image; half lines read 0 at x <= 0.
+    """
+    grid = f.grid
+    g = _operator_input(f, spec)
+    delta = g.copy()
+    delta[1:] -= g[:-1]
+    out = np.zeros_like(g)
+    for m in range(grid.nt):
+        mats = _matrices(grid, (m + 0.5) * grid.tau)
+        out[m:] += _apply_axes(delta[: grid.nt - m], mats)
+    out -= g
+    if not spec.is_whole:
+        out[:, grid.xs <= 0.0] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("L, nx, T, nt", [
+    (4.0, 64, 4.0, 16), (4.0, 128, 4.0, 32),  # dyadic
+    (4.0, 33, 4.0, 16), (1.0, 17, 0.5, 7),    # odd nx
+    (2.0, 24, 2.0, 1), (1.0, 7, 1.0, 1),      # one slab
+    (2.0, 25, 2.0, 9), (3.0, 49, 2.0, 17),    # 2 nx - 1 and 2 nt - 1 are 5-smooth + 1
+    (4.0, 65, 4.0, 41),
+])
+@pytest.mark.parametrize("spec", [WHOLE, DIRICHLET, NEUMANN])
+def test_fft_correlation_matches_direct_slab_sum(L, nx, T, nt, spec):
+    # the FFT sums in another order than the lag loop (measured at most
+    # 5.7e-16 of max |out|); T* is checked through its slab-reversed input
+    g = SpaceTimeGrid(1, L, nx, 0.0, T, nt)
+    f = GridFunction(g, np.random.default_rng(nx + nt).normal(size=g.shape))
+    ref_T = _direct_T(f, spec)
+    ref_Tstar = _direct_T(GridFunction(g, f.values[::-1]), spec)[::-1]
+    for got, ref in ((apply_T(f, spec).values, ref_T),
+                     (apply_Tstar(f, spec).values, ref_Tstar)):
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_fast_len_is_the_smallest_5_smooth_length():
+    smooth = np.sort([2**a * 3**b * 5**c
+                      for a in range(12) for b in range(8) for c in range(6)])
+    for n in range(1, 2001):
+        assert _fast_len(n) == smooth[np.searchsorted(smooth, n)]
 
 
 def _dense_slab_sums(f, spec):

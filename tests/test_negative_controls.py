@@ -23,3 +23,17 @@ def test_dropping_the_mirror_term_fails_boundary_neumann(monkeypatch):
     assert run_experiment("boundary_neumann", settings).passed
     monkeypatch.setattr(heatop, "_operator_input", _input_without_mirror)
     assert not run_experiment("boundary_neumann", settings).passed
+
+
+def test_an_unpadded_correlation_fails_the_oracle_and_lp_probe(monkeypatch):
+    # transformed at the input's own shape (nt, nx), the correlation wraps
+    # late lags onto early slabs, cuts the row table to its first nx offsets
+    # and reads one output column for every x: max_rel_error reads 1.13
+    # against the 1e-3 gate (5.2e-6 as shipped), l1_min_step -6.5e-3 against
+    # > 0 (0.68 as shipped)
+    settings = Settings(oracle_inputs=2)
+    for name in ("telescoping_oracle", "lp_probe"):
+        assert run_experiment(name, settings).passed
+    monkeypatch.setattr(heatop, "_fft_shape", lambda nt, nx: (nt, nx))
+    for name in ("telescoping_oracle", "lp_probe"):
+        assert not run_experiment(name, settings).passed
