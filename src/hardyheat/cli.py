@@ -6,7 +6,9 @@ configuration keys that affect results (the experiments and every setting)
 plus sha256 hashes of every artifact.  Identical configuration and seed give
 byte-identical artifacts and manifests, whatever the output directory, so
 manifests can be diffed directly.  Experiments run one after another in the
-order given.
+order given; as each finishes, one line on stderr gives its name, verdict
+and elapsed wall time.  Timings stay out of the artifacts, which remain
+byte-identical.
 
 The configuration is validated before any experiment runs.  An experiment
 that raises is recorded as a failed result whose note names the exception;
@@ -24,6 +26,7 @@ import hashlib
 import io
 import json
 import sys
+import time
 import traceback
 from pathlib import Path
 
@@ -152,7 +155,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    results = {name: _run_one(name, config.settings) for name in names}
+    results = {}
+    for name in names:
+        start = time.perf_counter()
+        results[name] = _run_one(name, config.settings)
+        verdict = "pass" if results[name].passed else "FAIL"
+        print(f"{name}  {verdict}  {time.perf_counter() - start:.2f} s",
+              file=sys.stderr, flush=True)
 
     written = _write_artifacts(config, results, out)
     failed = [n for n in names if not results[n].passed]

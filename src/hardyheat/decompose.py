@@ -47,6 +47,7 @@ from .grid import (
     time_reflect,
 )
 from .space import (
+    UNIT_BALL_VOLUME,
     Annulus,
     ParabolicBall,
     ball,
@@ -264,29 +265,33 @@ def whitney_cover(Q: ParabolicBall, t_floor: float | None = None) -> WhitneyCove
         rows = A_k + (np.arange(n_rows) + 0.5) * rho2
         rows = rows[rows + rho2 > bottom]
         reach = r + rho
+        # offsets i rho with |i| rho < reach; the test is monotone in |i|
         n_off = math.ceil(reach / rho)
-        idx = np.arange(-n_off, n_off + 1)
-        offs = idx[np.abs(idx) * rho < reach] * rho
+        while n_off * rho >= reach:
+            n_off -= 1
+        offs = np.arange(-n_off, n_off + 1) * rho
         n_balls += len(rows) * len(offs) ** n
         if n_balls > _MAX_COVER_BALLS:
             raise DecompositionError(f"cover exceeds {_MAX_COVER_BALLS} balls; raise t_floor")
         if len(rows):
-            lattice = np.meshgrid(*[offs] * n, indexing="ij")
-            centres = np.stack([x0[i] + g.ravel() for i, g in enumerate(lattice)], axis=1)
-            layers.append(CoverLayer(rho, rows, centres))
+            # 2Q_j in X but 4Q_j not (the float tests of scaled_in_halfspace):
+            # guaranteed by the radius choice above.  Both tests are monotone
+            # in the ascending rows, so the lowest and the highest row decide.
+            if not rows[0] - (2.0 * rho) ** 2 >= 0.0 or rows[-1] - (4.0 * rho) ** 2 >= 0.0:
+                raise DecompositionError(
+                    f"cover layer of radius {rho} (rows {rows[0]} to {rows[-1]}) "
+                    "lost type (b) geometry"
+                )
+            # the lattice x0 + offs^n in lexicographic order: axis i of the
+            # grid below runs over the offsets of coordinate i
+            m = len(offs)
+            centres = np.empty((m,) * n + (n,))
+            for i, c in enumerate(x0):
+                centres[..., i] = (c + offs).reshape((m,) + (1,) * (n - 1 - i))
+            layers.append(CoverLayer(rho, rows, centres.reshape(-1, n)))
         if A_k <= t_floor:
             break
         k += 1
-
-    for layer in layers:
-        # 2Q_j in X but 4Q_j not (the float tests of scaled_in_halfspace):
-        # guaranteed by the radius choice above
-        lost = ~(layer.rows - (2.0 * layer.rho) ** 2 >= 0.0) | (
-            layer.rows - (4.0 * layer.rho) ** 2 >= 0.0
-        )
-        if lost.any():
-            b = layer.ball(int(np.argmax(lost)) * len(layer.centres))
-            raise DecompositionError(f"cover ball {b} lost type (b) geometry")
     return WhitneyCover(tuple(layers))
 
 
@@ -300,10 +305,9 @@ def cover_max_overlap(cover: WhitneyCover) -> int:
     the cells of the arrangement of box faces.  Within a layer every ball is a
     (row, centre) pair, so at a cell the count is sum_k a_k(t) b_k(x): the rows
     of layer k whose interval holds t times the centres of layer k whose box
-    holds x.  a comes from a difference array over the time cells; for each
-    distinct row of a, the boxes of all centres, weighted by a_k, go into one
-    difference array over the spatial cells, and the maximum of its sums is
-    the result.
+    holds x.  a[k, time cell] and b[k, spatial cell] each come from one
+    difference array per layer, filled by bincount and summed up along each
+    axis (_layer_box_counts); the result is the largest entry of a^T b.
 
     Faces that coincide in exact arithmetic, such as c_j + rho and
     c_{j+2} - rho, can differ by an ulp in floating point.  Counted apart, the
@@ -323,26 +327,12 @@ def cover_max_overlap(cover: WhitneyCover) -> int:
     rho = np.array([L.rho for L in layers])
     row_layer = np.repeat(np.arange(len(layers)), [len(L.rows) for L in layers])
     centre_layer = np.repeat(np.arange(len(layers)), [len(L.centres) for L in layers])
-    # a[c, k]: rows of layer k whose interval holds time cell c
     rows = np.concatenate([L.rows for L in layers])[:, None]
-    (lo,), (hi,), (n_t,) = _box_cells(rows, rho[row_layer] ** 2)
-    a = np.zeros((n_t, len(layers)), dtype=np.int64)
-    np.add.at(a, (lo, row_layer), 1)
-    np.add.at(a, (hi, row_layer), -1)
-    a = np.unique(np.cumsum(a, axis=0), axis=0)
-    # per distinct a row, the spatial difference array of every centre's box
-    # weighted by its layer's row count, summed up along each axis
+    a = _layer_box_counts(row_layer, len(layers), *_box_cells(rows, rho[row_layer] ** 2))
     centres = np.concatenate([L.centres for L in layers])
-    lo, hi, shape = _box_cells(centres, rho[centre_layer])
-    weight = a.T[centre_layer]
-    counts = np.zeros((math.prod(shape), len(a)), dtype=np.int64)
-    for corner in itertools.product((0, 1), repeat=len(shape)):
-        at = np.ravel_multi_index([h if c else l for c, l, h in zip(corner, lo, hi)], shape)
-        np.add.at(counts, at, (-1) ** sum(corner) * weight)
-    counts = counts.reshape(shape + (len(a),))
-    for axis in range(len(shape)):
-        counts = np.cumsum(counts, axis=axis)
-    return int(counts.max())
+    b = _layer_box_counts(centre_layer, len(layers), *_box_cells(centres, rho[centre_layer]))
+    # small integers: the float product is exact
+    return int((a.T @ b).max())
 
 
 def _box_cells(points: np.ndarray, half: np.ndarray):
@@ -354,18 +344,48 @@ def _box_cells(points: np.ndarray, half: np.ndarray):
     """
     lo, hi, shape = [], [], []
     for p in points.T:
-        faces = np.sort(np.concatenate([p - half, p + half]))
-        faces = faces[np.r_[True, np.diff(faces) > 32.0 * np.spacing(np.abs(faces).max())]]
+        ends = np.concatenate([p - half, p + half])
+        faces = np.sort(ends)
+        # sorted, so the largest magnitude is at one end
+        tol = 32.0 * np.spacing(max(-faces[0], faces[-1]))
+        faces = faces[np.concatenate(([True], faces[1:] - faces[:-1] > tol))]
         mids = 0.5 * (faces[:-1] + faces[1:])
-        lo.append(np.searchsorted(mids, p - half))
-        hi.append(np.searchsorted(mids, p + half))
+        at = np.searchsorted(mids, ends)
+        lo.append(at[: len(p)])
+        hi.append(at[len(p) :])
         shape.append(len(faces))
     return lo, hi, tuple(shape)
 
 
-def _layer_volumes(cover: WhitneyCover) -> list[float]:
-    """nu of one ball per layer; every ball of a layer has the same radius."""
-    return [ball_volume(L.ball(0)) for L in cover.layers]
+def _layer_box_counts(layer: np.ndarray, n_layers: int, lo, hi, shape) -> np.ndarray:
+    """Per layer, how many of its boxes cover each cell: (n_layers, prod(shape)).
+
+    Box i of layer[i] covers the cells [lo[d][i], hi[d][i]) on each axis d
+    (the output of _box_cells).  Its corners go into a difference array, one
+    bincount per corner, which cumulative sums along the axes turn into counts.
+    """
+    size = math.prod(shape)
+    base = layer * size
+    counts = np.zeros(n_layers * size)
+    for corner in itertools.product((0, 1), repeat=len(shape)):
+        at = np.ravel_multi_index([h if c else l for c, l, h in zip(corner, lo, hi)], shape)
+        counts += (-1) ** sum(corner) * np.bincount(base + at, minlength=n_layers * size)
+    counts = counts.reshape((n_layers,) + shape)
+    for axis in range(1, len(shape) + 1):
+        counts = np.cumsum(counts, axis=axis)
+    return counts.reshape(n_layers, size)
+
+
+def _layer_volumes(cover: WhitneyCover) -> np.ndarray:
+    """nu of one ball per layer; every ball of a layer has the same radius.
+
+    2 rho^2 omega_n rho^n in ball_volume's order of operations, so each entry
+    is bit-equal to ball_volume of the layer's balls without building one.
+    """
+    return np.array([
+        2.0 * L.rho**2 * UNIT_BALL_VOLUME[L.centres.shape[1]] * L.rho ** L.centres.shape[1]
+        for L in cover.layers
+    ])
 
 
 def cover_stats(cover: WhitneyCover, Q: ParabolicBall) -> dict:
@@ -383,33 +403,32 @@ def cover_stats(cover: WhitneyCover, Q: ParabolicBall) -> dict:
     }
 
 
-def _first_ball_owner(cover: WhitneyCover, grid: SpaceTimeGrid) -> np.ndarray:
-    """Cover index of the first ball containing each cell midpoint.
+def _first_ball_owner(cover: WhitneyCover, grid: SpaceTimeGrid, cells: np.ndarray) -> np.ndarray:
+    """Cover index of the first ball containing each given cell's midpoint.
 
-    An (nt, cells per time slab) array, -1 where no ball contains the cell.
+    cells are flat indices into the grid; -1 marks a cell no ball contains.
     Within a layer a ball contains a cell iff its row contains the cell's
     time and its centre the cell's position, with the strict tests of
     ParabolicBall.mask.  Balls run (layer, row, centre), so the first
     containing ball pairs the first such row with the first such centre, in
     the first layer that has both.
     """
-    mesh = grid.mesh()
-    ts = mesh[0].ravel()
-    space = [m[0] for m in mesh[1:]]  # per-axis midpoints, broadcastable
-    owner = np.full((grid.nt, grid.nx**grid.n), -1, dtype=np.int64)
+    ts = grid.ts
+    space = [m[0] for m in grid.mesh()[1:]]  # per-axis midpoints, broadcastable
+    slab, cell = np.divmod(cells, grid.nx**grid.n)
+    owner = np.full(len(cells), -1)
     start = 0
     for layer in cover.layers:
         r2 = layer.rho**2
-        lo, hi = (layer.rows - r2)[:, None], (layer.rows + r2)[:, None]
-        in_t = (ts > lo) & (ts < hi)
+        nc = len(layer.centres)
+        in_t = (ts > (layer.rows - r2)[:, None]) & (ts < (layer.rows + r2)[:, None])
         d2 = sum(
             (x[None] - layer.centres[:, i].reshape((-1,) + (1,) * x.ndim)) ** 2
             for i, x in enumerate(space)
         )
-        in_x = d2.reshape(len(layer.centres), -1) < r2
-        first = start + in_t.argmax(0)[:, None] * len(layer.centres) + in_x.argmax(0)
-        new = in_t.any(0)[:, None] & in_x.any(0) & (owner < 0)
-        owner[new] = first[new]
+        in_x = d2.reshape(nc, -1) < r2
+        new = in_t.any(0)[slab] & in_x.any(0)[cell] & (owner < 0)
+        owner[new] = start + in_t.argmax(0)[slab[new]] * nc + in_x.argmax(0)[cell[new]]
         start += len(layer)
     return owner
 
@@ -473,21 +492,19 @@ def restrict_decompose(A: GridFunction, Q: ParabolicBall) -> Decomposition:
         raise DecompositionError(
             f"cover overlap {stats['overlap_max']} exceeds the bound {bound}"
         )
-    inq = Q.mask(*hgrid.mesh()).reshape(hgrid.nt, -1)
-    owner = _first_ball_owner(cover, hgrid)
-    escaped = int((inq & (owner < 0)).sum())
+    cells = np.flatnonzero(Q.mask(*hgrid.mesh()))
+    own = _first_ball_owner(cover, hgrid, cells)
+    escaped = int((own < 0).sum())
     if escaped:
         raise DecompositionError(f"{escaped} cells of Q ∩ X escaped the cover")
     # group the cells of Q by owner; the stable sort keeps each piece in C
     # order, the order in which a boolean mask reads vals[piece]
-    cells = np.flatnonzero(inq)
-    own = owner.ravel()[cells]
     order = np.argsort(own, kind="stable")
     cells, own = cells[order], own[order]
     pv = half.values.ravel()[cells]
     sq = pv**2
-    starts = np.r_[0, np.flatnonzero(np.diff(own)) + 1]
-    lengths = np.diff(np.r_[starts, len(cells)])
+    starts = np.flatnonzero(np.concatenate(([True], own[1:] != own[:-1])))
+    lengths = np.diff(starts, append=len(cells))
     # per-piece sums of squares, each bit-identical to sq[a:b].sum(): numpy
     # adds fewer than 8 terms left to right, as bincount does, and unrolls
     # longer sums 8 ways, so the few long pieces are summed one by one
@@ -508,7 +525,7 @@ def restrict_decompose(A: GridFunction, Q: ParabolicBall) -> Decomposition:
         cover,
         cells[in_kept],
         pv[in_kept] / np.repeat(coeffs, lengths[keep]),  # exact: powers of two
-        np.r_[0, np.cumsum(lengths[keep])],
+        np.concatenate(([0], np.cumsum(lengths[keep]))),
         owners,
         coeffs,
     )

@@ -5,14 +5,26 @@ axis and nt time slabs of width tau.  A GridFunction is constant on each cell;
 integration and Lp norms are exact cell sums, and continuous functions enter
 through midpoint sampling.  Grids over X have T- = 0; extension operators
 produce the time-symmetric grid over (-T+, T+].
+
+A grid computes its coordinate arrays (xs, ts, x_edges, t_edges and the mesh)
+on first access and keeps them.  They are read-only, since every caller of
+the grid shares them; equality and hashing still see only the six fields.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .space import ParabolicBall
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -27,6 +39,13 @@ class SpaceTimeGrid:
     def __post_init__(self):
         if self.n not in (1, 2):
             raise ValueError("n must be 1 or 2")
+        if not (isinstance(self.nx, numbers.Integral) and isinstance(self.nt, numbers.Integral)):
+            raise ValueError(f"nx and nt must be integers, got {self.nx!r} and {self.nt!r}")
+        if not all(map(math.isfinite, (self.length, self.t_min, self.t_max))):
+            raise ValueError(
+                f"length, t_min and t_max must be finite, got {self.length!r}, "
+                f"{self.t_min!r} and {self.t_max!r}"
+            )
         if self.length <= 0 or self.nx < 1 or self.nt < 1 or self.t_max <= self.t_min:
             raise ValueError("degenerate grid")
 
@@ -46,26 +65,30 @@ class SpaceTimeGrid:
     def shape(self) -> tuple[int, ...]:
         return (self.nt,) + (self.nx,) * self.n
 
-    @property
+    @cached_property
     def xs(self) -> np.ndarray:
         """Cell midpoints of one spatial axis."""
-        return -self.length + (np.arange(self.nx) + 0.5) * self.h
+        return _read_only(-self.length + (np.arange(self.nx) + 0.5) * self.h)
 
-    @property
+    @cached_property
     def x_edges(self) -> np.ndarray:
-        return -self.length + np.arange(self.nx + 1) * self.h
+        return _read_only(-self.length + np.arange(self.nx + 1) * self.h)
 
-    @property
+    @cached_property
     def ts(self) -> np.ndarray:
         """Slab midpoints."""
-        return self.t_min + (np.arange(self.nt) + 0.5) * self.tau
+        return _read_only(self.t_min + (np.arange(self.nt) + 0.5) * self.tau)
 
-    @property
+    @cached_property
     def t_edges(self) -> np.ndarray:
-        return self.t_min + np.arange(self.nt + 1) * self.tau
+        return _read_only(self.t_min + np.arange(self.nt + 1) * self.tau)
 
     def mesh(self) -> tuple[np.ndarray, ...]:
         """Broadcastable (tt, xx[, yy]) midpoint arrays matching `shape`."""
+        return self._mesh
+
+    @cached_property
+    def _mesh(self) -> tuple[np.ndarray, ...]:
         if self.n == 1:
             return self.ts[:, None], self.xs[None, :]
         return (

@@ -72,6 +72,9 @@ acceptance suite compares against.  It takes a sequence of inputs on one grid
 and builds its input-independent matrix stack once per call.  Its entries,
 like apply_T's, depend on i - j only, so the stack is assembled from one row
 of offsets per quadrature node and gathered through the same Toeplitz index.
+The rows of all nodes are evaluated in one array pass and summed node by
+node in the order an entry-by-entry quadrature takes them, so the stack is
+bit-identical to that build.
 """
 from __future__ import annotations
 
@@ -407,16 +410,26 @@ def _offset_row(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([a[0] - b[:0:-1], a - b[0]])
 
 
-def _gauss2_row(grid: SpaceTimeGrid, kernel, u: float, diff: np.ndarray) -> np.ndarray:
+def _gauss2_row(grid: SpaceTimeGrid, kernel, u, diff: np.ndarray) -> np.ndarray:
     """Two-point Gauss sampling per cell of kernel(u, ·) at every offset in diff.
 
-    (h/2) [k(x_i - y_j + d) + k(x_i - y_j - d)] with d = h / (2 sqrt 3):
+    u is one lag, or a column of lags that the kernel broadcasts to one row
+    each.  (h/2) [k(x_i - y_j + d) + k(x_i - y_j - d)] with d = h / (2 sqrt 3):
     exact for cubics in y, so the oracle's spatial error is O(h^4) while
     apply_T's cell masses are exact — the discrepancy between the two routes
     collapses fast under h-refinement.
     """
     d = grid.h / (2.0 * math.sqrt(3.0))
     return 0.5 * grid.h * (kernel(u, (diff - d) ** 2, 1) + kernel(u, (diff + d) ** 2, 1))
+
+
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """terms[0] + terms[1] + ... added one row at a time onto zeros.
+
+    The same floating-point sum as a loop `out = zeros; out += term`: a
+    cumulative sum adds sequentially, in row order (np.sum would pair terms).
+    """
+    return np.cumsum(np.concatenate([np.zeros((1,) + terms.shape[1:]), terms]), axis=0)[-1]
 
 
 def _near_field_row(grid: SpaceTimeGrid, u_hi: float):
@@ -428,24 +441,21 @@ def _near_field_row(grid: SpaceTimeGrid, u_hi: float):
     Gauss-Legendre nodes, halving down from u_hi, resolve the boundary layer;
     below the last panel the integrand is < erfc(h / (4 sqrt(u_min))), i.e.
     zero to double precision.
-    The result has one entry per offset i - j (see _offset_row).
+    The result has one entry per offset i - j (see _offset_row).  All 336
+    nodes are evaluated in one array pass and summed in node order (panels
+    from u_hi down) by _sum_in_order.
     """
     xs, edges = grid.xs, grid.x_edges
     w_lo = _offset_row(xs, edges[:-1])
     w_hi = _offset_row(xs, edges[1:])
-    total = np.zeros(2 * grid.nx - 1)
-    hi = u_hi
-    for _ in range(42):
-        lo = hi / 2.0
-        us, ws = _gl_nodes(lo, hi, 8)
-        for u, w in zip(us, ws):
-            c = 1.0 / (4.0 * math.sqrt(math.pi) * u**1.5)
-            term = w_hi * np.exp(-w_hi * w_hi / (4.0 * u)) - w_lo * np.exp(
-                -w_lo * w_lo / (4.0 * u)
-            )
-            total += (w * c) * term
-        hi = lo
-    return total
+    his = np.ldexp(u_hi, -np.arange(42))[:, None]  # panel tops, halving down
+    us, ws = (a.ravel() for a in _gl_nodes(his / 2.0, his, 8))
+    # per-node scalars in numpy scalar arithmetic, as a loop over the nodes
+    # takes them: an array power may round differently
+    wc = [w * (1.0 / (4.0 * math.sqrt(math.pi) * u**1.5)) for u, w in zip(us, ws)]
+    four_u = 4.0 * us[:, None]
+    terms = w_hi * np.exp(-w_hi * w_hi / four_u) - w_lo * np.exp(-w_lo * w_lo / four_u)
+    return _sum_in_order(np.array(wc)[:, None] * terms)
 
 
 def _duhamel_rows(grid: SpaceTimeGrid, u_switch: float, gl_order: int) -> np.ndarray:
@@ -453,25 +463,32 @@ def _duhamel_rows(grid: SpaceTimeGrid, u_switch: float, gl_order: int) -> np.nda
 
     C_0 integrates ∂_u A(u) over (0, tau/2): the near field below u_switch,
     Gauss-Legendre panels above it.  C_m (m >= 1) integrates over
-    ((m - 1/2) tau, (m + 1/2) tau).  Each entry accumulates the same nodes in
-    the same order as an entry-by-entry build of the matrices would.
+    ((m - 1/2) tau, (m + 1/2) tau), on geometric panels from the lower end
+    upward (the integrand is steepest at small u).  The far-field nodes of
+    all slabs are evaluated in one array pass, and each row sums its own
+    nodes in node order (_sum_in_order).  So each entry accumulates the same
+    nodes in the same order as an entry-by-entry build of the matrices would.
     """
-    diff = _offset_row(grid.xs, grid.xs)
-
-    def far_integral(lo: float, hi: float) -> np.ndarray:
-        # geometric panels from lo upward (integrand steepest at small u)
-        out = np.zeros(2 * grid.nx - 1)
-        edges = _dyadic_edges(lo, hi)
-        for a, b in zip(edges[:-1], edges[1:]):
-            us, ws = _gl_nodes(a, b, gl_order)
-            for u, w in zip(us, ws):
-                out += w * _gauss2_row(grid, gauss_kernel_dt, u, diff)
-        return out
-
     tau = grid.tau
-    rows = [_near_field_row(grid, u_switch) + far_integral(u_switch, tau / 2.0)]
-    rows += [far_integral((m - 0.5) * tau, (m + 0.5) * tau) for m in range(1, grid.nt)]
-    return np.array(rows)
+    windows = [(u_switch, tau / 2.0)]
+    windows += [((m - 0.5) * tau, (m + 0.5) * tau) for m in range(1, grid.nt)]
+    panels = [_panels(_dyadic_edges(lo, hi), gl_order) for lo, hi in windows]
+    us = np.concatenate([nodes.ravel() for nodes, _ in panels])
+    ws = np.concatenate([weights.ravel() for _, weights in panels])
+    # gauss_kernel_dt(u, r2, 1) at the column of nodes, its prefactor
+    # (4 pi u)^(-1/2) in numpy scalar arithmetic as a loop over the nodes
+    # takes it: an array power may round differently
+    amp = np.array([(4.0 * math.pi * u) ** -0.5 for u in us])[:, None]
+
+    def kernel_dt(u, r2, n):
+        return amp * np.exp(-r2 / (4.0 * u)) * (r2 / (4.0 * u * u) - n / (2.0 * u))
+
+    diff = _offset_row(grid.xs, grid.xs)
+    terms = ws[:, None] * _gauss2_row(grid, kernel_dt, us[:, None], diff)
+    ends = np.cumsum([0] + [nodes.size for nodes, _ in panels])
+    rows = np.array([_sum_in_order(terms[a:b]) for a, b in zip(ends[:-1], ends[1:])])
+    rows[0] = _near_field_row(grid, u_switch) + rows[0]
+    return rows
 
 
 def duhamel_reference(

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -184,6 +185,22 @@ def test_run_writes_artifacts_and_manifest(tmp_path, capsys):
         if line.startswith("artifact "):
             _, digest, fname = line.split()
             assert hashlib.sha256(files[fname]).hexdigest() == digest
+
+
+def test_run_prints_one_progress_line_per_experiment_on_stderr(tmp_path, capsys):
+    out = tmp_path / "res"
+    code = main(["run", "growth_Tstar", "l2_stability", "--out", str(out),
+                 "--set", "l2_inputs=2", "--set", "l2_drift=1e-12"])
+    assert code == 1
+    captured = capsys.readouterr()
+    progress = [re.fullmatch(r"(\S+)  (pass|FAIL)  (\d+\.\d\d) s", line)
+                for line in captured.err.splitlines()]
+    assert [m.groups()[:2] for m in progress if m] == [
+        ("growth_Tstar", "pass"), ("l2_stability", "FAIL")]
+    # stdout carries the verdicts only, as before
+    assert captured.out.splitlines() == [
+        "pass  growth_Tstar", "FAIL  l2_stability",
+        f"wrote 4 artifact(s) to {out}"]
 
 
 def test_run_csv_is_rfc4180(tmp_path):

@@ -105,3 +105,46 @@ def test_sample_broadcasts_scalar_fields():
     f = sample(g, lambda tt, xx, yy: xx + yy)
     assert f.values.shape == (2, 4, 4)
     assert f.values[0, 0, 0] == pytest.approx(g.xs[0] * 2)
+
+
+@pytest.mark.parametrize("args", [
+    (1, math.nan, 8, 0.0, 1.0, 4),
+    (1, math.inf, 8, 0.0, 1.0, 4),
+    (1, 1.0, 8, -math.inf, 1.0, 4),
+    (1, 1.0, 8, 0.0, math.nan, 4),
+    (1, 1.0, 8, 0.0, 1.0, 2.5),
+    (1, 1.0, 8.0, 0.0, 1.0, 4),
+], ids=["length_nan", "length_inf", "t_min_inf", "t_max_nan", "nt_float", "nx_float"])
+def test_grid_rejects_non_finite_extents_and_non_integral_sizes(args):
+    with pytest.raises(ValueError):
+        SpaceTimeGrid(*args)
+
+
+def test_grid_accepts_numpy_integer_sizes():
+    g = SpaceTimeGrid(1, 2.0, np.int64(16), 0.0, 1.0, np.int32(8))
+    assert g == halfgrid() and hash(g) == hash(halfgrid())
+    assert g.shape == (8, 16)
+
+
+def test_grid_coordinates_are_cached_and_read_only():
+    g = halfgrid(n=2, L=1.0, nx=4, T=0.5, nt=2)
+    for name in ("xs", "ts", "x_edges", "t_edges"):
+        a = getattr(g, name)
+        assert getattr(g, name) is a
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    assert g.mesh() is g.mesh()
+    for a in g.mesh():
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+    # grids made from g compute their own coordinates
+    fine, ext = g.refine(), even_extend(GridFunction(g, np.zeros(g.shape))).grid
+    for other in (fine, ext):
+        assert other.xs is not g.xs and other.ts is not g.ts
+        assert all(a is not b for a, b in zip(other.mesh(), g.mesh()))
+    assert np.array_equal(fine.xs, -1.0 + (np.arange(8) + 0.5) * 0.25)
+    assert np.array_equal(ext.ts, -0.5 + (np.arange(4) + 0.5) * 0.25)
+    # the cache takes no part in equality or hashing
+    twin = halfgrid(n=2, L=1.0, nx=4, T=0.5, nt=2)
+    assert twin == g and hash(twin) == hash(g)
+    assert twin.xs is not g.xs and np.array_equal(twin.xs, g.xs)

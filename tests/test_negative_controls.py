@@ -37,3 +37,15 @@ def test_an_unpadded_correlation_fails_the_oracle_and_lp_probe(monkeypatch):
     monkeypatch.setattr(heatop, "_fft_shape", lambda nt, nx: (nt, nx))
     for name in ("telescoping_oracle", "lp_probe"):
         assert not run_experiment(name, settings).passed
+
+
+def test_a_correlation_wrapped_in_time_fails_the_oracle(monkeypatch):
+    # padded in space only, at (nt, _fast_len(2 nx - 1)), the correlation
+    # wraps late lags onto early slabs but leaves x alias-free:
+    # max_rel_error reads 0.43 against the 1e-3 gate.  lp_probe passes under
+    # this defect (l1_min_step 0.83, max_refinement_ratio 1.02): its gates do
+    # not see a wrap in time, a blind spot listed under ROADMAP item 3
+    settings = Settings(oracle_inputs=2)
+    monkeypatch.setattr(heatop, "_fft_shape",
+                        lambda nt, nx: (nt, heatop._fast_len(2 * nx - 1)))
+    assert not run_experiment("telescoping_oracle", settings).passed
