@@ -27,7 +27,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hardyheat.atoms import FIT_SLACK
 from hardyheat.config import ConfigError, load_config
 from hardyheat.verify import EXPERIMENTS, run_experiment
 
@@ -37,19 +36,6 @@ MOLECULES = ("atom_images", "tstar_images", "boundary_dirichlet", "boundary_neum
 def scalars(measured: dict) -> dict:
     return {k: v for k, v in sorted(measured.items())
             if isinstance(v, (int, float)) and not isinstance(v, bool)}
-
-
-def slack(op: str, value, bound) -> tuple[float, bool]:
-    """(signed slack of value against the bound, whether it is relative).
-
-    The slack is how far value may move toward the bound before the gate
-    fails, so a gate with "==" reads 0 when it holds and "fit>=" counts
-    FIT_SLACK in; it is divided by |bound| when the bound is a nonzero number.
-    """
-    relative = isinstance(bound, (int, float)) and not isinstance(bound, bool) and bound != 0
-    value, edge = float(value), float(bound) - (FIT_SLACK if op == "fit>=" else 0.0)
-    gap = {"<=": edge - value, "==": 0.0 - abs(value - edge)}.get(op, value - edge)
-    return (gap / abs(bound) if relative else gap), relative
 
 
 def drift(old: float, new: float) -> float:
@@ -103,7 +89,7 @@ def run(args: argparse.Namespace) -> int:
             for gate in EXPERIMENTS[name].gates:
                 if config.settings.n in gate.dims:
                     value, limit = res.measured[gate.key], gate.limit(config.settings)
-                    margin = (*slack(gate.op, value, limit), value, limit, seed)
+                    margin = (*gate.slack(value, limit), value, limit, seed)
                     if gate not in worst or margin[0] < worst[gate][0]:
                         worst[gate] = margin
             values = scalars(res.to_json_dict()["measured"])

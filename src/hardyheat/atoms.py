@@ -128,13 +128,10 @@ def validate_atom(a: GridFunction, Q: ParabolicBall, kind: AtomKind) -> AtomCert
         geometry_ok = True
 
     vol = ball_volume(Q)
-    if kind.uses_sup_norm:
-        size_slack = lp_norm(a, np.inf) * vol
-    else:
-        size_slack = lp_norm(a, 2) * math.sqrt(vol)
+    l2 = lp_norm(a, 2)
+    size_slack = lp_norm(a, np.inf) * vol if kind.uses_sup_norm else l2 * math.sqrt(vol)
 
     moment = integrate(a)
-    l2 = lp_norm(a, 2)
     moment_rel = abs(moment) / (math.sqrt(vol) * l2) if l2 > 0 else 0.0
 
     return AtomCertificate(

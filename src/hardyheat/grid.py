@@ -37,8 +37,8 @@ class SpaceTimeGrid:
     nt: int
 
     def __post_init__(self):
-        if self.n not in (1, 2):
-            raise ValueError("n must be 1 or 2")
+        if not isinstance(self.n, numbers.Integral) or self.n not in (1, 2):
+            raise ValueError(f"n must be 1 or 2, got {self.n!r}")
         if not (isinstance(self.nx, numbers.Integral) and isinstance(self.nt, numbers.Integral)):
             raise ValueError(f"nx and nt must be integers, got {self.nx!r} and {self.nt!r}")
         if not all(map(math.isfinite, (self.length, self.t_min, self.t_max))):
@@ -154,10 +154,7 @@ def sample(grid: SpaceTimeGrid, fn) -> GridFunction:
 def _resolve_mask(f: GridFunction, where) -> np.ndarray | None:
     if where is None:
         return None
-    if callable(where):
-        where = where(*f.grid.mesh())
-    mask = np.broadcast_to(np.asarray(where, dtype=bool), f.grid.shape)
-    return mask
+    return np.broadcast_to(np.asarray(where, dtype=bool), f.grid.shape)
 
 
 def integrate(f: GridFunction, where=None) -> float:

@@ -43,9 +43,9 @@ With the lag rows stacked in time, the telescoped sum over slabs is one
 causal 2-d convolution of the input's time jumps with the row table.  For
 n = 1 it is evaluated as a single zero-padded real FFT correlation, padded to
 at least 2 nt - 1 slabs and 2 nx - 1 cells so nothing wraps around: O(N log N)
-instead of the O(nt² nx²) of one Toeplitz matmul per lag.  For n = 2 each lag
-stays two per-axis matmuls: on a 64² × 32 grid a 3-d FFT of the padded
-space-time volume took 67 ms on one core, the matmuls 18 ms.
+instead of the O(nt² nx²) of one Toeplitz matmul per lag.  For n = 2 it stays
+one matmul per lag and axis (_causal_sum): on a 64² × 32 grid a 3-d FFT of
+the padded space-time volume took 67 ms on one core, the matmuls 18 ms.
 
 At arbitrary points (image_rows, image_window; n = 1) the telescoping is
 summed by parts into one corner sum.  With D the mixed time/space jumps of g
@@ -57,7 +57,7 @@ T* is the same sum on the slab-reversed input, each lag read from the
 reversed time edges.  No tail is cut here either, so molecule decay is
 measured down to the underflow of erfc instead of to a truncation radius.  On
 a cell edge ψ(u, 0) = 0 and the sum reads the midpoint of the jump (H(0) = 1/2).
-Window integrals over x replace ψ by Ψ.
+Window integrals over x replace ψ by Ψ, the kernel of the same _corner_sum.
 
 Half-line kernels (n = 1) come from the method of images,
 K_u(x, y) = p_u(x-y) ∓ p_u(x+y) for Dirichlet/Neumann (Carslaw & Jaeger
@@ -69,12 +69,12 @@ integral (midpoint-in-space ∂_u kernel matrices under Gauss-Legendre panels
 away from the singularity, plus an analytically differentiated near-field),
 sharing no telescoping shortcut with apply_T; it is the oracle the
 acceptance suite compares against.  It takes a sequence of inputs on one grid
-and builds its input-independent matrix stack once per call.  Its entries,
-like apply_T's, depend on i - j only, so the stack is assembled from one row
-of offsets per quadrature node and gathered through the same Toeplitz index.
-The rows of all nodes are evaluated in one array pass and summed node by
-node in the order an entry-by-entry quadrature takes them, so the stack is
-bit-identical to that build.
+and builds its input-independent rows once per call: its entries depend on
+i - j only, so each slab matrix is one row of offsets.  The rows of all
+quadrature nodes are evaluated in one array pass and summed in quadrature
+order, so each matrix is bit-identical to an entry-by-entry build.  They are
+applied by the causal slab sum of n = 2 apply_T, which shares no code with
+the n = 1 FFT the oracle certifies.
 """
 from __future__ import annotations
 
@@ -179,23 +179,28 @@ def _cell_mass_rows(grid: SpaceTimeGrid, us) -> np.ndarray:
     return rows
 
 
-def _gather(grid: SpaceTimeGrid):
-    """The map from a lag's row to its per-axis matrices.
+def _toeplitz(grid: SpaceTimeGrid, rows: np.ndarray) -> np.ndarray:
+    """The nx × nx matrix of each row of offsets: A[i, j] = row[nx - 1 + i - j].
 
     A(u)[i, j] depends only on i - j (Toeplitz).  The tables are whole-space
     only: a half line's image is in its input (_operator_input).
     """
     i = np.arange(grid.nx)
-    toeplitz = grid.nx - 1 + i[:, None] - i[None, :]
-    return lambda row: (row[toeplitz],) * grid.n
+    return np.take(rows, grid.nx - 1 + i[:, None] - i[None, :], axis=-1)
 
 
-def _apply_axes(X: np.ndarray, mats) -> np.ndarray:
-    """Apply per-axis matrices to slab profiles stacked along axis 0."""
-    if len(mats) == 1:
-        return X @ mats[0].T
-    Ax, Ay = mats
-    return np.matmul(np.matmul(Ax, X), Ay.T)
+def _causal_sum(grid: SpaceTimeGrid, rows: np.ndarray, x: np.ndarray, out: np.ndarray):
+    """Add sum_m A_m x_{i-m} to out[i], A_m the Toeplitz matrix of rows[m].
+
+    A_m acts on every spatial axis of the slab profiles x: y A_m^T for n = 1,
+    A_m y A_m^T for n = 2.  One lag's matrix is gathered at a time, and each
+    product is added into the caller's out.
+    """
+    for m in range(len(x)):
+        A = _toeplitz(grid, rows[m])
+        y = x[: len(x) - m]
+        out[m:] += y @ A.T if grid.n == 1 else A @ y @ A.T
+    return out
 
 
 # -- the operator T and its adjoint --------------------------------------------
@@ -275,9 +280,7 @@ def _telescoped(grid: SpaceTimeGrid, g: np.ndarray, spec: KernelSpec):
         if grid.n == 1:
             out[start:] = _correlate(grid, delta[start:], lags)
         else:
-            tables = _gather(grid)
-            for m, row in enumerate(_cell_mass_rows(grid, lags)):
-                out[start + m :] += _apply_axes(delta[start : nt - m], tables(row))
+            _causal_sum(grid, _cell_mass_rows(grid, lags), delta[start:], out[start:])
     out -= g
     if not spec.is_whole:
         out[:, grid.xs <= 0.0] = 0.0
@@ -305,21 +308,24 @@ def apply_Tstar(f: GridFunction, spec: KernelSpec = WHOLE) -> GridFunction:
 _CHUNK = 1 << 16  # elements per temporary array in a corner sum
 
 
-def _corner_sum(f: GridFunction, ts, spec: KernelSpec, op: str, term, out, per_edge: int):
-    """Add term(i, u, edges, D_m) to out[i] for every corner time t_m of f (n = 1).
+def _corner_sum(f: GridFunction, ts, pts: np.ndarray, spec: KernelSpec, op: str, kernel):
+    """Σ_m Σ_j D_mj kernel(u, p - e_j) at every time in ts and point p (n = 1).
 
-    D_m holds the mixed time/space jumps of the whole-space input g
-    (_operator_input) at the corners (t_m, edges), and u = t - t_m; only
-    u > 0 contributes.  T* is T of the slab-reversed input, whose corner m
-    sits at t_min + t_max - t_edges[nt - m]: its lag is t_edges[nt - m] - t,
-    read from the grid's own edges, so no reflected time is ever rounded.
-    Times go in batches whose temporaries hold about _CHUNK elements
-    (per_edge elements per edge and time).
+    pts is one row of points shared by all times, shape (k,), or one row per
+    time, shape (len(ts), k); the result has shape (len(ts), k).  D_m holds
+    the mixed time/space jumps of the whole-space input g (_operator_input)
+    at the corners (t_m, e_j), and u = t - t_m; only u > 0 contributes.  T*
+    is T of the slab-reversed input, whose corner m sits at
+    t_min + t_max - t_edges[nt - m]: its lag is t_edges[nt - m] - t, read
+    from the grid's own edges, so no reflected time is ever rounded.  Times
+    go in batches whose temporaries hold about _CHUNK elements.
     """
     if op not in ("T", "Tstar"):
         raise ValueError("op must be 'T' or 'Tstar'")
     if f.grid.n != 1:
         raise ValueError("corner sums are one-dimensional")
+    if pts.ndim == 2 and len(pts) != len(ts):
+        raise ValueError("per-time points need one row per time")
     g = _operator_input(f, spec)
     if op == "Tstar":
         g, lags = g[::-1], f.grid.t_edges[::-1, None] - ts
@@ -328,30 +334,29 @@ def _corner_sum(f: GridFunction, ts, spec: KernelSpec, op: str, term, out, per_e
     D = np.diff(np.diff(np.pad(g, 1), axis=0), axis=1)
     keep = D.any(axis=0)  # edges without jumps add nothing
     edges, D = f.grid.x_edges[keep], D[:, keep]
-    step = max(1, _CHUNK // max(1, per_edge * len(edges)))
+    out = np.zeros((len(ts), pts.shape[-1]))
+    step = max(1, _CHUNK // max(1, out.shape[1] * len(edges)))
     for m, u in enumerate(lags):
         live = np.flatnonzero(u > 0.0) if D[m].any() else []
         for c in range(0, len(live), step):
             i = live[c : c + step]
-            out[i] += term(i, u[i], edges, D[m])
+            p = pts if pts.ndim == 1 else pts[i]
+            out[i] += kernel(u[i][:, None, None], p[..., None] - edges) @ D[m]
     return out
 
 
 def image_rows(f: GridFunction, ts, x_out, spec: KernelSpec = WHOLE, op: str = "T"):
     """Tf (op="T") or T*f (op="Tstar") at every time in ts on the lattice x_out.
 
-    Shape (len(ts), len(x_out)): the corner sum of the module docstring, n = 1.
-    Half lines read 0 at x <= 0.
+    x_out is one lattice for all times, or one row of points per time, shape
+    (len(ts), k).  The result has shape (len(ts), k): the corner sum of the
+    module docstring, n = 1.  Half lines read 0 at x <= 0.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     x_out = np.atleast_1d(np.asarray(x_out, dtype=float))
-
-    def term(i, u, edges, Dm):
-        return _psi(u[:, None, None], x_out[:, None] - edges) @ Dm
-
-    out = _corner_sum(f, ts, spec, op, term, np.zeros((len(ts), len(x_out))), len(x_out))
+    out = _corner_sum(f, ts, x_out, spec, op, _psi)
     if not spec.is_whole:
-        out[:, x_out <= 0.0] = 0.0
+        out[np.broadcast_to(x_out <= 0.0, out.shape)] = 0.0
     return out
 
 
@@ -365,15 +370,16 @@ def image_window(f: GridFunction, ts, lo, hi, spec: KernelSpec = WHOLE, op: str 
     ends = np.stack(np.broadcast_arrays(lo, hi, ts)[:2], axis=-1).astype(float)
     if not spec.is_whole:
         ends = np.maximum(ends, 0.0)
-
-    def term(i, u, edges, Dm):
-        return _psi_window(u[:, None, None], ends[i][:, :, None] - edges) @ Dm
-
-    out = _corner_sum(f, ts, spec, op, term, np.zeros((len(ts), 2)), 2)
+    out = _corner_sum(f, ts, ends, spec, op, _psi_window)
     return out[:, 1] - out[:, 0]
 
 
 # -- independent Duhamel oracle --------------------------------------------------
+
+# below u = U_SWITCH * tau the oracle integrates the analytic u-derivative of
+# the cell mass; above it, the sampled kernel on Gauss-Legendre panels
+U_SWITCH = 0.125
+
 
 @functools.lru_cache(maxsize=None)
 def _leggauss(order: int):
@@ -405,7 +411,7 @@ def _offset_row(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Entry nx - 1 + k is a[k] - b[0] for k >= 0 and a[0] - b[-k] for k < 0.
     On the uniform grid that is a_i - b_j for every i - j = k, bit for bit on
-    dyadic grids; _gather's Toeplitz index reads it back as a matrix.
+    dyadic grids; _toeplitz reads it back as a matrix.
     """
     return np.concatenate([a[0] - b[:0:-1], a - b[0]])
 
@@ -491,25 +497,23 @@ def _duhamel_rows(grid: SpaceTimeGrid, u_switch: float, gl_order: int) -> np.nda
     return rows
 
 
-def duhamel_reference(
-    fs: Sequence[GridFunction], u_switch: float | None = None
-) -> list[GridFunction]:
+def duhamel_reference(fs: Sequence[GridFunction]) -> list[GridFunction]:
     """Brute-force space-time quadrature of the defining integral of T.
 
     Writes Tf(t_i) = sum over slabs of ∫ (Δ e^{uΔ}) g du over the slab's
-    u-window.  For u >= u_switch the integrand is the two-point-Gauss-sampled
-    ∂_u kernel matrix under Gauss-Legendre panels in u (geometrically refined
-    toward u_switch); for u < u_switch — only the active slab reaches it —
-    the analytic u-derivative of the cell mass is integrated instead, so no
-    route through the telescoped semigroup formula of apply_T is used.  The
-    far panels carry 12 Gauss-Legendre nodes each.  Whole-space, n = 1.
+    u-window.  For u >= U_SWITCH tau the integrand is the
+    two-point-Gauss-sampled ∂_u kernel matrix under Gauss-Legendre panels in
+    u (geometrically refined toward the switch); below it — only the active
+    slab reaches there — the analytic u-derivative of the cell mass is
+    integrated instead, so no route through the telescoped semigroup formula
+    of apply_T is used.  The far panels carry 12 Gauss-Legendre nodes each.
+    Whole-space, n = 1.
 
     Takes a sequence of inputs on one grid and returns their references in
-    order.  The stack of slab matrices C_m depends only on the grid, so it is
-    built once per call and applied to every input; nothing is kept between
-    calls.  On the uniform grid every entry depends on i - j only, so each
-    quadrature node is evaluated on one row of 2 nx - 1 offsets and each C_m
-    is gathered from its accumulated row (_duhamel_rows).
+    order.  The rows of the slab matrices C_m depend only on the grid, so
+    they are built once per call (_duhamel_rows) and applied to every input
+    by the causal slab sum Σ_m C_m g_{i-m} (_causal_sum); nothing is kept
+    between calls.
     """
     fs = list(fs)
     if not fs:
@@ -521,23 +525,9 @@ def duhamel_reference(
         raise ValueError("the reference oracle is implemented for n = 1, whole space")
     if grid.t_min < 0:
         raise ValueError("T acts on functions on X")
-    tau = grid.tau
-    if u_switch is None:
-        u_switch = tau / 8.0
-    if not 0.0 < u_switch <= tau / 2.0:
-        raise ValueError("u_switch must lie in (0, tau/2]")
-
-    tables = _gather(grid)
-    C = [tables(row)[0] for row in _duhamel_rows(grid, u_switch, 12)]
-
-    refs = []
-    for f in fs:
-        g = f.values
-        out = np.zeros_like(g)
-        for m in range(grid.nt):
-            out[m:] += g[: grid.nt - m] @ C[m].T
-        refs.append(GridFunction(grid, out))
-    return refs
+    rows = _duhamel_rows(grid, U_SWITCH * grid.tau, 12)
+    return [GridFunction(grid, _causal_sum(grid, rows, f.values, np.zeros(grid.shape)))
+            for f in fs]
 
 
 def spatial_quadrature_error(f: GridFunction, u: float) -> float:
@@ -553,7 +543,7 @@ def spatial_quadrature_error(f: GridFunction, u: float) -> float:
     if grid.n != 1:
         raise ValueError("defined for n = 1")
     row = _gauss2_row(grid, gauss_kernel, u, _offset_row(grid.xs, grid.xs))
-    (gap,) = _gather(grid)(row - _cell_mass_rows(grid, [u])[0])
+    gap = _toeplitz(grid, row - _cell_mass_rows(grid, [u])[0])
     resid = (f.values @ gap.T) ** 2
     per_slab = np.sqrt(resid.sum(axis=1) * grid.h)
     return float(math.sqrt(grid.tau) * per_slab.sum())

@@ -42,6 +42,7 @@ from .grid import GridFunction, SpaceTimeGrid, lp_norm, restrict, time_reflect
 from .heatop import (
     HALF_LINE_DIRICHLET,
     HALF_LINE_NEUMANN,
+    U_SWITCH,
     WHOLE,
     KernelSpec,
     _dyadic_edges,
@@ -200,6 +201,19 @@ class Gate:
     def holds(self, measured: dict, settings: Settings) -> bool:
         return bool(_COMPARE[self.op](measured[self.key], self.limit(settings)))
 
+    def slack(self, value, limit) -> tuple[float, bool]:
+        """(signed slack of value against the limit, whether it is relative).
+
+        The slack is how far value may move toward the limit before the gate
+        fails, so "==" reads 0 when it holds and "fit>=" counts FIT_SLACK in;
+        it is divided by |limit| when the limit is a nonzero number.
+        """
+        relative = (isinstance(limit, (int, float)) and not isinstance(limit, bool)
+                    and limit != 0)
+        value, edge = float(value), float(limit) - (FIT_SLACK if self.op == "fit>=" else 0.0)
+        gap = {"<=": edge - value, "==": 0.0 - abs(value - edge)}.get(self.op, value - edge)
+        return (gap / abs(limit) if relative else gap), relative
+
 
 @dataclass(frozen=True)
 class Measurement:
@@ -336,17 +350,15 @@ def _window_moment(
     _time_panels, with Gauss-Legendre nodes inside each panel; the integrand
     is evaluated at all nodes in one call.
     """
-    edges = _time_panels(f.grid, t_lo, t_hi)
-    ts, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        # the image behaves like sqrt(t - edge) just past a slab edge (and
-        # like sqrt(edge - t) just before one for T*); a square-root
-        # substitution at the singular end keeps the panels spectral
-        ss, wq = _gl_nodes(0.0, math.sqrt(b - a), gl_order)
-        ts.append(a + ss * ss if op == "T" else b - ss * ss)
-        ws.append(2.0 * ss * wq)
-    values = image_window(f, np.concatenate(ts), win[0], win[1], spec, op)
-    return float(np.concatenate(ws) @ values)
+    edges = np.asarray(_time_panels(f.grid, t_lo, t_hi))
+    a, b = edges[:-1, None], edges[1:, None]
+    # the image behaves like sqrt(t - edge) just past a slab edge (and like
+    # sqrt(edge - t) just before one for T*); a square-root substitution at
+    # the singular end keeps the panels spectral
+    ss, wq = _gl_nodes(0.0, np.sqrt(b - a), gl_order)
+    ts = a + ss * ss if op == "T" else b - ss * ss
+    values = image_window(f, ts.ravel(), win[0], win[1], spec, op)
+    return float((2.0 * ss * wq).ravel() @ values)
 
 
 def _annulus_rows(outer: ParabolicBall, grid: SpaceTimeGrid, rows_target: int):
@@ -529,12 +541,12 @@ def telescoping_oracle(settings: Settings) -> Measurement:
     for f, ref, f2, ref2 in zip(coarse, refs, refined, refs2):
         gap = lp_norm(apply_T(f) - ref, 2)
         rels.append(gap / lp_norm(ref, 2))
-        factors.append(gap / spatial_quadrature_error(f, grid.tau / 8.0))
+        factors.append(gap / spatial_quadrature_error(f, U_SWITCH * grid.tau))
         gap2 = lp_norm(apply_T(f2) - ref2, 2)
         improvements.append(gap / gap2 if gap2 > 0 else math.inf)
     return Measurement(
         parameters={"grid": asdict(grid), "inputs": settings.oracle_inputs,
-                    "u_switch": grid.tau / 8.0},
+                    "u_switch": U_SWITCH * grid.tau},
         measured={
             "max_rel_error": max(rels),
             "max_gap_over_budget": max(factors),
@@ -742,13 +754,10 @@ def growth_T(settings: Settings) -> Measurement:
     slope, intercept = np.polyfit(logs, vals, 1)
     resid = float(np.abs(np.asarray(vals) - (slope * logs + intercept)).max())
     # single-signedness spot check on the cone: 21 points across |x| <= √t/2
-    # at each of 37 times, all in one call; each time reads its own points,
-    # the diagonal blocks of the (time, time, point) result
+    # at each of 37 times, each time on its own row of points, in one call
     ts = np.linspace(4.0, max(Ts), 37)
     W = 0.5 * np.sqrt(ts)
-    xs = np.linspace(-W, W, 21, axis=1)
-    rows = image_rows(_BOX, ts, xs.ravel()).reshape(len(ts), len(ts), -1)
-    sign_max = float(rows[np.arange(len(ts)), np.arange(len(ts))].max())
+    sign_max = float(image_rows(_BOX, ts, np.linspace(-W, W, 21, axis=1)).max())
     # the same box is certified by the odd-extension route
     grid = SpaceTimeGrid(1, 4.0, 64, 0.0, 4.0, 32)
     tt, xx = grid.mesh()

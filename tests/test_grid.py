@@ -114,14 +114,16 @@ def test_sample_broadcasts_scalar_fields():
     (1, 1.0, 8, 0.0, math.nan, 4),
     (1, 1.0, 8, 0.0, 1.0, 2.5),
     (1, 1.0, 8.0, 0.0, 1.0, 4),
-], ids=["length_nan", "length_inf", "t_min_inf", "t_max_nan", "nt_float", "nx_float"])
+    (1.0, 1.0, 8, 0.0, 1.0, 4),
+], ids=["length_nan", "length_inf", "t_min_inf", "t_max_nan", "nt_float", "nx_float",
+        "n_float"])
 def test_grid_rejects_non_finite_extents_and_non_integral_sizes(args):
     with pytest.raises(ValueError):
         SpaceTimeGrid(*args)
 
 
 def test_grid_accepts_numpy_integer_sizes():
-    g = SpaceTimeGrid(1, 2.0, np.int64(16), 0.0, 1.0, np.int32(8))
+    g = SpaceTimeGrid(np.int64(1), 2.0, np.int64(16), 0.0, 1.0, np.int32(8))
     assert g == halfgrid() and hash(g) == hash(halfgrid())
     assert g.shape == (8, 16)
 

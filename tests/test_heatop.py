@@ -28,15 +28,14 @@ from hardyheat.heatop import (
     spatial_quadrature_error,
 )
 from hardyheat.heatop import (
-    _apply_axes,
     _cell_mass_rows,
     _duhamel_rows,
     _fast_len,
-    _gather,
     _gl_nodes,
     _near_field_row,
     _operator_input,
     _psi,
+    _toeplitz,
 )
 
 DIRICHLET = KernelSpec(1, HALF_LINE_DIRICHLET)
@@ -53,7 +52,15 @@ def inner(f, g):
 
 def _matrices(grid, u):
     """Per-axis whole-space matrices for one semigroup application (time u)."""
-    return _gather(grid)(_cell_mass_rows(grid, [u])[0])
+    return (_toeplitz(grid, _cell_mass_rows(grid, [u])[0]),) * grid.n
+
+
+def _apply_axes(X, mats):
+    """Apply per-axis matrices to slab profiles stacked along axis 0."""
+    if len(mats) == 1:
+        return X @ mats[0].T
+    Ax, Ay = mats
+    return np.matmul(np.matmul(Ax, X), Ay.T)
 
 
 # -- pointwise kernel values ------------------------------------------------------
@@ -242,7 +249,7 @@ def test_near_field_matrix_integrates_to_cell_mass_difference():
     # independent panel quadrature of dA/du must land on A(u) - I
     g = xgrid(nx=32)
     u = g.tau / 8.0
-    (N,) = _gather(g)(_near_field_row(g, u))
+    N = _toeplitz(g, _near_field_row(g, u))
     (A,) = _matrices(g, u)
     assert np.max(np.abs(N - (A - np.eye(g.nx)))) < 1e-10
 
@@ -589,6 +596,18 @@ def test_image_rows_match_one_row_calls(spec, op):
     assert rows.shape == (len(ts), len(xs))
     for t, row in zip(ts, rows):
         assert np.array_equal(row, image_rows(f, [t], xs, spec, op)[0])
+    # one row of points per time: each row is its one-row call, half lines
+    # reading 0 at that row's own x <= 0
+    X = np.stack([np.roll(xs, k) + 0.03 * k for k in range(len(ts))])
+    X[2, 4] = 0.0
+    per_time = image_rows(f, ts, X, spec, op)
+    assert per_time.shape == X.shape
+    for t, x_row, row in zip(ts, X, per_time):
+        assert np.array_equal(row, image_rows(f, [t], x_row, spec, op)[0])
+    if not spec.is_whole:
+        assert np.all(per_time[X <= 0.0] == 0.0) and np.any(per_time[X > 0.0] != 0.0)
+    with pytest.raises(ValueError, match="one row per time"):
+        image_rows(f, ts, X[:2], spec, op)
     # the slab-midpoint rows agree with the grid operator
     grid_op = {"T": apply_T, "Tstar": apply_Tstar}[op](f, spec).values
     mid = image_rows(f, g.ts, g.xs, spec, op)
@@ -804,21 +823,19 @@ def test_duhamel_rows_equal_dense_build(L, nx, T, nt):
     # dyadic: x offsets are exact on all three, so the rows gather to the
     # same floating-point matrices as the entry-by-entry build
     g = SpaceTimeGrid(1, L, nx, 0.0, T, nt)
-    tables = _gather(g)
     dense = _dense_duhamel_stack(g, g.tau / 8.0)
     rows = _duhamel_rows(g, g.tau / 8.0, 12)
     assert len(rows) == len(dense) == nt
     for row, C in zip(rows, dense):
-        assert np.array_equal(tables(row)[0], C)
+        assert np.array_equal(_toeplitz(g, row), C)
 
 
 def test_duhamel_rows_match_dense_build_off_dyadic_offsets():
     # h = 1/6: x_i - x_j carries different roundings than x_k - x_0, so the
     # entries agree to rounding only (measured at most 8e-16 of max |C_m|)
     g = SpaceTimeGrid(1, 2.0, 24, 0.0, 2.0, 12)
-    tables = _gather(g)
     for row, C in zip(_duhamel_rows(g, g.tau / 8.0, 12), _dense_duhamel_stack(g, g.tau / 8.0)):
-        assert np.max(np.abs(tables(row)[0] - C)) <= 1e-13 * np.max(np.abs(C))
+        assert np.max(np.abs(_toeplitz(g, row) - C)) <= 1e-13 * np.max(np.abs(C))
 
 
 def test_duhamel_reference_batch_equals_single_calls():
@@ -840,8 +857,6 @@ def test_duhamel_reference_rejects_unsupported_setups():
         duhamel_reference([f2])
     g = xgrid()
     f = GridFunction(g, np.zeros(g.shape))
-    with pytest.raises(ValueError):
-        duhamel_reference([f], u_switch=g.tau)
     with pytest.raises(ValueError):
         duhamel_reference([])
     other = GridFunction(xgrid(nx=32), np.zeros(xgrid(nx=32).shape))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 from scipy.special import erf
 
+from hardyheat.atoms import FIT_SLACK
 from hardyheat.grid import GridFunction, SpaceTimeGrid
 from hardyheat.heatop import (
     HALF_LINE_DIRICHLET,
@@ -26,6 +27,7 @@ from hardyheat.verify import (
     C_TSTAR,
     EXPERIMENTS,
     ExperimentResult,
+    Gate,
     Settings,
     _annulus_rows,
     _BOX,
@@ -47,6 +49,27 @@ FAST = dataclasses.replace(
 
 
 # -- settings & result plumbing ----------------------------------------------
+
+
+@pytest.mark.parametrize("op, value, limit, slack, holds", [
+    ("<=", 0.5, 2.0, (0.75, True), True),
+    ("<=", 0.25, 0.0, (-0.25, False), False),
+    (">=", 3.0, 2.0, (0.5, True), True),
+    (">=", 1.0, 2.0, (-0.5, True), False),
+    (">", 0.25, 0.0, (0.25, False), True),
+    (">", 0.0, 0.0, (0.0, False), False),
+    ("==", True, True, (0.0, False), True),
+    ("==", False, True, (-1.0, False), False),
+    ("fit>=", 0.5, 0.5, ((0.5 - (0.5 - FIT_SLACK)) / 0.5, True), True),
+    ("fit>=", 0.5 - FIT_SLACK, 0.5, (0.0, True), True),
+    ("fit>=", 0.25, 0.5, ((0.25 - (0.5 - FIT_SLACK)) / 0.5, True), False),
+])
+def test_gate_slack_reads_how_far_the_value_may_move(op, value, limit, slack, holds):
+    # a value exactly FIT_SLACK below a fit>= bound sits on the edge: slack 0,
+    # and the gate still holds
+    gate = Gate("x", op, limit)
+    assert gate.slack(value, limit) == slack
+    assert gate.holds({"x": value}, Settings()) is holds
 
 
 def test_settings_frozen():
