@@ -6,13 +6,14 @@ One line per (experiment, seed): the verdict and every scalar in the result's
 bound.  A closing line per experiment gives the pass rate, followed by one
 line per gate that applies: the worst value over the seeds that ran, the
 bound and the signed slack (positive passes; relative to |bound| when the
-bound is a nonzero number, absolute otherwise).  Defaults to the
-four molecule experiments at their full default sizes; ``--set key=value``
-overrides any flat settings key, as in ``hardyheat run``.  ``--json PATH``
-also writes the records, so two checkouts can be compared value by value.
-``--against OLD.json`` reads such a file from an earlier run and prints, for
-each experiment and measured key, the largest relative drift of this run
-from it (|new - old| / |old|), and every seed whose verdict changed.
+bound is a nonzero number, absolute otherwise).  Defaults to every
+experiment at its full default size; ``--set key=value`` overrides any flat
+settings key, as in ``hardyheat run``.  ``--json PATH`` also writes the
+records, so two checkouts can be compared value by value.  ``--against
+OLD.json`` reads such a file from an earlier run and prints, for each
+experiment and measured key, the largest relative drift of this run from it
+(|new - old| / |old|), and every seed whose verdict changed.  Exit status:
+0 when every seed passed, 1 when one failed or raised.
 
     python3 scripts/seed_sweep.py --seeds 9
     python3 scripts/seed_sweep.py --seeds 3 --set n_atoms=5 atom_images
@@ -29,8 +30,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from hardyheat.config import ConfigError, load_config
 from hardyheat.verify import EXPERIMENTS, run_experiment
-
-MOLECULES = ("atom_images", "tstar_images", "boundary_dirichlet", "boundary_neumann")
 
 
 def scalars(measured: dict) -> dict:
@@ -72,7 +71,7 @@ def run(args: argparse.Namespace) -> int:
         raise ConfigError("--set takes KEY=VALUE")
     overrides = dict(kv.split("=", 1) for kv in args.set)
     records = []
-    for name in args.experiments or MOLECULES:
+    for name in args.experiments or EXPERIMENTS:
         passes = 0
         worst = {}  # gate -> (slack, relative, value, limit, seed)
         for seed in range(args.seeds + 1):
@@ -107,13 +106,13 @@ def run(args: argparse.Namespace) -> int:
         Path(args.json).write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
     if args.against:
         print_drifts(records, json.loads(Path(args.against).read_text()))
-    return 0
+    return 0 if all(r["passed"] for r in records) else 1
 
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("experiments", nargs="*", help="registry names (default: molecules)")
+    ap.add_argument("experiments", nargs="*", help="registry names (default: all)")
     ap.add_argument("--seeds", type=int, default=9, help="sweep seeds 0..N (default 9)")
     ap.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                     help="override a settings key; repeatable")

@@ -63,6 +63,14 @@ class AtomKind(str, enum.Enum):
     def needs_moment(self) -> bool:
         return self is not AtomKind.TYPE_B
 
+    def fits(self, Q: ParabolicBall) -> bool:
+        """Whether Q sits where this kind's atoms live: 4Q ⊆ X for type (a),
+        2Q ⊆ X but 4Q ⊄ X for type (b), anywhere for the classical kinds."""
+        if not self.on_halfspace:
+            return True
+        two_in, four_in = halfspace_flags(Q)
+        return four_in if self is AtomKind.TYPE_A else (two_in and not four_in)
+
 
 @dataclass(frozen=True)
 class AtomCertificate:
@@ -90,23 +98,6 @@ class AtomCertificate:
             ok = ok and self.moment_rel <= self.tol
         return ok
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "ball": _ball_dict(self.ball),
-            "support_ok": self.support_ok,
-            "geometry_ok": self.geometry_ok,
-            "size_slack": float(self.size_slack),
-            "moment": float(self.moment),
-            "moment_rel": float(self.moment_rel),
-            "tol": float(self.tol),
-            "passed": self.passed,
-        }
-
-
-def _ball_dict(Q: ParabolicBall) -> dict:
-    return {"t0": float(Q.t0), "x0": [float(c) for c in Q.x0], "radius": float(Q.radius)}
-
 
 def validate_atom(a: GridFunction, Q: ParabolicBall, kind: AtomKind) -> AtomCertificate:
     """Certify a as an atom of the given kind adapted to Q.
@@ -120,12 +111,7 @@ def validate_atom(a: GridFunction, Q: ParabolicBall, kind: AtomKind) -> AtomCert
     outside = np.abs(a.values[~mask])
     scale = max(float(np.abs(a.values).max()), 1.0)
     support_ok = bool(outside.size == 0 or outside.max() <= ATOM_TOL * scale)
-
-    if kind.on_halfspace:
-        two_in, four_in = halfspace_flags(Q)
-        geometry_ok = four_in if kind is AtomKind.TYPE_A else (two_in and not four_in)
-    else:
-        geometry_ok = True
+    geometry_ok = kind.fits(Q)
 
     vol = ball_volume(Q)
     l2 = lp_norm(a, 2)
@@ -176,15 +162,13 @@ def make_atom(
 ) -> GridFunction:
     """Random atom of the given kind adapted to Q, normalised to equality in
     the size bound.  Moment-bearing kinds are demeaned on the support, so the
-    cell-sum moment vanishes to rounding."""
+    cell-sum moment vanishes to rounding; a field that cancels there (one
+    support cell, for those kinds) raises ValueError."""
     kind = AtomKind(kind)
     if not grid.covers_ball(Q, clip_time=kind.on_halfspace):
         raise ValueError("grid does not cover the ball")
-    if kind.on_halfspace:
-        two_in, four_in = halfspace_flags(Q)
-        want = four_in if kind is AtomKind.TYPE_A else (two_in and not four_in)
-        if not want:
-            raise ValueError(f"ball geometry does not match {kind.value}")
+    if not kind.fits(Q):
+        raise ValueError(f"ball geometry does not match {kind.value}")
 
     rng = np.random.default_rng(seed)
     mask = Q.mask(*grid.mesh())
@@ -192,14 +176,7 @@ def make_atom(
     if kind.needs_moment:
         vals[mask] -= vals[mask].mean()
     if np.abs(vals).max() < 1e-12:
-        # pathological cancellation: fall back to a parity pattern
-        flat = np.zeros(grid.shape)
-        sel = np.argwhere(mask)
-        signs = 1.0 - 2.0 * (sel.sum(axis=1) % 2)
-        if kind.needs_moment:
-            signs = signs - signs.mean()
-        flat[tuple(sel.T)] = signs
-        vals = flat
+        raise ValueError(f"random field cancels on the {int(mask.sum())} support cells of Q")
 
     vol = ball_volume(Q)
     if kind.uses_sup_norm:
@@ -264,19 +241,6 @@ class MoleculeReport:
         The exponent comparison allows FIT_SLACK (1e-9) of slack.
         """
         return self.fitted_alpha >= self.alpha - FIT_SLACK
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ball": _ball_dict(self.ball),
-            "alpha": float(self.alpha),
-            "js": list(self.js),
-            "weighted_norms": [float(m) for m in self.weighted_norms],
-            "fitted_alpha": float(self.fitted_alpha),
-            "constant": float(self.constant),
-            "moment": float(self.moment),
-            "moment_scale": float(self.moment_scale),
-            "moment_rel": float(self.moment_rel),
-        }
 
 
 def molecule_report(
@@ -360,12 +324,6 @@ def make_molecule(
         if fluct_sq < 0:
             raise ValueError("moment profile incompatible with the norm target")
         l2 = math.sqrt((f**2).sum() * grid.cell_measure)
-        if l2 == 0.0:
-            sel = np.argwhere(mask)
-            f = np.zeros(grid.shape)
-            f[tuple(sel.T)] = 1.0 - 2.0 * (sel.sum(axis=1) % 2)
-            f[mask] -= f[mask].mean()
-            l2 = math.sqrt((f**2).sum() * grid.cell_measure)
         if l2 == 0.0:
             raise ValueError(f"annulus j={j} too small to carry a fluctuation")
         vals += f * (math.sqrt(fluct_sq) / l2)

@@ -462,7 +462,7 @@ def restrict_decompose(A: GridFunction, Q: ParabolicBall) -> Decomposition:
         raise DecompositionError("grid does not cover Q (clipped to X)")
     cert = validate_atom(A, Q, AtomKind.CLASSICAL_2)
     if not cert.passed:
-        raise DecompositionError(f"input is not a classical L2 atom: {cert.to_json_dict()}")
+        raise DecompositionError(f"input is not a classical L2 atom: {cert}")
     if truncated_volume(Q) <= 0.0:
         raise DecompositionError("Q does not meet the half-space")
 
@@ -601,9 +601,7 @@ def hz_decompose(f: GridFunction, given: Decomposition) -> Decomposition:
             cases["straddling"] += 1
         cert = validate_atom(a, out_ball, AtomKind.CLASSICAL_2)
         if not cert.passed:
-            raise DecompositionError(
-                f"symmetrised term failed validation: {cert.to_json_dict()}"
-            )
+            raise DecompositionError(f"symmetrised term failed validation: {cert}")
         terms.append(Term(t.coefficient, a, out_ball, AtomKind.CLASSICAL_2))
 
     dec = Decomposition(terms, residual=0.0, ledger={"cases": cases})
@@ -648,8 +646,7 @@ def molecule_decompose(
     report = molecule_report(m, Q, alpha=alpha, J=J)
     if not report.certifies():
         raise DecompositionError(
-            f"molecule report does not certify decay alpha={alpha}: "
-            f"{report.to_json_dict()}"
+            f"molecule report does not certify decay alpha={alpha}: {report}"
         )
     grid = m.grid
     mesh = grid.mesh()
@@ -721,7 +718,6 @@ def molecule_decompose(
             "b_slack": b_slack,
             "tail_mu": float(tail),
             "mu_decay_constant": float(mu_const),
-            "report": report.to_json_dict(),
         }
     )
     return dec

@@ -178,31 +178,24 @@ def lp_norm(f: GridFunction, p: float, where=None) -> float:
 
 # -- time reflections and extensions -----------------------------------------
 
-def _check_halfspace(f: GridFunction):
+def _extend(f: GridFunction, sign: float) -> GridFunction:
+    """f on (0, T+] and sign * f(-t, x) on (-T+, 0]."""
     if not f.grid.over_halfspace():
         raise ValueError("extension input must live on a grid over X (t_min == 0)")
-
-
-def _extended_grid(g: SpaceTimeGrid) -> SpaceTimeGrid:
-    return SpaceTimeGrid(g.n, g.length, g.nx, -g.t_max, g.t_max, 2 * g.nt)
+    g = f.grid
+    ext = SpaceTimeGrid(g.n, g.length, g.nx, -g.t_max, g.t_max, 2 * g.nt)
+    values = np.empty(ext.shape)
+    values[g.nt :] = f.values
+    values[: g.nt] = sign * f.values[::-1]
+    return GridFunction(ext, values)
 
 
 def even_extend(f: GridFunction) -> GridFunction:
-    _check_halfspace(f)
-    g = _extended_grid(f.grid)
-    values = np.empty(g.shape)
-    values[f.grid.nt :] = f.values
-    values[: f.grid.nt] = f.values[::-1]
-    return GridFunction(g, values)
+    return _extend(f, 1.0)
 
 
 def odd_extend(f: GridFunction) -> GridFunction:
-    _check_halfspace(f)
-    g = _extended_grid(f.grid)
-    values = np.empty(g.shape)
-    values[f.grid.nt :] = f.values
-    values[: f.grid.nt] = -f.values[::-1]
-    return GridFunction(g, values)
+    return _extend(f, -1.0)
 
 
 def time_reflect(F: GridFunction) -> GridFunction:

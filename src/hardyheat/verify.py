@@ -121,8 +121,7 @@ class Settings:
 
 def _x0(Q: ParabolicBall) -> float:
     """Scalar spatial centre of a one-dimensional ball."""
-    x = Q.center.x
-    return float(x[0]) if isinstance(x, tuple) else float(x)
+    return float(Q.center.x[0])
 
 
 def _jsonable(obj):
@@ -435,6 +434,17 @@ def image_molecule_report(
     return report, row_l1_max
 
 
+def _sup_atom(grid: SpaceTimeGrid, mask: np.ndarray, rng, Q: ParabolicBall) -> GridFunction:
+    """Random bump field on the mask, demeaned there, with sup norm 1/ν(Q ∩ X)."""
+    vals = _bump_field(grid, mask, rng)
+    vals[mask] -= vals[mask].mean()
+    peak = np.abs(vals).max()
+    if peak == 0.0:
+        raise ValueError("degenerate sample; use another seed")
+    vals /= peak * truncated_volume(Q)
+    return GridFunction(grid, vals)
+
+
 def random_hz_atom(seed: int) -> tuple[GridFunction, ParabolicBall]:
     """Random (1, ∞)-atom for the zero-extension space, on its own small grid.
 
@@ -450,15 +460,7 @@ def random_hz_atom(seed: int) -> tuple[GridFunction, ParabolicBall]:
     x0 = float(rng.uniform(-0.25, 0.25))
     Q = ball(t0, x0, r)
     grid = SpaceTimeGrid(1, 0.8, 40, 0.0, 1.05 * (t0 + r * r), 14)
-    mesh = grid.mesh()
-    mask = Q.mask(*mesh)
-    vals = _bump_field(grid, mask, rng)
-    vals[mask] -= vals[mask].mean()
-    peak = np.abs(vals).max()
-    if peak == 0.0:
-        raise ValueError("degenerate sample; use another seed")
-    vals /= peak * truncated_volume(Q)
-    return GridFunction(grid, vals), Q
+    return _sup_atom(grid, Q.mask(*grid.mesh()), rng, Q), Q
 
 
 def _moment_scale(a: GridFunction, Q: ParabolicBall) -> float:
@@ -888,17 +890,16 @@ def roundtrips(settings: Settings) -> Measurement:
             raise AssertionError("restriction residual must be exactly zero")
         overlaps.append(dec.ledger["overlap_max"])
         constants.append(dec.ledger["coefficient_constant_raw"])
+    parameters = {"n": settings.n, "n_balls": settings.n_roundtrip_balls}
+    measured = {"restrict_residual_max": 0.0,
+                "overlap_max": max(overlaps),
+                "coefficient_constant_max": max(constants)}
     overlap_note = (f"whitney overlap bound: {WHITNEY_OVERLAP_BOUND[settings.n]} "
                     f"(n = {settings.n})")
     if settings.n == 2:
-        return Measurement(
-            parameters={"n": 2, "n_balls": settings.n_roundtrip_balls},
-            measured={"restrict_residual_max": 0.0,
-                      "overlap_max": max(overlaps),
-                      "coefficient_constant_max": max(constants)},
-            notes=("restriction leg only: the even-extension and molecule legs "
-                   "are one-dimensional", overlap_note),
-        )
+        return Measurement(parameters=parameters, measured=measured,
+                           notes=("restriction leg only: the even-extension and "
+                                  "molecule legs are one-dimensional", overlap_note))
     hz_resid = []
     grid_hz = SpaceTimeGrid(1, 4.0, 64, -6.0, 6.0, 96)
     for i in range(settings.n_hz_given):
@@ -924,19 +925,11 @@ def roundtrips(settings: Settings) -> Measurement:
                           seed=settings.seed, moment_profile="geometric")
         dec = molecule_decompose(m, mol_ball, alpha=settings.alpha, J=J)
         tail_constants.append(dec.residual * 2.0 ** (J * settings.alpha))
-    return Measurement(
-        parameters={"n": 1, "n_balls": settings.n_roundtrip_balls,
-                    "n_hz_given": settings.n_hz_given, "alpha": settings.alpha},
-        measured={
-            "restrict_residual_max": 0.0,
-            "overlap_max": max(overlaps),
-            "coefficient_constant_max": max(constants),
-            "hz_residual_max": max(hz_resid),
-            "molecule_tail_constants": tail_constants,
-            "molecule_tail_constant_max": max(tail_constants),
-        },
-        notes=(overlap_note,),
-    )
+    parameters.update(n_hz_given=settings.n_hz_given, alpha=settings.alpha)
+    measured.update(hz_residual_max=max(hz_resid),
+                    molecule_tail_constants=tail_constants,
+                    molecule_tail_constant_max=max(tail_constants))
+    return Measurement(parameters=parameters, measured=measured, notes=(overlap_note,))
 
 
 @experiment(
@@ -1036,13 +1029,9 @@ def _wall_atom(x0: float, r: float, seed: int, nx: int = 48,
     """Mean-zero sup-normalised atom at distance x0 from the wall, t0 = 2r²."""
     Q = ball(2.0 * r * r, x0, r)
     grid = SpaceTimeGrid(1, length, nx, 0.0, 1.05 * (Q.t0 + r * r), 12)
-    rng = np.random.default_rng(seed)
     mesh = grid.mesh()
     mask = Q.mask(*mesh) & (mesh[1] > 0.0)
-    vals = _bump_field(grid, mask, rng)
-    vals[mask] -= vals[mask].mean()
-    vals /= np.abs(vals).max() * truncated_volume(Q)
-    return GridFunction(grid, vals), Q
+    return _sup_atom(grid, mask, np.random.default_rng(seed), Q), Q
 
 
 def boundary_dichotomy(kind: str, settings: Settings) -> Measurement:

@@ -42,7 +42,7 @@ def test_make_validate_roundtrip(kind, seed):
     Q = BALLS[kind]
     a = make_atom(grid, Q, kind, seed=seed)
     cert = validate_atom(a, Q, kind)
-    assert cert.passed, cert.to_json_dict()
+    assert cert.passed, cert
     # normalisation is tight, not just within tolerance
     assert cert.size_slack == pytest.approx(1.0, rel=1e-12)
     if kind.needs_moment:
@@ -174,3 +174,16 @@ def test_report_moment_scale_dominates_l1():
     outer = dilate(Q, 2.0**5).mask(*grid.mesh())
     assert lp_norm(m, 1, where=outer) <= rep.moment_scale + 1e-12
     assert abs(rep.moment) <= rep.moment_scale * rep.moment_rel + 1e-15
+
+
+def test_one_cell_support_raises():
+    # a single support cell demeans to zero: no atom or annulus fluctuation exists
+    grid = SpaceTimeGrid(1, 1.0, 8, -1.0, 1.0, 8)
+    Q = ball(0.125, 0.125, 0.1)
+    assert Q.mask(*grid.mesh()).sum() == 1
+    with pytest.raises(ValueError, match="cancels"):
+        make_atom(grid, Q, AtomKind.CLASSICAL_2)
+    coarse = SpaceTimeGrid(1, 1.0, 1, 0.0, 0.3, 1)
+    Qm = ball(0.1, 0.0, 0.1)
+    with pytest.raises(ValueError, match="too small to carry a fluctuation"):
+        make_molecule(coarse, Qm, J=1)

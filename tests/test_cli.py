@@ -1,5 +1,6 @@
 """Config layer and command-line behaviours: exit codes, artifacts, manifests."""
 
+import argparse
 import dataclasses
 import hashlib
 import importlib.util
@@ -390,9 +391,20 @@ def test_seed_sweep_against_reports_largest_drift_and_verdict_changes(capsys):
     assert len(out) == 3  # seed 2 has no old record
 
 
+@pytest.mark.parametrize("overrides, code", [([], 0), (["c_abs_tol=1e-18"], 1)])
+def test_seed_sweep_exits_1_when_a_seed_fails(overrides, code, capsys):
+    # growth_Tstar's c_gap reads 5.55e-17 at seed 0, above a 1e-18 tolerance
+    args = argparse.Namespace(experiments=["growth_Tstar"], seeds=0, set=overrides,
+                              json=None, against=None)
+    assert _seed_sweep().run(args) == code
+    verdict = "pass" if code == 0 else "FAIL"
+    assert f"growth_Tstar seed=0 {verdict} " in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("script, args", [
     ("atom_gallery.py", ["--atoms", "1"]),
     ("growth_curves.py", ["--tmax", "16"]),
+    ("seed_sweep.py", ["--seeds", "0", "growth_Tstar"]),
 ])
 def test_scripts_run_to_a_passing_exit(script, args, monkeypatch, capsys):
     path = Path(__file__).resolve().parents[1] / "scripts" / script

@@ -384,7 +384,7 @@ def test_restrict_whitney_terms_validate(straddle_setup):
     assert len(dec.terms) > 10
     for term in dec.terms:
         cert = validate_atom(term.atom, term.ball, term.kind)
-        assert cert.passed, cert.to_json_dict()
+        assert cert.passed, cert
         assert term.kind is AtomKind.TYPE_B
 
 
@@ -419,7 +419,7 @@ def test_restrict_constant_bounded_across_inputs():
 
 def test_restrict_rejects_non_atom(straddle_setup):
     grid, Q, A = straddle_setup
-    with pytest.raises(DecompositionError):
+    with pytest.raises(DecompositionError, match="size_slack"):
         restrict_decompose(3.0 * A, Q)  # size bound violated
     small = SpaceTimeGrid(1, 0.5, 8, -4.0, 12.0, 128)
     tiny = GridFunction(small, np.zeros(small.shape))
