@@ -3,6 +3,8 @@
 
 Each row shows the measured annulus norms M_j of Ta next to the envelope
 C 2^(-j/2): the certification is the visible straight line in log2 scale.
+An atom passes when its fitted decay exponent reaches alpha
+(MoleculeReport.certifies); the moment gate is the atom_images experiment's.
 """
 
 import argparse
@@ -11,7 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hardyheat.verify import Settings, certify_T_on_atom, random_hz_atom
+from hardyheat.verify import Settings, image_molecule_report, random_hz_atom
 
 
 def run(args: argparse.Namespace) -> int:
@@ -19,12 +21,13 @@ def run(args: argparse.Namespace) -> int:
     ok = True
     for i in range(args.atoms):
         a, Q = random_hz_atom(args.seed * 7919 + i)
-        report, result = certify_T_on_atom(a, Q, settings)
-        ok &= result.passed
+        report, _ = image_molecule_report(a, Q, "T", settings.alpha, settings.J)
+        passed = report.certifies()
+        ok &= passed
         print(f"atom {i}: r={Q.radius:.3f} t0={Q.t0:.3f} "
               f"fitted_alpha={report.fitted_alpha:.3f} "
               f"constant={report.constant:.4f} moment={report.moment:+.2e} "
-              f"[{'pass' if result.passed else 'FAIL'}]")
+              f"[{'pass' if passed else 'FAIL'}]")
         env = report.constant
         for j, M in zip(report.js, report.weighted_norms):
             bar = "#" * max(1, int(40 * M / max(report.weighted_norms)))

@@ -5,6 +5,8 @@ For T: I(T) = integral of |Tf| over (4, T) x {|x| <= sqrt(t)/2} with
 f = chi_{(0,1)x(-1,1)}.  For T*: G(T) = double integral of |d_t p_t| from
 t = 1.  Both tables print the dyadic increments next to the c*ln(2) they
 should approach; watching the increment column flatten IS the result.
+Exit status: 0 when both tables pass their gates, 1 when one fails, 2 when
+the config rejects the horizons (--tmax below 16 gives fewer than two).
 """
 
 import argparse
@@ -14,7 +16,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hardyheat.verify import C_TSTAR, Settings, growth_T, growth_Tstar
+from hardyheat.config import ConfigError, load_config
+from hardyheat.verify import C_TSTAR, growth_T, growth_Tstar
 
 
 def table(name: str, rows: list[list[float]], target: float) -> None:
@@ -32,7 +35,7 @@ def run(args: argparse.Namespace) -> int:
     while v <= args.tmax:
         values.append(v)
         v *= 2.0
-    settings = Settings(growth_T_values=tuple(values))
+    settings = load_config(None, {"growth_T_values": ",".join(map(repr, values))}).settings
     rt = growth_T(settings)
     table("T on the indicator box", rt.measured["growth_table"],
           rt.measured["log_slope"] * math.log(2.0))
@@ -48,4 +51,8 @@ if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--tmax", type=float, default=128.0,
                     help="largest dyadic horizon for the T table")
-    sys.exit(run(ap.parse_args()))
+    try:
+        sys.exit(run(ap.parse_args()))
+    except ConfigError as exc:
+        print(f"growth_curves: {exc}", file=sys.stderr)
+        sys.exit(2)

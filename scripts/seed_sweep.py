@@ -13,7 +13,8 @@ records, so two checkouts can be compared value by value.  ``--against
 OLD.json`` reads such a file from an earlier run and prints, for each
 experiment and measured key, the largest relative drift of this run from it
 (|new - old| / |old|), and every seed whose verdict changed.  Exit status:
-0 when every seed passed, 1 when one failed or raised.
+0 when every seed passed, 1 when one failed or raised, 2 on a usage error
+(a bad --set, a negative --seeds, a setting the config rejects).
 
     python3 scripts/seed_sweep.py --seeds 9
     python3 scripts/seed_sweep.py --seeds 3 --set n_atoms=5 atom_images
@@ -67,6 +68,8 @@ def print_drifts(records: list, old_records: list) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
+    if args.seeds < 0:
+        raise ConfigError(f"--seeds must be at least 0, got {args.seeds}")
     if any("=" not in kv for kv in args.set):
         raise ConfigError("--set takes KEY=VALUE")
     overrides = dict(kv.split("=", 1) for kv in args.set)
@@ -123,4 +126,5 @@ if __name__ == "__main__":
     try:
         sys.exit(run(args))
     except ConfigError as exc:
-        sys.exit(f"seed_sweep: {exc}")
+        print(f"seed_sweep: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -208,9 +208,7 @@ class MoleculeReport:
 
     weighted_norms[j-1] = nu(2^(j+1)Q ∩ X)^(1/2) * L2 norm over the annulus
     B_j.  constant = max_j 2^(j alpha) M_j is the smallest c for which
-    M_j <= c 2^(-j alpha) holds along the measured range.  moment_scale =
-    sum_j M_j dominates the L1 norm of the candidate, so moment_rel is a
-    scale-free moment defect.
+    M_j <= c 2^(-j alpha) holds along the measured range.
     """
 
     ball: ParabolicBall
@@ -225,15 +223,6 @@ class MoleculeReport:
         object.__setattr__(self, "fitted_alpha", fit_decay_exponent(self.js, self.weighted_norms))
         cs = [2.0 ** (j * self.alpha) * m for j, m in zip(self.js, self.weighted_norms)]
         object.__setattr__(self, "constant", float(max(cs)) if cs else 0.0)
-
-    @property
-    def moment_scale(self) -> float:
-        return float(sum(self.weighted_norms))
-
-    @property
-    def moment_rel(self) -> float:
-        s = self.moment_scale
-        return abs(self.moment) / s if s > 0 else 0.0
 
     def certifies(self) -> bool:
         """Decay at least as fast as the target alpha.

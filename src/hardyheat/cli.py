@@ -140,8 +140,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides["moment_rel_tol"] = repr(args.tol)
         overrides["mean_value_tol"] = repr(args.tol)
     if args.tmax is not None:
-        if args.tmax < 8.0:
-            raise ConfigError("--tmax must be at least 8")
         values, v = [], 8.0
         while v <= args.tmax:
             values.append(v)

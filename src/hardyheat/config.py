@@ -161,10 +161,18 @@ def _validate(config: RunConfig) -> None:
             raise ConfigError(f"oracle_grid {name} must be a positive integer, got {v}")
     if L <= 0 or T <= 0:
         raise ConfigError("oracle_grid extents must be positive")
+    # growth_T fits a line to the growth table and takes its increments
+    if len(s.growth_T_values) < 2:
+        raise ConfigError("growth_T_values needs at least two horizons, got "
+                          f"{len(s.growth_T_values)}")
     if any(v <= 4.0 for v in s.growth_T_values):
         raise ConfigError("growth_T_values must exceed the start time 4")
     if list(s.growth_T_values) != sorted(set(s.growth_T_values)):
         raise ConfigError("growth_T_values must be strictly increasing")
+    if not s.lp_exponents:
+        raise ConfigError("lp_exponents needs at least one exponent")
+    if any(p <= 1.0 for p in s.lp_exponents):
+        raise ConfigError("lp_exponents must exceed 1: the Lp bound holds for p > 1 only")
     for name in config.resolved_experiments():
         error = EXPERIMENTS[name].dims_error(s.n)
         if error is not None:

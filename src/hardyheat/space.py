@@ -65,10 +65,6 @@ class ParabolicBall:
         return self.center.t
 
     @property
-    def x0(self) -> np.ndarray:
-        return np.asarray(self.center.x, dtype=float)
-
-    @property
     def time_interval(self) -> tuple[float, float]:
         r2 = self.radius**2
         return (self.t0 - r2, self.t0 + r2)

@@ -464,47 +464,8 @@ def random_hz_atom(seed: int) -> tuple[GridFunction, ParabolicBall]:
 
 
 def _moment_scale(a: GridFunction, Q: ParabolicBall) -> float:
+    """ν(Q ∩ X)^(1/2) ‖a‖₂: the scale an image moment of a is measured against."""
     return math.sqrt(truncated_volume(Q)) * lp_norm(a, 2)
-
-
-_ATOM_GATES = (Gate("fitted_alpha", "fit>=", "alpha"),
-               Gate("moment_rel", "<=", "moment_rel_tol"))
-
-
-def certify_T_on_atom(
-    a: GridFunction,
-    Q: ParabolicBall,
-    settings: Settings = Settings(),
-) -> tuple[MoleculeReport, ExperimentResult]:
-    """Certify Ta as a mean-zero molecule adapted to Q.
-
-    Gates: fitted decay exponent at least settings.alpha, and the moment of
-    Ta over 2^(J+1)Q ∩ X below moment_rel_tol relative to ν(Q)^(1/2) ‖a‖₂.
-    The zero atom certifies trivially (its image is identically zero).
-    """
-    if float(np.abs(a.values).max()) == 0.0:
-        report = MoleculeReport(
-            Q, settings.alpha, tuple(range(1, settings.J + 1)),
-            (0.0,) * settings.J, 0.0,
-        )
-        m = Measurement(
-            parameters={"zero_input": True, "J": settings.J},
-            measured={"fitted_alpha": report.fitted_alpha, "moment": 0.0,
-                      "moment_rel": 0.0},
-            notes=("zero input: Ta vanishes identically",),
-        )
-    else:
-        report, _ = image_molecule_report(a, Q, "T", settings.alpha, settings.J)
-        m = Measurement(
-            parameters={"ball": {"t0": Q.t0, "x0": Q.center.x, "radius": Q.radius},
-                        "J": settings.J},
-            measured={
-                "fitted_alpha": report.fitted_alpha,
-                "constant": report.constant,
-                "moment_rel": abs(report.moment) / _moment_scale(a, Q),
-            },
-        )
-    return report, _judge("certify_T_on_atom", _ATOM_GATES, settings, m)
 
 
 # -- experiments ------------------------------------------------------------------
@@ -696,8 +657,14 @@ def tstar_images(settings: Settings) -> Measurement:
 _PANEL_ORDER = 16
 
 
-# f = χ_{(0,1)×(-1,1)}: one cell, one slab
-_BOX = GridFunction(SpaceTimeGrid(1, 1.0, 1, 0.0, 1.0, 1), np.ones((1, 1)))
+def _box(grid: SpaceTimeGrid) -> GridFunction:
+    """The indicator box f = χ_{(0,1)×(-1,1)} sampled at the cell midpoints of grid."""
+    tt, xx = grid.mesh()
+    return GridFunction(grid, ((tt < 1.0) & (np.abs(xx) < 1.0)).astype(float))
+
+
+# the box on its own cell: one cell, one slab
+_BOX = _box(SpaceTimeGrid(1, 1.0, 1, 0.0, 1.0, 1))
 
 
 def _box_cone_integral(a: float, b: float) -> float:
@@ -761,10 +728,7 @@ def growth_T(settings: Settings) -> Measurement:
     W = 0.5 * np.sqrt(ts)
     sign_max = float(image_rows(_BOX, ts, np.linspace(-W, W, 21, axis=1)).max())
     # the same box is certified by the odd-extension route
-    grid = SpaceTimeGrid(1, 4.0, 64, 0.0, 4.0, 32)
-    tt, xx = grid.mesh()
-    f = GridFunction(grid, ((tt < 1.0) & (np.abs(xx) < 1.0)).astype(float))
-    bound = finite_norm_bound(f)
+    bound = finite_norm_bound(_box(SpaceTimeGrid(1, 4.0, 64, 0.0, 4.0, 32)))
     return Measurement(
         parameters={"T_values": list(settings.growth_T_values), "t_start": 4.0},
         measured={
@@ -932,6 +896,24 @@ def roundtrips(settings: Settings) -> Measurement:
     return Measurement(parameters=parameters, measured=measured, notes=(overlap_note,))
 
 
+def _norm_ratio_table(base: SpaceTimeGrid, seed: int, inputs: int, exponents):
+    """sup ‖Tf‖ₚ/‖f‖ₚ for each p, over smooth inputs, on base and two refinements.
+
+    The inputs are the _smooth_field samples of seeds seed, …, seed + inputs - 1,
+    so every grid sees the same functions.  Returns the three grids and, per p,
+    the list of their sups, coarsest first.
+    """
+    grids = [base, base.refine(), base.refine().refine()]
+    table: dict[float, list[float]] = {p: [] for p in exponents}
+    for grid in grids:
+        fields = [GridFunction(grid, _smooth_field(seed + i, grid)) for i in range(inputs)]
+        images = [apply_T(f) for f in fields]
+        for p in exponents:
+            table[p].append(max(lp_norm(g, p) / lp_norm(f, p)
+                                for f, g in zip(fields, images)))
+    return grids, table
+
+
 @experiment(
     claim=(
         "T is bounded on L²: the empirical operator norm over a fixed random "
@@ -946,16 +928,9 @@ def l2_stability(settings: Settings) -> Measurement:
     The sup of ‖Tf‖₂/‖f‖₂ over smooth random inputs, recomputed on three
     dyadically refined grids, drifts by at most l2_drift between neighbours.
     """
-    grids = [SpaceTimeGrid(1, 2.0, 24, 0.0, 2.0, 12)]
-    for _ in range(2):
-        grids.append(grids[-1].refine())
-    sups = []
-    for grid in grids:
-        best = 0.0
-        for i in range(settings.l2_inputs):
-            f = GridFunction(grid, _smooth_field(settings.seed * 3001 + i, grid))
-            best = max(best, lp_norm(apply_T(f), 2) / lp_norm(f, 2))
-        sups.append(best)
+    grids, table = _norm_ratio_table(SpaceTimeGrid(1, 2.0, 24, 0.0, 2.0, 12),
+                                     settings.seed * 3001, settings.l2_inputs, (2,))
+    sups = table[2]
     drifts = [abs(b - a) / a for a, b in zip(sups[:-1], sups[1:])]
     return Measurement(
         parameters={"grids": [asdict(g) for g in grids],
@@ -988,25 +963,15 @@ def lp_probe(settings: Settings) -> Measurement:
     strictly growing ratios (the logarithmic mass escaping any L¹ bound).
     The zero input maps to ratio zero.
     """
-    grids = [SpaceTimeGrid(1, 2.0, 16, 0.0, 2.0, 8)]
-    for _ in range(2):
-        grids.append(grids[-1].refine())
-    table: dict[float, list[float]] = {p: [] for p in settings.lp_exponents}
-    for grid in grids:
-        fields = [GridFunction(grid, _smooth_field(settings.seed * 2003 + i, grid))
-                  for i in range(settings.l2_inputs)]
-        images = [apply_T(f) for f in fields]
-        for p in settings.lp_exponents:
-            table[p].append(max(lp_norm(g, p) / lp_norm(f, p)
-                                for f, g in zip(fields, images)))
+    grids, table = _norm_ratio_table(SpaceTimeGrid(1, 2.0, 16, 0.0, 2.0, 8),
+                                     settings.seed * 2003, settings.l2_inputs,
+                                     settings.lp_exponents)
     ratio_max = max(b / a for sups in table.values()
                     for a, b in zip(sups[:-1], sups[1:]))
     l1_ratios = []
     for t_max in (4.0, 16.0, 64.0):
         L = 2.0 * math.sqrt(t_max)
-        grid = SpaceTimeGrid(1, L, int(L / 0.125), 0.0, t_max, int(t_max / 0.25))
-        tt, xx = grid.mesh()
-        f = GridFunction(grid, ((tt < 1.0) & (np.abs(xx) < 1.0)).astype(float))
+        f = _box(SpaceTimeGrid(1, L, int(L / 0.125), 0.0, t_max, int(t_max / 0.25)))
         l1_ratios.append(lp_norm(apply_T(f), 1) / lp_norm(f, 1))
     zero = GridFunction(grids[0], np.zeros(grids[0].shape))
     zero_norm = lp_norm(apply_T(zero), 2)
@@ -1034,9 +999,10 @@ def _wall_atom(x0: float, r: float, seed: int, nx: int = 48,
     return _sup_atom(grid, mask, np.random.default_rng(seed), Q), Q
 
 
-def boundary_dichotomy(kind: str, settings: Settings) -> Measurement:
-    """Conservative vs absorbing wall: the mean of Ta survives or dies with mass.
+def _wall_moments(spec: KernelSpec, settings: Settings):
+    """The measurement of both wall experiments: three atoms, one horizon.
 
+    Conservative vs absorbing wall: the mean of Ta survives or dies with mass.
     Neumann: the image kernel conserves mass, so every atom keeps
     |∬ Ta| ≤ neumann_moment_max relative.  Dirichlet: the atom hugging the
     wall (x0 = r) leaks mass and its moment exceeds dirichlet_moment_min,
@@ -1045,14 +1011,11 @@ def boundary_dichotomy(kind: str, settings: Settings) -> Measurement:
 
     The moment is taken over the horizon (0, 4 t_max) × Ω: past the support
     the absorbing wall eventually drains every image to mean zero, so the
-    dichotomy lives in the transient just after the atom switches off.  This
-    is the measurement of both wall experiments; each declares its own gates.
+    dichotomy lives in the transient just after the atom switches off.
+    Returns the relative moments of the near, mid and far atoms, the molecule
+    report of the near atom's image and the run parameters; each wall
+    experiment builds its own record from them and declares its own gates.
     """
-    if kind not in ("dirichlet", "neumann"):
-        raise ValueError("kind must be 'dirichlet' or 'neumann'")
-    spec = KernelSpec(
-        boundary=HALF_LINE_DIRICHLET if kind == "dirichlet" else HALF_LINE_NEUMANN
-    )
     r = 0.25
     near, Q_near = _wall_atom(r, r, seed=settings.seed * 11 + 1)
     mid, Q_mid = _wall_atom(3.0 * r, r, seed=settings.seed * 11 + 2)
@@ -1062,29 +1025,16 @@ def boundary_dichotomy(kind: str, settings: Settings) -> Measurement:
 
     def moment_rel(a: GridFunction, Q: ParabolicBall) -> float:
         horizon = 4.0 * a.grid.t_max
-        x0 = _x0(Q)
-        win = (0.0, x0 + 2.0 * Q.radius + 8.0 * math.sqrt(horizon))
+        win = (0.0, _x0(Q) + 2.0 * Q.radius + 8.0 * math.sqrt(horizon))
         m = _window_moment(a, spec, "T", win, 0.0, horizon)
         return abs(m) / _moment_scale(a, Q)
 
-    rel_near = moment_rel(near, Q_near)
-    rel_mid = moment_rel(mid, Q_mid)
-    rel_far = moment_rel(far, Q_far)
+    rels = (moment_rel(near, Q_near), moment_rel(mid, Q_mid), moment_rel(far, Q_far))
     report, _ = image_molecule_report(near, Q_near, "T", settings.alpha,
                                       settings.J, spec=spec)
-    if kind == "neumann":
-        measured = {"max_moment_rel": max(rel_near, rel_mid, rel_far),
-                    "near_fitted_alpha": report.fitted_alpha,
-                    "moment_rels": [rel_near, rel_mid, rel_far]}
-    else:
-        measured = {"near_moment_rel": rel_near, "mid_moment_rel": rel_mid,
-                    "far_moment_rel": rel_far,
-                    "near_fitted_alpha": report.fitted_alpha}
-    return Measurement(
-        parameters={"radius": r, "near_x0": r, "far_x0": far_x,
-                    "moment_horizon": 4.0 * near.grid.t_max},
-        measured=measured,
-    )
+    parameters = {"radius": r, "near_x0": r, "far_x0": far_x,
+                  "moment_horizon": 4.0 * near.grid.t_max}
+    return rels, report, parameters
 
 
 @experiment(
@@ -1102,7 +1052,11 @@ def boundary_dichotomy(kind: str, settings: Settings) -> Measurement:
 )
 def boundary_dirichlet(settings: Settings) -> Measurement:
     """Absorbing wall: the image mean survives near the wall, dies far away."""
-    return boundary_dichotomy("dirichlet", settings)
+    (near, mid, far), report, parameters = _wall_moments(
+        KernelSpec(boundary=HALF_LINE_DIRICHLET), settings)
+    return Measurement(parameters=parameters, measured={
+        "near_moment_rel": near, "mid_moment_rel": mid, "far_moment_rel": far,
+        "near_fitted_alpha": report.fitted_alpha})
 
 
 @experiment(
@@ -1119,7 +1073,11 @@ def boundary_dirichlet(settings: Settings) -> Measurement:
 )
 def boundary_neumann(settings: Settings) -> Measurement:
     """Conservative wall: the image mean vanishes for every atom."""
-    return boundary_dichotomy("neumann", settings)
+    rels, report, parameters = _wall_moments(KernelSpec(boundary=HALF_LINE_NEUMANN),
+                                             settings)
+    return Measurement(parameters=parameters, measured={
+        "max_moment_rel": max(rels), "near_fitted_alpha": report.fitted_alpha,
+        "moment_rels": list(rels)})
 
 
 EXPERIMENTS: dict[str, Experiment] = {e.name: e for e in (

@@ -308,6 +308,10 @@ def test_run_rejects_bad_set_and_tmax(tmp_path, capsys):
     assert main(["run", "--set", "novalue"]) == 2
     assert main(["run", "--tmax", "4"]) == 2
     capsys.readouterr()
+    # --tmax 8 gives the one horizon 8: growth_T would fit a line to one point
+    assert main(["run", "counterexample-T", "--tmax", "8", "--out", str(tmp_path / "r")]) == 2
+    assert "growth_T_values" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_run_2d_on_1d_experiment_exits_2(tmp_path, capsys):
@@ -326,9 +330,14 @@ def test_run_2d_on_1d_experiment_exits_2(tmp_path, capsys):
     ("n_roundtrip_balls", "roundtrips", -3),
     ("n_hz_given", "roundtrips", 0),
     ("J", "atom_images", 1),
+    ("growth_T_values", "growth_T", "8"),
+    ("lp_exponents", "lp_probe", ""),
+    ("lp_exponents", "lp_probe", "0.5"),
+    ("lp_exponents", "lp_probe", "2,1"),
 ])
 def test_run_rejects_empty_counts(tmp_path, capsys, key, experiment, bad):
-    # mean_times=0 used to pass atom_images with no time sampled; the others
+    # mean_times=0 used to pass atom_images with no time sampled, and
+    # lp_exponents=0.5 to pass lp_probe outside its p > 1 claim; the others
     # crashed at run time (exit 1) after the output directory was made
     code = main(["run", experiment, "--set", f"{key}={bad}", "--out", str(tmp_path / "r")])
     assert code == 2
@@ -399,6 +408,25 @@ def test_seed_sweep_exits_1_when_a_seed_fails(overrides, code, capsys):
     assert _seed_sweep().run(args) == code
     verdict = "pass" if code == 0 else "FAIL"
     assert f"growth_Tstar seed=0 {verdict} " in capsys.readouterr().out
+
+
+def test_seed_sweep_rejects_negative_seeds():
+    # --seeds -1 used to sweep no seed and report "0/0 seeds pass", exit 0
+    args = argparse.Namespace(experiments=["growth_Tstar"], seeds=-1, set=[],
+                              json=None, against=None)
+    with pytest.raises(ConfigError, match="--seeds"):
+        _seed_sweep().run(args)
+
+
+def test_growth_curves_rejects_one_horizon(monkeypatch, capsys):
+    # --tmax 8 used to end in a traceback from growth_T's empty increments
+    path = Path(__file__).resolve().parents[1] / "scripts" / "growth_curves.py"
+    monkeypatch.setattr(sys, "argv", [str(path), "--tmax", "8"])
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(path), run_name="__main__")
+    assert exit_.value.code == 2
+    assert "growth_T_values" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("script, args", [

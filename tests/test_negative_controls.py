@@ -5,6 +5,7 @@ passes) and once with one defect patched into the layer it certifies (it
 fails).  The program itself carries no defect switch.
 """
 import numpy as np
+from scipy.special import erfc
 
 import hardyheat.heatop as heatop
 from hardyheat.verify import Settings, run_experiment
@@ -48,4 +49,40 @@ def test_a_correlation_wrapped_in_time_fails_the_oracle(monkeypatch):
     settings = Settings(oracle_inputs=2)
     monkeypatch.setattr(heatop, "_fft_shape",
                         lambda nt, nx: (nt, heatop._fast_len(2 * nx - 1)))
+    assert not run_experiment("telescoping_oracle", settings).passed
+
+
+# lp_probe and l2_stability pass under each of the three defects below: their
+# sups over smooth fields and the box's L¹ contrast move too little for their
+# gates, a blind spot listed under ROADMAP item 3.  The oracle catches each.
+
+def test_every_lag_one_slab_late_fails_the_oracle(monkeypatch):
+    # the cell-mass rows read at u + tau instead of u, for every u > 0:
+    # max_rel_error reads 0.298 against the 1e-3 gate (5.2e-6 as shipped)
+    settings = Settings(oracle_inputs=2)
+    assert run_experiment("telescoping_oracle", settings).passed
+    rows = heatop._cell_mass_rows
+    monkeypatch.setattr(heatop, "_cell_mass_rows", lambda grid, us: rows(
+        grid, np.where(np.asarray(us) > 0.0, np.asarray(us) + grid.tau, us)))
+    assert not run_experiment("telescoping_oracle", settings).passed
+
+
+def test_dropping_minus_g_fails_the_oracle(monkeypatch):
+    # Tf_i = sum_m A_m delta_{i-m} without the - g_i term: max_rel_error reads
+    # 1.69 against the 1e-3 gate
+    settings = Settings(oracle_inputs=2)
+    assert run_experiment("telescoping_oracle", settings).passed
+    telescoped = heatop._telescoped
+    monkeypatch.setattr(heatop, "_telescoped",
+                        lambda grid, g, spec: telescoped(grid, g, spec) + g)
+    assert not run_experiment("telescoping_oracle", settings).passed
+
+
+def test_a_narrow_heat_kernel_fails_the_oracle(monkeypatch):
+    # psi with width 1.9 sqrt(u) instead of 2 sqrt(u): max_rel_error reads
+    # 0.060 against the 1e-3 gate
+    settings = Settings(oracle_inputs=2)
+    assert run_experiment("telescoping_oracle", settings).passed
+    monkeypatch.setattr(heatop, "_psi", lambda u, z: -0.5 * np.sign(z) * erfc(
+        np.abs(z) / (1.9 * np.sqrt(u))))
     assert not run_experiment("telescoping_oracle", settings).passed

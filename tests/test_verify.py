@@ -33,10 +33,9 @@ from hardyheat.verify import (
     _BOX,
     _box_cone_integral,
     _kernel_dt_mass,
+    _moment_scale,
     _smooth_field,
     _window_moment,
-    boundary_dichotomy,
-    certify_T_on_atom,
     image_molecule_report,
     random_hz_atom,
     run_experiment,
@@ -285,27 +284,17 @@ def test_image_report_rejects_2d():
 
 def test_certify_T_on_atom_passes():
     a, Q = random_hz_atom(1)
-    report, result = certify_T_on_atom(a, Q)
-    assert result.passed
+    report, _ = image_molecule_report(a, Q, "T", 0.5, Settings().J)
+    assert report.certifies()
     assert report.fitted_alpha > 1.0
-    assert result.measured["moment_rel"] < 1e-5
-    assert result.tolerances == {"alpha": 0.5, "moment_rel_tol": 1e-3}
-
-
-def test_certify_T_zero_atom_trivial():
-    grid = SpaceTimeGrid(1, 1.0, 8, 0.0, 0.5, 4)
-    z = GridFunction(grid, np.zeros(grid.shape))
-    report, result = certify_T_on_atom(z, ball(0.2, 0.0, 0.3))
-    assert result.passed
-    assert math.isinf(report.fitted_alpha)
-    assert "zero input: Ta vanishes identically" in result.notes
+    assert abs(report.moment) / _moment_scale(a, Q) < 1e-5
 
 
 def test_deep_atom_moment_tiny():
     # far from the boundary the image mean is pure quadrature dust
     a, Q = random_hz_atom(5)  # t0 ≈ 3 r², the deepest family member
-    _, result = certify_T_on_atom(a, Q)
-    assert result.measured["moment_rel"] <= 1e-6
+    report, _ = image_molecule_report(a, Q, "T", 0.5, Settings().J)
+    assert abs(report.moment) / _moment_scale(a, Q) <= 1e-6
 
 
 # -- the experiments, at reduced sample counts -----------------------------------
@@ -435,11 +424,6 @@ def test_boundary_dichotomy_pair():
     assert dir_.measured["far_moment_rel"] <= 1e-9
     # the two regimes disagree by orders of magnitude on the same geometry
     assert dir_.measured["near_moment_rel"] / neu.measured["max_moment_rel"] > 1e6
-
-
-def test_boundary_dichotomy_rejects_kind():
-    with pytest.raises(ValueError, match="kind"):
-        boundary_dichotomy("robin", FAST)
 
 
 # -- registry & determinism ------------------------------------------------------
