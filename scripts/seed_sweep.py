@@ -3,16 +3,19 @@
 
 One line per (experiment, seed): the verdict and every scalar in the result's
 ``measured`` record, which includes the value each gate compares against its
-bound.  A closing line per experiment gives the pass rate, followed by one
-line per gate that applies: the worst value over the seeds that ran, the
-bound and the signed slack (positive passes; relative to |bound| when the
-bound is a nonzero number, absolute otherwise).  Defaults to every
-experiment at its full default size; ``--set key=value`` overrides any flat
-settings key, as in ``hardyheat run``.  ``--json PATH`` also writes the
-records, so two checkouts can be compared value by value.  ``--against
-OLD.json`` reads such a file from an earlier run and prints, for each
-experiment and measured key, the largest relative drift of this run from it
-(|new - old| / |old|), and every seed whose verdict changed.  Exit status:
+bound.  An experiment that reads no seed runs once, at seed 0, and says so.
+A closing line per experiment gives the pass rate, followed by one line per
+gate that applies: the worst value over the seeds that ran, the bound and
+the signed slack (positive passes; relative to |bound| when the bound is a
+nonzero number, absolute otherwise).  Defaults to every experiment at its
+full default size; ``--set key=value`` overrides any flat settings key, as
+in ``hardyheat run``.  ``--json PATH`` also writes the records, every
+measured number included: list- and table-valued keys are flattened to one
+entry per index path, such as ``rel_errors[3]``, so two checkouts can be
+compared value by value.  ``--against OLD.json`` reads such a file from an
+earlier run and prints, for each experiment and measured key, the largest
+relative drift of this run from it (|new - old| / |old|) over the key's
+index paths and the seeds, and every seed whose verdict changed.  Exit status:
 0 when every seed passed, 1 when one failed or raised, 2 on a usage error
 (a bad --set, a negative --seeds, a setting the config rejects).
 
@@ -33,9 +36,36 @@ from hardyheat.config import ConfigError, load_config
 from hardyheat.verify import EXPERIMENTS, run_experiment
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def scalars(measured: dict) -> dict:
-    return {k: v for k, v in sorted(measured.items())
-            if isinstance(v, (int, float)) and not isinstance(v, bool)}
+    return {k: v for k, v in sorted(measured.items()) if _is_number(v)}
+
+
+def flatten(measured: dict) -> dict:
+    """Every number in measured under its index path: key, key[i], key[name][j], ..."""
+    flat = {}
+
+    def visit(path: str, v) -> None:
+        if _is_number(v):
+            flat[path] = v
+        elif isinstance(v, dict):
+            for k in sorted(v):
+                visit(f"{path}[{k}]", v[k])
+        elif isinstance(v, (list, tuple)):
+            for i, item in enumerate(v):
+                visit(f"{path}[{i}]", item)
+
+    for key in sorted(measured):
+        visit(key, measured[key])
+    return flat
+
+
+def _key(path: str) -> str:
+    """The measured key an index path of flatten() belongs to."""
+    return path.split("[", 1)[0]
 
 
 def drift(old: float, new: float) -> float:
@@ -46,9 +76,13 @@ def drift(old: float, new: float) -> float:
 
 
 def print_drifts(records: list, old_records: list) -> None:
-    """Largest relative drift per (experiment, measured key), and verdict changes."""
+    """Largest relative drift per (experiment, measured key), and verdict changes.
+
+    The drift of a list- or table-valued key is the largest over its index
+    paths; the line names the path when it is not the key itself.
+    """
     old = {(r["experiment"], r["seed"]): r for r in old_records}
-    worst = {}  # (experiment, key) -> (drift, seed, old value, new value)
+    worst = {}  # (experiment, key) -> (drift, seed, path, old value, new value)
     for r in records:
         before = old.get((r["experiment"], r["seed"]))
         if before is None:
@@ -58,12 +92,14 @@ def print_drifts(records: list, old_records: list) -> None:
                   f"{'pass' if before['passed'] else 'FAIL'} -> "
                   f"{'pass' if r['passed'] else 'FAIL'}", flush=True)
         new_values, old_values = r.get("measured", {}), before.get("measured", {})
-        for key in sorted(new_values.keys() & old_values.keys()):
-            d = drift(old_values[key], new_values[key])
-            if (r["experiment"], key) not in worst or d > worst[r["experiment"], key][0]:
-                worst[r["experiment"], key] = (d, r["seed"], old_values[key], new_values[key])
-    for (name, key), (d, seed, a, b) in worst.items():
-        print(f"{name} drift {key}: {d:.3g} at seed={seed} ({a:.17g} -> {b:.17g})",
+        for path in sorted(new_values.keys() & old_values.keys()):
+            d = drift(old_values[path], new_values[path])
+            at = (r["experiment"], _key(path))
+            if at not in worst or d > worst[at][0]:
+                worst[at] = (d, r["seed"], path, old_values[path], new_values[path])
+    for (name, key), (d, seed, path, a, b) in worst.items():
+        where = "" if path == key else f" {path}"
+        print(f"{name} drift {key}: {d:.3g} at seed={seed}{where} ({a:.17g} -> {b:.17g})",
               flush=True)
 
 
@@ -77,7 +113,9 @@ def run(args: argparse.Namespace) -> int:
     for name in args.experiments or EXPERIMENTS:
         passes = 0
         worst = {}  # gate -> (slack, relative, value, limit, seed)
-        for seed in range(args.seeds + 1):
+        seeded = "seed" in EXPERIMENTS[name].reads
+        seeds = range(args.seeds + 1) if seeded else range(1)
+        for seed in seeds:
             config = load_config(None, {**overrides, "experiments": name,
                                         "seed": str(seed)})
             try:
@@ -94,13 +132,16 @@ def run(args: argparse.Namespace) -> int:
                     margin = (*gate.slack(value, limit), value, limit, seed)
                     if gate not in worst or margin[0] < worst[gate][0]:
                         worst[gate] = margin
-            values = scalars(res.to_json_dict()["measured"])
+            measured = res.to_json_dict()["measured"]
             records.append({"experiment": name, "seed": seed,
-                            "passed": bool(res.passed), "measured": values})
-            bits = " ".join(f"{k}={v:.10g}" for k, v in values.items())
+                            "passed": bool(res.passed), "measured": flatten(measured)})
+            bits = " ".join(f"{k}={v:.10g}" for k, v in scalars(measured).items())
             print(f"{name} seed={seed} {'pass' if res.passed else 'FAIL'} {bits}",
                   flush=True)
-        print(f"{name}: {passes}/{args.seeds + 1} seeds pass", flush=True)
+        if seeded:
+            print(f"{name}: {passes}/{len(seeds)} seeds pass", flush=True)
+        else:
+            print(f"{name}: seed-independent, run once: {passes}/1 pass", flush=True)
         for gate, (margin, relative, value, limit, seed) in worst.items():
             print(f"{name} gate {gate.key} {gate.op} {limit}: worst {float(value):.10g} "
                   f"at seed={seed}, slack {margin:+.4g} "

@@ -133,24 +133,30 @@ def validate_atom(a: GridFunction, Q: ParabolicBall, kind: AtomKind) -> AtomCert
 
 
 def _bump_field(grid: SpaceTimeGrid, mask: np.ndarray, rng, bumps: int = 3) -> np.ndarray:
-    """Sum of a few random anisotropic Gaussian bumps centred on cells of the mask."""
-    tt, *xxs = grid.mesh()
+    """Sum of a few random anisotropic Gaussian bumps centred on cells of the mask.
+
+    The bumps are evaluated at the mask cells only and scattered into a zero
+    grid; each cell takes the same operations in the same order as a
+    full-grid evaluation would.
+    """
     idx = np.argwhere(mask)
     if idx.size == 0:
         raise ValueError("ball does not meet the grid")
     t_span = float(np.ptp(grid.ts[idx[:, 0]])) + grid.tau
     x_span = grid.h * (float(np.ptp(idx[:, 1:])) + 1.0)
-    vals = np.zeros(grid.shape)
+    tt, xxs = grid.ts[idx[:, 0]], [grid.xs[i] for i in idx[:, 1:].T]
+    on_mask = 0.0
     for _ in range(bumps):
         c = idx[rng.integers(len(idx))]
         st = rng.uniform(0.2, 0.6) * t_span
         sx = rng.uniform(0.2, 0.6) * x_span
-        w = rng.uniform(0.25, 1.0) * rng.choice((-1.0, 1.0))
+        w = rng.uniform(0.25, 1.0) * (-1.0, 1.0)[rng.integers(2)]
         expo = ((tt - grid.ts[c[0]]) / st) ** 2
         for axis, xx in enumerate(xxs):
             expo = expo + ((xx - grid.xs[c[1 + axis]]) / sx) ** 2
-        vals = vals + w * np.exp(-expo)
-    vals = np.where(mask, vals, 0.0)
+        on_mask = on_mask + w * np.exp(-expo)
+    vals = np.zeros(grid.shape)
+    vals[mask] = on_mask
     return vals
 
 

@@ -147,6 +147,9 @@ def _validate(config: RunConfig) -> None:
     s = config.settings
     if s.n not in (1, 2):
         raise ConfigError(f"n must be 1 or 2, got {s.n}")
+    # numpy's generators take no negative seed: every seeded experiment would raise
+    if s.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {s.seed}")
     # a count of 0 samples nothing: its gates would certify an empty set
     for key in _COUNTS:
         if getattr(s, key) < 1:

@@ -104,11 +104,12 @@ class Decomposition:
 
     @property
     def coefficient_sum(self) -> float:
+        """Σ |c| over the terms, added one at a time in term order."""
         if isinstance(self.terms, WhitneyTerms):
-            coefficients = self.terms.coefficients.tolist()
+            coefficients = self.terms.coefficients
         else:
-            coefficients = [t.coefficient for t in self.terms]
-        return float(sum(abs(c) for c in coefficients))
+            coefficients = np.array([t.coefficient for t in self.terms], dtype=float)
+        return float(np.cumsum(np.abs(coefficients))[-1]) if len(coefficients) else 0.0
 
     def reconstruct(self) -> GridFunction:
         if not self.terms:

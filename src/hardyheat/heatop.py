@@ -36,16 +36,23 @@ e^{uΔ} of the cell indicator read at the output midpoint.  All entries lie
 in [0, 1] and rows sum to at most 1 (+ rounding), the discrete maximum
 principle.  On the uniform grid x_i - lo_j = (i - j + 1/2) h, so the table is
 Toeplitz: one row of 2 nx - 1 offsets per lag u determines it, and the rows
-of all lags come from one vectorised erfc evaluation.  No Gaussian tail is
-cut; only entries below the smallest normal double are flushed to 0.
+of all lags come from one vectorised erfc evaluation.  The cell edges
+(k + 1/2) h negate exactly in pairs and ψ is odd in z bit for bit, so ψ is
+evaluated at the nx edges right of the midpoint and mirrored: half the erfc
+calls, the same table.  No Gaussian tail is cut; only entries below the
+smallest normal double are flushed to 0.
 
 With the lag rows stacked in time, the telescoped sum over slabs is one
 causal 2-d convolution of the input's time jumps with the row table.  For
 n = 1 it is evaluated as a single zero-padded real FFT correlation, padded to
 at least 2 nt - 1 slabs and 2 nx - 1 cells so nothing wraps around: O(N log N)
 instead of the O(nt² nx²) of one Toeplitz matmul per lag.  For n = 2 it stays
-one matmul per lag and axis (_causal_sum): on a 64² × 32 grid a 3-d FFT of
-the padded space-time volume took 67 ms on one core, the matmuls 18 ms.
+one matmul per lag and axis (_causal_sum), into two slab stacks allocated
+once per call: on a 64² × 32 grid a 3-d FFT of the padded space-time volume
+took 67 ms on one core, the matmuls 18 ms.  The row table (n = 2) or its
+padded spectrum (n = 1) depends only on the grid and the input's first live
+slab, so apply_T_each builds it once per call and applies it to every input
+of the call that needs it; apply_T and apply_Tstar are its one-input case.
 
 At arbitrary points (image_rows, image_window; n = 1) the telescoping is
 summed by parts into one corner sum.  With D the mixed time/space jumps of g
@@ -165,16 +172,22 @@ def _cell_mass_rows(grid: SpaceTimeGrid, us) -> np.ndarray:
     the output midpoint: e^{uΔ} applied to the cell indicator, read at the
     midpoint.  The indicator is a difference of two unit steps, so the row is
     the identity row plus differences of ψ at the cell edges (k ± 1/2) h.
-    A difference of the monotone tail is never negative.  Subnormal entries
-    are flushed to 0, so none reaches the n = 2 matmuls, where they are
-    slow; at u = 0 the row is the identity row.
+    Those edges negate exactly in pairs and ψ(u, -z) = -ψ(u, z) bit for bit,
+    so ψ is evaluated at the nx edges right of the midpoint and mirrored.
+    The identity is added after the differences, in place, so no live row
+    is copied out and back: 1 + d = d + 1 exactly, and the flush below turns
+    a -0.0 into 0.0.  A difference of
+    the monotone tail is never negative.  Subnormal entries are flushed to
+    0, so none reaches the n = 2 matmuls, where they are slow; at u = 0 the
+    row is the identity row.
     """
     us = np.asarray(us, dtype=float)
     nx, h = grid.nx, grid.h
     rows = np.zeros((len(us), 2 * nx - 1))
-    rows[:, nx - 1] = 1.0
     live = us > 0.0
-    rows[live] += np.diff(_psi(us[live, None], (np.arange(-nx, nx) + 0.5) * h), axis=1)
+    pos = _psi(us[live, None], (np.arange(nx) + 0.5) * h)
+    rows[live] = np.diff(np.concatenate([-pos[:, ::-1], pos], axis=1), axis=1)
+    rows[:, nx - 1] += 1.0
     rows[np.abs(rows) < np.finfo(float).tiny] = 0.0
     return rows
 
@@ -194,12 +207,21 @@ def _causal_sum(grid: SpaceTimeGrid, rows: np.ndarray, x: np.ndarray, out: np.nd
 
     A_m acts on every spatial axis of the slab profiles x: y A_m^T for n = 1,
     A_m y A_m^T for n = 2.  One lag's matrix is gathered at a time, and each
-    product is added into the caller's out.
+    product is added into the caller's out.  For n = 2 both products go into
+    two slab stacks allocated once per call, the second against a
+    C-contiguous copy of A_m^T.
     """
+    if grid.n == 2:
+        ay, aya = np.empty_like(x), np.empty_like(x)
     for m in range(len(x)):
         A = _toeplitz(grid, rows[m])
         y = x[: len(x) - m]
-        out[m:] += y @ A.T if grid.n == 1 else A @ y @ A.T
+        if grid.n == 1:
+            out[m:] += y @ A.T
+        else:
+            k = len(y)
+            np.matmul(A, y, out=ay[:k])
+            out[m:] += np.matmul(ay[:k], np.ascontiguousarray(A.T), out=aya[:k])
     return out
 
 
@@ -241,25 +263,42 @@ def _fft_shape(nt: int, nx: int) -> tuple[int, int]:
     return _fast_len(2 * nt - 1), _fast_len(2 * nx - 1)
 
 
-def _correlate(grid: SpaceTimeGrid, delta: np.ndarray, lags: np.ndarray) -> np.ndarray:
+def _slab_kernel(grid: SpaceTimeGrid, nt: int) -> np.ndarray:
+    """What _telescoped applies to a sum over nt slabs, independent of the input.
+
+    The rows of _cell_mass_rows at the lags u = (m + 1/2) tau, m < nt; for
+    n = 1 their zero-padded 2-d FFT at the lengths of _fft_shape, the
+    spectrum _correlate multiplies by.
+    """
+    lags = (np.arange(nt) + 0.5) * grid.tau
+    if grid.n == 2:
+        return _cell_mass_rows(grid, lags)
+    Pt, Px = _fft_shape(nt, grid.nx)
+    return np.fft.fft(np.fft.rfft(_cell_mass_rows(grid, lags), Px), Pt, axis=0)
+
+
+def _correlate(delta: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """sum_m A_m delta_{i-m} for n = 1, as one zero-padded real 2-d FFT.
 
     A_m[x, j] = rows[m, nx - 1 + x - j] for the rows of _cell_mass_rows at
     the lags, so the sum is the full convolution of delta with the row table,
-    read at slabs 0 .. nt - 1 and columns nx - 1 .. 2 nx - 2.  At most two
-    padded spectra are alive at once: the row table is transformed first and
-    not kept, the product is taken in place, and the inverse transform is cut
-    to nt slabs in time before it is taken in space.
+    read at slabs 0 .. nt - 1 and columns nx - 1 .. 2 nx - 2.  spectrum is
+    the table's padded transform (_slab_kernel) and is left as it is: the
+    product goes into delta's transform, with the table as the left operand
+    (complex products round by operand order), and the inverse transform in
+    time is taken in place there too, so a call allocates one padded
+    spectrum.  It is cut to nt slabs in time before the inverse transform
+    in space.
     """
     nt, nx = delta.shape
     Pt, Px = _fft_shape(nt, nx)
-    X = np.fft.fft(np.fft.rfft(_cell_mass_rows(grid, lags), Px), Pt, axis=0)
-    X *= np.fft.fft(np.fft.rfft(delta, Px), Pt, axis=0)
-    X = np.fft.ifft(X, axis=0)[:nt]
+    X = np.fft.fft(np.fft.rfft(delta, Px), Pt, axis=0)
+    np.multiply(spectrum, X, out=X)
+    X = np.fft.ifft(X, axis=0, out=X)[:nt]
     return np.fft.irfft(X, Px)[:, nx - 1 : 2 * nx - 1]
 
 
-def _telescoped(grid: SpaceTimeGrid, g: np.ndarray, spec: KernelSpec):
+def _telescoped(grid: SpaceTimeGrid, g: np.ndarray, spec: KernelSpec, kernels: dict):
     """Tf at slab midpoints by exact-in-time telescoping, from the input values g.
 
     With A_m the cell-mass matrix at u = (m + 1/2) tau and
@@ -268,7 +307,9 @@ def _telescoped(grid: SpaceTimeGrid, g: np.ndarray, spec: KernelSpec):
     evaluated: by _correlate for n = 1, by per-axis matmuls of the Toeplitz
     tables for n = 2.  The sum starts at the first slab where delta is
     nonzero, so every earlier slab reads exactly 0 (FFT rounding would leave
-    about 1e-16 there).  Half lines read 0 at x <= 0.
+    about 1e-16 there).  Half lines read 0 at x <= 0.  kernels holds the
+    _slab_kernel of each slab count already met in this call; a missing one
+    is built and added.
     """
     nt = grid.nt
     delta = g.copy()
@@ -276,31 +317,52 @@ def _telescoped(grid: SpaceTimeGrid, g: np.ndarray, spec: KernelSpec):
     out = np.zeros_like(g)
     start = int(np.argmax(delta.reshape(nt, -1).any(axis=1)))
     if delta[start].any():
-        lags = (np.arange(nt - start) + 0.5) * grid.tau
+        if nt - start not in kernels:
+            kernels[nt - start] = _slab_kernel(grid, nt - start)
+        kernel = kernels[nt - start]
         if grid.n == 1:
-            out[start:] = _correlate(grid, delta[start:], lags)
+            out[start:] = _correlate(delta[start:], kernel)
         else:
-            _causal_sum(grid, _cell_mass_rows(grid, lags), delta[start:], out[start:])
+            _causal_sum(grid, kernel, delta[start:], out[start:])
     out -= g
     if not spec.is_whole:
         out[:, grid.xs <= 0.0] = 0.0
     return out
 
 
+def apply_T_each(fs: Sequence[GridFunction], spec: KernelSpec = WHOLE,
+                 op: str = "T") -> list[GridFunction]:
+    """Tf (op="T") or T*f (op="Tstar") of every input, in order, on one grid.
+
+    T is evaluated by exact-in-time telescoping (_telescoped).  T* is the
+    time reversal R T R, where R reverses the slabs: reversing the slabs
+    turns the anticausal integral over (t, ∞) into the causal one, so
+    adjointness <Tf, w> = <f, T*w> holds to rounding, since both sides
+    reduce to the same symmetric matrices A_m.  The kernel rows (n = 2) or
+    their spectrum (n = 1) depend only on the grid and the input's first
+    live slab, so each is built once per call and shared by the inputs that
+    need it; nothing is kept between calls.
+    """
+    if op not in ("T", "Tstar"):
+        raise ValueError("op must be 'T' or 'Tstar'")
+    fs = list(fs)
+    if any(f.grid != fs[0].grid for f in fs):
+        raise ValueError("the inputs of one call must share one grid")
+    kernels: dict = {}
+    order = slice(None) if op == "T" else slice(None, None, -1)  # R for T*
+    return [GridFunction(f.grid, _telescoped(f.grid, _operator_input(f, spec)[order],
+                                             spec, kernels)[order])
+            for f in fs]
+
+
 def apply_T(f: GridFunction, spec: KernelSpec = WHOLE) -> GridFunction:
-    """Tf at slab midpoints by exact-in-time telescoping (see _telescoped)."""
-    return GridFunction(f.grid, _telescoped(f.grid, _operator_input(f, spec), spec))
+    """Tf at slab midpoints: apply_T_each of the one input f."""
+    return apply_T_each([f], spec)[0]
 
 
 def apply_Tstar(f: GridFunction, spec: KernelSpec = WHOLE) -> GridFunction:
-    """T*f at slab midpoints: the time reversal R T R, where R reverses the slabs.
-
-    Reversing the slabs turns the anticausal integral over (t, ∞) into the
-    causal one, so adjointness <Tf, w> = <f, T*w> holds to rounding: both
-    sides reduce to the same symmetric matrices A_m.
-    """
-    g = _operator_input(f, spec)[::-1]
-    return GridFunction(f.grid, _telescoped(f.grid, g, spec)[::-1])
+    """T*f at slab midpoints, the time reversal R T R: apply_T_each of the one input f."""
+    return apply_T_each([f], spec, "Tstar")[0]
 
 
 # -- corner sums: T and T* at arbitrary points ---------------------------------
@@ -430,12 +492,12 @@ def _gauss2_row(grid: SpaceTimeGrid, kernel, u, diff: np.ndarray) -> np.ndarray:
 
 
 def _sum_in_order(terms: np.ndarray) -> np.ndarray:
-    """terms[0] + terms[1] + ... added one row at a time onto zeros.
-
-    The same floating-point sum as a loop `out = zeros; out += term`: a
-    cumulative sum adds sequentially, in row order (np.sum would pair terms).
-    """
-    return np.cumsum(np.concatenate([np.zeros((1,) + terms.shape[1:]), terms]), axis=0)[-1]
+    """terms[0] + terms[1] + ... added one row at a time onto zeros, in row
+    order (np.sum would pair terms)."""
+    out = np.zeros(terms.shape[1:])
+    for term in terms:
+        out += term
+    return out
 
 
 def _near_field_row(grid: SpaceTimeGrid, u_hi: float):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hardyheat.atoms import (
     AtomKind,
+    _bump_field,
     fit_decay_exponent,
     make_atom,
     make_molecule,
@@ -177,3 +178,38 @@ def test_one_cell_support_raises():
     Qm = ball(0.1, 0.0, 0.1)
     with pytest.raises(ValueError, match="too small to carry a fluctuation"):
         make_molecule(coarse, Qm, J=1)
+
+
+def _full_grid_bumps(grid, mask, rng, bumps):
+    """The bump field evaluated on every cell and cut to the mask, sign by rng.choice."""
+    tt, *xxs = grid.mesh()
+    idx = np.argwhere(mask)
+    t_span = float(np.ptp(grid.ts[idx[:, 0]])) + grid.tau
+    x_span = grid.h * (float(np.ptp(idx[:, 1:])) + 1.0)
+    vals = np.zeros(grid.shape)
+    for _ in range(bumps):
+        c = idx[rng.integers(len(idx))]
+        st = rng.uniform(0.2, 0.6) * t_span
+        sx = rng.uniform(0.2, 0.6) * x_span
+        w = rng.uniform(0.25, 1.0) * rng.choice((-1.0, 1.0))
+        expo = ((tt - grid.ts[c[0]]) / st) ** 2
+        for axis, xx in enumerate(xxs):
+            expo = expo + ((xx - grid.xs[c[1 + axis]]) / sx) ** 2
+        vals = vals + w * np.exp(-expo)
+    return np.where(mask, vals, 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("bumps", [2, 3])
+def test_bump_field_on_the_support_equals_the_full_grid_field(n, bumps):
+    # the bumps are evaluated at the mask cells only, and the sign is drawn
+    # by integers(2) instead of choice: same values and same stream, bit for bit
+    grid = SpaceTimeGrid(n, 1.0, 24, 0.0, 1.0, 10)
+    Q = ball(0.5, (0.1, -0.2) if n == 2 else 0.1, 0.45)
+    mask = Q.mask(*grid.mesh())
+    for seed in range(40):
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):  # several fields from one stream
+            got = _bump_field(grid, mask, got_rng, bumps)
+            assert np.array_equal(got, _full_grid_bumps(grid, mask, ref_rng, bumps))
+        assert got_rng.random() == ref_rng.random()

@@ -334,11 +334,13 @@ def test_run_2d_on_1d_experiment_exits_2(tmp_path, capsys):
     ("lp_exponents", "lp_probe", ""),
     ("lp_exponents", "lp_probe", "0.5"),
     ("lp_exponents", "lp_probe", "2,1"),
+    ("seed", "atom_images", -1),
 ])
 def test_run_rejects_empty_counts(tmp_path, capsys, key, experiment, bad):
     # mean_times=0 used to pass atom_images with no time sampled, and
-    # lp_exponents=0.5 to pass lp_probe outside its p > 1 claim; the others
-    # crashed at run time (exit 1) after the output directory was made
+    # lp_exponents=0.5 to pass lp_probe outside its p > 1 claim; the others,
+    # a negative seed among them, crashed at run time (exit 1) after the
+    # output directory was made
     code = main(["run", experiment, "--set", f"{key}={bad}", "--out", str(tmp_path / "r")])
     assert code == 2
     assert key in capsys.readouterr().err
@@ -416,6 +418,39 @@ def test_seed_sweep_rejects_negative_seeds():
                               json=None, against=None)
     with pytest.raises(ConfigError, match="--seeds"):
         _seed_sweep().run(args)
+
+
+def test_seed_sweep_drift_covers_list_valued_keys(capsys):
+    # the records used to keep scalars only, so a list such as rel_errors
+    # was never compared: an ulp moved in one entry went unreported
+    sweep = _seed_sweep()
+    measured = {"max_rel_error": 2.0, "rel_errors": [1.0, 2.0],
+                "ratio_tables": {"2.0": [3.0]}, "label": "x"}
+    assert sweep.flatten(measured) == {"max_rel_error": 2.0, "ratio_tables[2.0][0]": 3.0,
+                                       "rel_errors[0]": 1.0, "rel_errors[1]": 2.0}
+    old = [{"experiment": "e", "seed": 0, "passed": True, "measured": sweep.flatten(measured)}]
+    measured["rel_errors"][1] = math.nextafter(2.0, 3.0)
+    new = [{"experiment": "e", "seed": 0, "passed": True, "measured": sweep.flatten(measured)}]
+    sweep.print_drifts(new, old)
+    out = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("e drift rel_errors: 2.22e-16 at seed=0 rel_errors[1] (")
+               for line in out)
+    assert any(line.startswith("e drift ratio_tables: 0 at seed=0 ratio_tables[2.0][0] (")
+               for line in out)
+    assert len(out) == 3  # one line per measured key
+
+
+def test_seed_sweep_runs_a_seed_free_experiment_once(tmp_path, capsys):
+    # growth_T reads no seed: it used to run and print once per seed, alike
+    args = argparse.Namespace(experiments=["growth_T"], seeds=3, set=[],
+                              json=str(tmp_path / "sweep.json"), against=None)
+    assert _seed_sweep().run(args) == 0
+    out = capsys.readouterr().out
+    assert out.count("growth_T seed=") == 1
+    assert "growth_T: seed-independent, run once: 1/1 pass" in out
+    records = json.loads((tmp_path / "sweep.json").read_text())
+    assert [r["seed"] for r in records] == [0]
+    assert "growth_table[0][1]" in records[0]["measured"]
 
 
 def test_growth_curves_rejects_one_horizon(monkeypatch, capsys):

@@ -19,6 +19,7 @@ from hardyheat.heatop import (
     KernelSpec,
     WHOLE,
     apply_T,
+    apply_T_each,
     apply_Tstar,
     duhamel_reference,
     gauss_kernel,
@@ -28,9 +29,11 @@ from hardyheat.heatop import (
     spatial_quadrature_error,
 )
 from hardyheat.heatop import (
+    _causal_sum,
     _cell_mass_rows,
     _duhamel_rows,
     _fast_len,
+    _fft_shape,
     _gl_nodes,
     _near_field_row,
     _operator_input,
@@ -537,6 +540,114 @@ def test_fft_correlation_matches_direct_slab_sum(L, nx, T, nt, spec):
     for got, ref in ((apply_T(f, spec).values, ref_T),
                      (apply_Tstar(f, spec).values, ref_Tstar)):
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _full_offset_rows(grid, us):
+    """The cell-mass rows with ψ evaluated at all 2 nx cell edges, none mirrored."""
+    nx = grid.nx
+    us = np.asarray(us, dtype=float)
+    rows = np.zeros((len(us), 2 * nx - 1))
+    rows[:, nx - 1] = 1.0
+    live = us > 0.0
+    rows[live] += np.diff(_psi(us[live, None], (np.arange(-nx, nx) + 0.5) * grid.h), axis=1)
+    rows[np.abs(rows) < np.finfo(float).tiny] = 0.0
+    return rows
+
+
+def _fresh_T(f, spec, op):
+    """T or T* of one input with nothing shared, in the evaluation order of apply_T.
+
+    The rows are rebuilt from all 2 nx edges; for n = 1 the row spectrum is
+    the left operand of the product and is overwritten by it (R *= X), for
+    n = 2 every lag is a plain A y A^T.
+    """
+    grid = f.grid
+    g = _operator_input(f, spec)
+    if op == "Tstar":
+        g = g[::-1]
+    delta = g.copy()
+    delta[1:] -= g[:-1]
+    out = np.zeros_like(g)
+    start = int(np.argmax(delta.reshape(grid.nt, -1).any(axis=1)))
+    if delta[start].any():
+        d = delta[start:]
+        rows = _full_offset_rows(grid, (np.arange(len(d)) + 0.5) * grid.tau)
+        if grid.n == 1:
+            nt, nx = d.shape
+            Pt, Px = _fft_shape(nt, nx)
+            R = np.fft.fft(np.fft.rfft(rows, Px), Pt, axis=0)
+            R *= np.fft.fft(np.fft.rfft(d, Px), Pt, axis=0)
+            out[start:] = np.fft.irfft(np.fft.ifft(R, axis=0)[:nt], Px)[:, nx - 1 : 2 * nx - 1]
+        else:
+            for m in range(len(d)):
+                A = _toeplitz(grid, rows[m])
+                out[start + m :] += A @ d[: len(d) - m] @ A.T
+    out -= g
+    if not spec.is_whole:
+        out[:, grid.xs <= 0.0] = 0.0
+    return out[::-1] if op == "Tstar" else out
+
+
+@pytest.mark.parametrize("L, nx, T, nt", [
+    (3.0, 128, 2.0, 256), (2.0, 16, 1.0, 8), (4.0, 64, 4.0, 16), (1.0, 7, 0.5, 3),
+])
+def test_cell_mass_rows_mirror_the_right_half_bit_for_bit(L, nx, T, nt):
+    # ψ is odd in z and the edges (k + 1/2) h negate exactly, so evaluating ψ
+    # right of the midpoint only changes no bit of the table
+    g = SpaceTimeGrid(1, L, nx, 0.0, T, nt)
+    us = np.concatenate([[0.0], (np.arange(nt) + 0.5) * g.tau, [1e-6, 50.0]])
+    assert np.array_equal(_cell_mass_rows(g, us), _full_offset_rows(g, us))
+
+
+@pytest.mark.parametrize("n, nx, nt, spec", [
+    (1, 48, 24, WHOLE), (1, 48, 24, DIRICHLET), (1, 33, 10, NEUMANN),
+    (2, 16, 12, KernelSpec(2)),
+])
+@pytest.mark.parametrize("op", ["T", "Tstar"])
+def test_apply_T_each_is_bit_identical_to_fresh_single_inputs(n, nx, nt, spec, op):
+    # one kernel per first live slab, shared by the inputs of a call: each
+    # image must equal a single-input evaluation with nothing shared, bit for
+    # bit.  The inputs go dead in their first or last slabs, so under T and
+    # under T* (which reverses them) the first live slab differs
+    g = SpaceTimeGrid(n, 3.0, nx, 0.0, 2.0, nt)
+    rng = np.random.default_rng(nx + nt)
+    fs = []
+    for lead, trail in ((0, 0), (3, 0), (0, 4), (0, 0), (3, 2)):
+        v = rng.normal(size=g.shape)
+        v[:lead] = 0.0
+        v[nt - trail :] = 0.0
+        fs.append(GridFunction(g, v))
+    fs.append(GridFunction(g, np.zeros(g.shape)))
+    images = apply_T_each(fs, spec, op)
+    single = apply_T if op == "T" else apply_Tstar
+    assert len(images) == len(fs)
+    for f, image in zip(fs, images):
+        assert image.grid == g
+        assert np.array_equal(image.values, _fresh_T(f, spec, op))
+        assert np.array_equal(image.values, single(f, spec).values)
+
+
+def test_apply_T_each_rejects_mixed_grids_and_unknown_ops():
+    g = xgrid(nx=8, nt=4)
+    f = GridFunction(g, np.ones(g.shape))
+    assert apply_T_each([]) == []
+    with pytest.raises(ValueError, match="one grid"):
+        apply_T_each([f, GridFunction(g.refine(), np.ones(g.refine().shape))])
+    with pytest.raises(ValueError, match="op"):
+        apply_T_each([f], WHOLE, "T*")
+
+
+def test_buffered_2d_causal_sum_equals_plain_matmuls():
+    # rows that are not symmetric, so a transposed factor cannot pass
+    g = SpaceTimeGrid(2, 2.0, 12, 0.0, 1.0, 9)
+    rng = np.random.default_rng(4)
+    rows = rng.normal(size=(g.nt, 2 * g.nx - 1))
+    x = rng.normal(size=g.shape)
+    ref = np.zeros(g.shape)
+    for m in range(g.nt):
+        A = _toeplitz(g, rows[m])
+        ref[m:] += A @ x[: g.nt - m] @ A.T
+    assert np.array_equal(_causal_sum(g, rows, x, np.zeros(g.shape)), ref)
 
 
 def test_fast_len_is_the_smallest_5_smooth_length():

@@ -74,7 +74,7 @@ def test_dropping_minus_g_fails_the_oracle(monkeypatch):
     assert run_experiment("telescoping_oracle", settings).passed
     telescoped = heatop._telescoped
     monkeypatch.setattr(heatop, "_telescoped",
-                        lambda grid, g, spec: telescoped(grid, g, spec) + g)
+                        lambda grid, g, spec, kernels: telescoped(grid, g, spec, kernels) + g)
     assert not run_experiment("telescoping_oracle", settings).passed
 
 
