@@ -2,8 +2,8 @@
 half-space X = (0, inf) x R^n and the heat maximal-regularity operator.
 
 The package namespace holds the library-use block of README.md: a grid,
-midpoint sampling, a parabolic ball, T and T*.  Everything else is imported
-from its submodule.
+midpoint sampling, a parabolic ball, T and T*, and the overlap of a Whitney
+boundary cover.  Everything else is imported from its submodule.
 
 Layout
 ------
@@ -16,6 +16,7 @@ verify     experiment battery: certificates, counterexamples, stability probes
 config     flat key=value run configuration
 cli        command line entry point over the experiment catalogue
 """
+from .decompose import cover_max_overlap
 from .grid import SpaceTimeGrid, sample
 from .heatop import apply_T, apply_Tstar
 from .space import ball
@@ -27,5 +28,6 @@ __all__ = [
     "apply_T",
     "apply_Tstar",
     "ball",
+    "cover_max_overlap",
     "sample",
 ]

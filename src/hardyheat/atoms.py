@@ -29,12 +29,27 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .space import Annulus, ParabolicBall, ball_volume, dilate, halfspace_flags, truncated_volume
-from .grid import GridFunction, SpaceTimeGrid, integrate, lp_norm
+from .space import (
+    Annulus,
+    ParabolicBall,
+    ball_masks,
+    ball_volume,
+    dilate,
+    halfspace_flags,
+    truncated_volume,
+)
+from .grid import (
+    GridFunction,
+    SpaceTimeGrid,
+    chunk_slices,
+    integrate,
+    lp_norm,
+)
 
 # slack on a fitted decay exponent: the fit is a float least-squares solve, and
 # an exact-profile molecule can land an ulp under its own target
@@ -99,37 +114,60 @@ class AtomCertificate:
         return ok
 
 
-def validate_atom(a: GridFunction, Q: ParabolicBall, kind: AtomKind) -> AtomCertificate:
-    """Certify a as an atom of the given kind adapted to Q.
+def validate_atom_each(As: Sequence[GridFunction], Qs: Sequence[ParabolicBall],
+                       kind: AtomKind) -> list[AtomCertificate]:
+    """Certify every input as an atom of one kind adapted to its ball, in order.
 
-    The caller is responsible for the grid covering Q (use
-    ``grid.covers_ball``); support outside the grid box is invisible here.
+    The inputs share one grid.  Their ball masks come from one broadcast over
+    the grid (ball_masks) and their norms and moments from one reduction over
+    a stack of inputs, CHUNK elements at a time; each row is reduced as the
+    input's own array would be, so every number is the one-input number.
+    validate_atom is the one-input case.  The caller is responsible for the
+    grid covering each ball (use ``grid.covers_ball``); support outside the
+    grid box is invisible here.
     """
     kind = AtomKind(kind)
-    grid = a.grid
-    mask = Q.mask(*grid.mesh())
-    outside = np.abs(a.values[~mask])
-    scale = max(float(np.abs(a.values).max()), 1.0)
-    support_ok = bool(outside.size == 0 or outside.max() <= ATOM_TOL * scale)
-    geometry_ok = kind.fits(Q)
+    As, Qs = list(As), list(Qs)
+    if len(As) != len(Qs):
+        raise ValueError("need one ball per input")
+    if not As:
+        return []
+    grid = As[0].grid
+    if any(a.grid != grid for a in As):
+        raise ValueError("the inputs of one call must share one grid")
+    peak, outside, sq, total = (np.empty(len(As)) for _ in range(4))
+    for s in chunk_slices([math.prod(grid.shape)] * len(As)):
+        V = np.stack([a.values for a in As[s]]).reshape(s.stop - s.start, -1)
+        total[s] = V.sum(axis=1)
+        V = np.abs(V, out=V)
+        peak[s] = V.max(axis=1)
+        beyond = ~ball_masks(Qs[s], *grid.mesh()).reshape(V.shape)
+        outside[s] = V.max(axis=1, where=beyond, initial=0.0)
+        sq[s] = np.square(V, out=V).sum(axis=1)
 
-    vol = ball_volume(Q)
-    l2 = lp_norm(a, 2)
-    size_slack = lp_norm(a, np.inf) * vol if kind.uses_sup_norm else l2 * math.sqrt(vol)
+    certs = []
+    cm = grid.cell_measure
+    for Q, pk, out, s2, tot in zip(Qs, *(x.tolist() for x in (peak, outside, sq, total))):
+        vol = ball_volume(Q)
+        l2 = (s2 * cm) ** 0.5  # lp_norm(a, 2)
+        moment = tot * cm  # integrate(a)
+        certs.append(AtomCertificate(
+            kind=kind,
+            ball=Q,
+            support_ok=out <= ATOM_TOL * max(pk, 1.0),
+            geometry_ok=kind.fits(Q),
+            size_slack=pk * vol if kind.uses_sup_norm else l2 * math.sqrt(vol),
+            moment=moment,
+            moment_rel=abs(moment) / (math.sqrt(vol) * l2) if l2 > 0 else 0.0,
+            tol=ATOM_TOL,
+        ))
+    return certs
 
-    moment = integrate(a)
-    moment_rel = abs(moment) / (math.sqrt(vol) * l2) if l2 > 0 else 0.0
 
-    return AtomCertificate(
-        kind=kind,
-        ball=Q,
-        support_ok=support_ok,
-        geometry_ok=geometry_ok,
-        size_slack=float(size_slack),
-        moment=float(moment),
-        moment_rel=float(moment_rel),
-        tol=ATOM_TOL,
-    )
+def validate_atom(a: GridFunction, Q: ParabolicBall, kind: AtomKind) -> AtomCertificate:
+    """Certify a as an atom of the given kind adapted to Q: validate_atom_each
+    of the one input."""
+    return validate_atom_each([a], [Q], kind)[0]
 
 
 def _bump_field(grid: SpaceTimeGrid, mask: np.ndarray, rng, bumps: int = 3) -> np.ndarray:

@@ -9,6 +9,10 @@ certified atoms on X:
   The Whitney terms are kept as arrays (``WhitneyTerms``): a term's atom and
   ball are built only when it is indexed, and the reconstruction is one
   scatter of coefficient times atom value into a zero grid.
+  ``restrict_decompose_each`` restricts a batch of atoms on one grid with
+  one array pass per stage over all of them (checks, overlap sweep, first
+  owners, pieces), and ``restrict_decompose`` is its one-input case; every
+  input gets the decomposition it would get alone, bit for bit.
 * ``hz_decompose`` — push a decomposition of the even extension back down to X
   by symmetrising and restricting each term, recentring straddling balls.
 * ``molecule_decompose`` — split a certified molecule into dyadic-annulus
@@ -35,15 +39,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atoms import AtomKind, molecule_report, validate_atom
+from .atoms import AtomKind, molecule_report, validate_atom, validate_atom_each
 from .grid import (
     GridFunction,
     SpaceTimeGrid,
+    chunk_slices,
     even_extend,
     integrate,
     lp_norm,
     odd_extend,
     restrict,
+    restrict_grid,
     time_reflect,
 )
 from .space import (
@@ -51,9 +57,12 @@ from .space import (
     Annulus,
     ParabolicBall,
     ball,
+    ball_masks,
     ball_volume,
     dilate,
     halfspace_flags,
+    in_section,
+    in_time_interval,
     truncated_volume,
 )
 
@@ -307,130 +316,258 @@ def cover_max_overlap(cover: WhitneyCover) -> int:
     (row, centre) pair, so at a cell the count is sum_k a_k(t) b_k(x): the rows
     of layer k whose interval holds t times the centres of layer k whose box
     holds x.  a[k, time cell] and b[k, spatial cell] each come from one
-    difference array per layer, filled by bincount and summed up along each
-    axis (_layer_box_counts); the result is the largest entry of a^T b.
+    difference array per layer, filled by bincount (_layer_box_diffs) and
+    summed up along each axis; the result is the largest entry of a^T b.
+    This is the one-cover case of _max_overlap_each, which sweeps many
+    covers at once.
 
     Faces that coincide in exact arithmetic, such as c_j + rho and
     c_{j+2} - rho, can differ by an ulp in floating point.  Counted apart, the
     sliver between them would be a cell where open balls that only touch
     appear to meet, so faces closer than 32 ulps of the axis' largest face
-    magnitude are merged.  Distinct faces of a Whitney cover are much farther
-    apart.  Time faces lie on (rho_K^2 / 2)Z and the faces of each spatial
-    axis on a shift of rho_K Z, with rho_K the last layer's radius.  Below
-    _MAX_COVER_BALLS the last layer has at least one row of 2 r / rho_K
-    centres per axis, so rho_K > 1e-5 r and rho_K^2 > 2e-11 times the cover's
-    top time.  That is far above the merge tolerance in time, and in space
-    unless Q's centre lies about 1e9 radii from the origin.
+    magnitude in the cover are merged.  Distinct faces of a Whitney cover are
+    much farther apart.  Time faces lie on (rho_K^2 / 2)Z and the faces of
+    each spatial axis on a shift of rho_K Z, with rho_K the last layer's
+    radius.  Below _MAX_COVER_BALLS the last layer has at least one row of
+    2 r / rho_K centres per axis, so rho_K > 1e-5 r and rho_K^2 > 2e-11 times
+    the cover's top time.  That is far above the merge tolerance in time, and
+    in space unless Q's centre lies about 1e9 radii from the origin.
     """
-    if not len(cover):
-        return 0
-    layers = cover.layers
-    rho = np.array([L.rho for L in layers])
-    row_layer = np.repeat(np.arange(len(layers)), [len(L.rows) for L in layers])
-    centre_layer = np.repeat(np.arange(len(layers)), [len(L.centres) for L in layers])
-    rows = np.concatenate([L.rows for L in layers])[:, None]
-    a = _layer_box_counts(row_layer, len(layers), *_box_cells(rows, rho[row_layer] ** 2))
-    centres = np.concatenate([L.centres for L in layers])
-    b = _layer_box_counts(centre_layer, len(layers), *_box_cells(centres, rho[centre_layer]))
-    # small integers: the float product is exact
-    return int((a.T @ b).max())
+    return int(_max_overlap_each(_Layers([cover]))[0])
 
 
-def _box_cells(points: np.ndarray, half: np.ndarray):
+class _Layers:
+    """The layers of a sequence of covers as flat arrays, layer g running over
+    the layers of every cover in cover order.
+
+    Cover c holds layers first[c]:first[c + 1]; layer g holds rows
+    row_at[g]:row_at[g + 1] of rows, centres centre_at[g]:centre_at[g + 1]
+    of centres, and the balls ball_at[g]:ball_at[g + 1] of all covers, counted
+    in cover order.  volume[g] is nu of one of its balls.
+    """
+
+    def __init__(self, covers: Sequence[WhitneyCover]):
+        layers = [L for cover in covers for L in cover.layers]
+        self.n = n = layers[0].centres.shape[1] if layers else 1
+        self.n_covers = len(covers)
+        self.first = np.cumsum([0] + [len(cover.layers) for cover in covers])
+        self.cover = np.repeat(np.arange(len(covers)), np.diff(self.first))
+        self.rho = np.array([L.rho for L in layers])
+        self.rows = np.concatenate([L.rows for L in layers] or [np.empty(0)])
+        self.centres = np.concatenate([L.centres for L in layers] or [np.empty((0, n))])
+        self.row_at = np.cumsum([0] + [len(L.rows) for L in layers])
+        self.centre_at = np.cumsum([0] + [len(L.centres) for L in layers])
+        self.ball_at = np.cumsum([0] + [len(L) for L in layers])
+        # 2 rho^2 omega_n rho^n in ball_volume's order of operations, so each
+        # entry is bit-equal to ball_volume of the layer's balls
+        self.volume = np.array([2.0 * L.rho**2 * UNIT_BALL_VOLUME[n] * L.rho**n for L in layers])
+
+    def __len__(self) -> int:
+        return len(self.rho)
+
+    def of(self, at: np.ndarray) -> np.ndarray:
+        """The layer of each row, centre or ball, given row_at, centre_at or ball_at."""
+        return np.repeat(np.arange(len(self)), np.diff(at))
+
+
+def _max_overlap_each(layers: _Layers) -> np.ndarray:
+    """cover_max_overlap of every cover, from one sweep over all of them.
+
+    The faces of the covers are merged in one lexsort by (cover, value),
+    each cover with its own tolerance, and the boxes of every layer of every
+    cover go into one difference array per axis set (_layer_box_diffs).
+    Covers go through the sweep in runs of about CHUNK faces; only the
+    cumulative sums and the product a^T b are formed cover by cover.
+    """
+    out = np.zeros(layers.n_covers, dtype=np.int64)
+    first, rho = layers.first, layers.rho
+    row_layer, centre_layer = layers.of(layers.row_at), layers.of(layers.centre_at)
+    faces = 2 * (np.diff(layers.row_at[first]) + np.diff(layers.centre_at[first]) * layers.n)
+    for run in chunk_slices(faces):
+        g0, g1 = first[run.start], first[run.stop]
+        if g0 == g1:
+            continue
+        cover, n_covers = layers.cover[g0:g1] - run.start, run.stop - run.start
+        rows = slice(layers.row_at[g0], layers.row_at[g1])
+        centres = slice(layers.centre_at[g0], layers.centre_at[g1])
+        rl, cl = row_layer[rows] - g0, centre_layer[centres] - g0
+        t_lo, t_hi, t_shape = _box_cells(layers.rows[rows, None], rho[g0:g1][rl] ** 2, cover[rl],
+                                         n_covers)
+        x_lo, x_hi, x_shape = _box_cells(layers.centres[centres], rho[g0:g1][cl], cover[cl],
+                                         n_covers)
+        a, a_at = _layer_box_diffs(rl, t_lo, t_hi, t_shape[cover])
+        b, b_at = _layer_box_diffs(cl, x_lo, x_hi, x_shape[cover])
+        for c in range(n_covers):
+            k0, k1 = first[run.start + c] - g0, first[run.start + c + 1] - g0
+            if k0 == k1:
+                continue
+            # counts from differences: cumulative sums along every axis
+            A = a[a_at[k0]:a_at[k1]].reshape(k1 - k0, -1).cumsum(axis=1)
+            B = b[b_at[k0]:b_at[k1]].reshape((k1 - k0, *x_shape[c]))
+            for axis in range(1, B.ndim):
+                B = B.cumsum(axis=axis)
+            # small integers: the float product is exact
+            out[run.start + c] = (A.T @ B.reshape(k1 - k0, -1)).max()
+    return out
+
+
+def _box_cells(points: np.ndarray, half: np.ndarray, group: np.ndarray, n_groups: int):
     """Per axis, the cells [lo, hi) that each box |x - p| < half covers.
 
-    The cells are the elementary intervals between the merged faces of all
-    boxes on that axis, indexed from 0; returns (lo, hi, cells + 1) with one
-    entry per axis.  A cell is covered when its midpoint lies strictly inside.
+    Box i belongs to group[i] (its cover).  The cells of a group are the
+    elementary intervals between the merged faces of that group's boxes on
+    the axis, indexed from 0; faces are merged within a group only, with the
+    group's own tolerance.  Returns (lo, hi, shape): lo and hi of shape
+    (axes, boxes), shape (n_groups, axes) with each group's face count on
+    each axis (its cells + 1; 0 for a group without boxes).  A cell is
+    covered when its midpoint lies strictly inside.
     """
-    lo, hi, shape = [], [], []
-    for p in points.T:
+    n_axes = points.shape[1]
+    lo = np.empty((n_axes, len(points)), dtype=np.int64)
+    hi = np.empty_like(lo)
+    shape = np.zeros((n_groups, n_axes), dtype=np.int64)
+    groups = np.concatenate([group, group])
+    for d, p in enumerate(points.T):
         ends = np.concatenate([p - half, p + half])
-        faces = np.sort(ends)
-        # sorted, so the largest magnitude is at one end
-        tol = 32.0 * np.spacing(max(-faces[0], faces[-1]))
-        faces = faces[np.concatenate(([True], faces[1:] - faces[:-1] > tol))]
-        mids = 0.5 * (faces[:-1] + faces[1:])
-        at = np.searchsorted(mids, ends)
-        lo.append(at[: len(p)])
-        hi.append(at[len(p) :])
-        shape.append(len(faces))
-    return lo, hi, tuple(shape)
+        order = np.lexsort((ends, groups))
+        faces, g = ends[order], groups[order]
+        new = np.concatenate(([True], g[1:] != g[:-1]))
+        rank = np.cumsum(new) - 1  # group rank of each sorted face
+        head = np.flatnonzero(new)
+        tail = np.append(head[1:], len(faces)) - 1
+        # sorted, so the largest magnitude is at one end of each group
+        tol = 32.0 * np.spacing(np.maximum(-faces[head], faces[tail]))
+        keep = new.copy()
+        keep[1:] |= faces[1:] - faces[:-1] > tol[rank[1:]]
+        merged = np.cumsum(keep) - 1  # the kept face each face merges into
+        kept = faces[keep]
+        mids = 0.5 * (kept[:-1] + kept[1:])
+        count = np.diff(np.append(merged[head], len(kept)))
+        local = merged - merged[head][rank]
+        # searchsorted(mids of the group, face): kept faces are more than tol
+        # apart, so each mid below the face's own kept face lies below the
+        # face and each mid above the next kept face above it; only the mid
+        # between the two needs a comparison
+        up = local < count[rank] - 1
+        up[up] = mids[merged[up]] < faces[up]
+        at = np.empty_like(order)
+        at[order] = local + up
+        lo[d], hi[d] = at[: len(p)], at[len(p) :]
+        shape[g[head], d] = count
+    return lo, hi, shape
 
 
-def _layer_box_counts(layer: np.ndarray, n_layers: int, lo, hi, shape) -> np.ndarray:
-    """Per layer, how many of its boxes cover each cell: (n_layers, prod(shape)).
+def _layer_box_diffs(layer: np.ndarray, lo, hi, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Per layer, the difference array of its boxes; returns (diffs, at).
 
     Box i of layer[i] covers the cells [lo[d][i], hi[d][i]) on each axis d
-    (the output of _box_cells).  Its corners go into a difference array, one
-    bincount per corner, which cumulative sums along the axes turn into counts.
+    (the output of _box_cells) of the arrangement of shape[layer[i]], the
+    face counts of its cover.  Layer g's differences are diffs[at[g]:at[g +
+    1]] in C order over shape[g], one bincount per corner of the boxes;
+    cumulative sums along the axes turn them into the layer's box counts.
     """
-    size = math.prod(shape)
-    base = layer * size
-    counts = np.zeros(n_layers * size)
-    for corner in itertools.product((0, 1), repeat=len(shape)):
-        at = np.ravel_multi_index([h if c else l for c, l, h in zip(corner, lo, hi)], shape)
-        counts += (-1) ** sum(corner) * np.bincount(base + at, minlength=n_layers * size)
-    counts = counts.reshape((n_layers,) + shape)
-    for axis in range(1, len(shape) + 1):
-        counts = np.cumsum(counts, axis=axis)
-    return counts.reshape(n_layers, size)
+    size = shape.prod(axis=1)
+    at = np.concatenate(([0], np.cumsum(size)))
+    box_shape = shape[layer]
+    diffs = np.zeros(at[-1])
+    for corner in itertools.product((0, 1), repeat=shape.shape[1]):
+        flat = at[layer]
+        stride = 1
+        for d in reversed(range(shape.shape[1])):
+            flat = flat + stride * (hi[d] if corner[d] else lo[d])
+            stride = stride * box_shape[:, d]
+        diffs += (-1) ** sum(corner) * np.bincount(flat, minlength=at[-1])
+    return diffs, at
 
 
-def _layer_volumes(cover: WhitneyCover) -> np.ndarray:
-    """nu of one ball per layer; every ball of a layer has the same radius.
-
-    2 rho^2 omega_n rho^n in ball_volume's order of operations, so each entry
-    is bit-equal to ball_volume of the layer's balls without building one.
-    """
-    return np.array([
-        2.0 * L.rho**2 * UNIT_BALL_VOLUME[L.centres.shape[1]] * L.rho ** L.centres.shape[1]
-        for L in cover.layers
-    ])
-
-
-def cover_stats(cover: WhitneyCover, Q: ParabolicBall) -> dict:
-    """Measured cover quality: ball count, layers, overlap, volume ratio."""
-    per_ball = np.repeat(_layer_volumes(cover), [len(L) for L in cover.layers])
-    # cumsum adds one ball at a time in cover order (np.sum would pair terms)
-    vol = float(np.cumsum(per_ball)[-1]) if per_ball.size else 0.0
-    tv = truncated_volume(Q)
-    return {
-        "n_balls": len(cover),
-        "n_layers": len(cover.layers),
-        "overlap_max": cover_max_overlap(cover),
-        "volume_sum": vol,
-        "volume_ratio": float(vol / tv) if tv > 0 else math.inf,
-    }
+def _cover_stats_each(layers: _Layers, Qs: Sequence[ParabolicBall]) -> list[dict]:
+    """Measured quality of every cover of layers, Qs[c] the ball cover c covers:
+    ball count, layers, overlap, volume sum and volume ratio.  The overlaps
+    come from one sweep."""
+    first, n_balls = layers.first, np.diff(layers.ball_at)
+    stats = []
+    for c, (Q, overlap) in enumerate(zip(Qs, _max_overlap_each(layers).tolist())):
+        # cumsum adds one ball at a time in cover order (np.sum would pair terms)
+        g0, g1 = first[c], first[c + 1]
+        per_ball = np.repeat(layers.volume[g0:g1], n_balls[g0:g1])
+        vol = float(np.cumsum(per_ball)[-1]) if per_ball.size else 0.0
+        tv = truncated_volume(Q)
+        stats.append({
+            "n_balls": per_ball.size,
+            "n_layers": int(g1 - g0),
+            "overlap_max": overlap,
+            "volume_sum": vol,
+            "volume_ratio": float(vol / tv) if tv > 0 else math.inf,
+        })
+    return stats
 
 
-def _first_ball_owner(cover: WhitneyCover, grid: SpaceTimeGrid, cells: np.ndarray) -> np.ndarray:
-    """Cover index of the first ball containing each given cell's midpoint.
+_NONE = np.iinfo(np.int64).max  # no containing row or centre
+
+
+def _first_hit(inside: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Per segment at[g]:at[g + 1] of inside's rows, the first row that is
+    inside, counted from the segment's start (_NONE where none is)."""
+    shape = (-1,) + (1,) * (inside.ndim - 1)
+    hit = np.minimum.reduceat(np.where(inside, np.arange(len(inside)).reshape(shape), _NONE),
+                              at, axis=0)
+    return np.where(hit == _NONE, _NONE, hit - at.reshape(shape))
+
+
+def _first_ball_owner(layers: _Layers, grid: SpaceTimeGrid,
+                      inp: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Index in cover inp[i] of its first ball containing the midpoint of cells[i].
 
     cells are flat indices into the grid; -1 marks a cell no ball contains.
     Within a layer a ball contains a cell iff its row contains the cell's
-    time and its centre the cell's position, with the strict tests of
-    ParabolicBall.mask.  Balls run (layer, row, centre), so the first
+    time (in_time_interval) and its centre the cell's position (in_section),
+    the tests of ParabolicBall.mask.  Balls run (layer, row, centre), so the first
     containing ball pairs the first such row with the first such centre, in
-    the first layer that has both.
+    the first layer that has both.  np.minimum.reduceat over the layers of
+    all covers gives the first row per (layer, slab), and the first centre
+    per (layer, spatial cell) for the spatial cells that hold a cell of the
+    layer's input, CHUNK elements at a time; then one pass per layer rank
+    assigns the owners of every cell.
     """
-    ts = grid.ts
-    space = [m[0] for m in grid.mesh()[1:]]  # per-axis midpoints, broadcastable
-    slab, cell = np.divmod(cells, grid.nx**grid.n)
+    first, nc = layers.first, np.diff(layers.centre_at)
+    n_layers = np.diff(first)
+    start = layers.ball_at[:-1] - layers.ball_at[first[layers.cover]]  # within its cover
+    # Python's rho**2, the square ParabolicBall.mask takes of a radius
+    r2 = np.array([rho**2 for rho in layers.rho.tolist()])
+
+    rr = np.repeat(r2, np.diff(layers.row_at))
+    in_t = in_time_interval(grid.ts, (layers.rows - rr)[:, None], (layers.rows + rr)[:, None])
+    first_row = _first_hit(in_t, layers.row_at[:-1])
+
+    # the spatial cells of each input, once each; pair (u, k) is spatial
+    # cell u with layer k of its input's cover
+    n_cells = grid.nx**grid.n
+    slab, cell = np.divmod(cells, n_cells)
+    spots, which = np.unique(inp * n_cells + cell, return_inverse=True)
+    spot_inp, spot_cell = np.divmod(spots, n_cells)
+    pair_at = np.cumsum(n_layers[spot_inp]) - n_layers[spot_inp]
+    pair_spot = np.repeat(np.arange(len(spots)), n_layers[spot_inp])
+    pair_layer = first[spot_inp][pair_spot] + np.arange(len(pair_spot)) - pair_at[pair_spot]
+    pair_x = [grid.xs[ax][pair_spot] for ax in np.unravel_index(spot_cell, (grid.nx,) * grid.n)]
+    first_centre = np.empty(len(pair_spot), dtype=np.int64)
+    for run in chunk_slices(nc[pair_layer]):
+        g = pair_layer[run]
+        at = np.cumsum(nc[g]) - nc[g]
+        # every centre of each pair's layer, pair by pair
+        k = np.repeat(layers.centre_at[g] - at, nc[g]) + np.arange(at[-1] + nc[g][-1])
+        inside = in_section((np.repeat(x[run], nc[g]) for x in pair_x),
+                            (c[k] for c in layers.centres.T), np.repeat(r2[g], nc[g]))
+        first_centre[run] = _first_hit(inside, at)
+
     owner = np.full(len(cells), -1)
-    start = 0
-    for layer in cover.layers:
-        r2 = layer.rho**2
-        nc = len(layer.centres)
-        in_t = (ts > (layer.rows - r2)[:, None]) & (ts < (layer.rows + r2)[:, None])
-        d2 = sum(
-            (x[None] - layer.centres[:, i].reshape((-1,) + (1,) * x.ndim)) ** 2
-            for i, x in enumerate(space)
-        )
-        in_x = d2.reshape(nc, -1) < r2
-        new = in_t.any(0)[slab] & in_x.any(0)[cell] & (owner < 0)
-        owner[new] = start + in_t.argmax(0)[slab[new]] * nc + in_x.argmax(0)[cell[new]]
-        start += len(layer)
+    for k in range(n_layers.max(initial=0)):
+        todo = np.flatnonzero((owner < 0) & (n_layers[inp] > k))
+        pair = pair_at[which[todo]] + k
+        g = pair_layer[pair]
+        fr, fc = first_row[g, slab[todo]], first_centre[pair]
+        hit = (fr != _NONE) & (fc != _NONE)
+        g = g[hit]
+        owner[todo[hit]] = start[g] + fr[hit] * nc[g] + fc[hit]
     return owner
 
 
@@ -457,54 +594,109 @@ def restrict_decompose(A: GridFunction, Q: ParabolicBall) -> Decomposition:
 
     The coefficient bound Cauchy–Schwarz gives — sum of coefficients over
     ||A|_X||_2 nu(Q ∩ X)^(1/2) — is measured and recorded in the ledger.
-    """
-    grid = A.grid
-    if not grid.covers_ball(Q, clip_time=grid.over_halfspace()):
-        raise DecompositionError("grid does not cover Q (clipped to X)")
-    cert = validate_atom(A, Q, AtomKind.CLASSICAL_2)
-    if not cert.passed:
-        raise DecompositionError(f"input is not a classical L2 atom: {cert}")
-    if truncated_volume(Q) <= 0.0:
-        raise DecompositionError("Q does not meet the half-space")
 
+    This is restrict_decompose_each of the one input: a batch gives every
+    input the decomposition it would get alone, bit for bit.
+    """
+    return restrict_decompose_each([A], [Q])[0]
+
+
+def restrict_decompose_each(As: Sequence[GridFunction],
+                            Qs: Sequence[ParabolicBall]) -> list[Decomposition]:
+    """restrict_decompose of every (A, Q) pair, in order, on one grid.
+
+    Each stage is one array pass over every input, so its per-call cost is
+    paid once per batch: the input checks (ball masks and atom
+    certificates, validate_atom_each), the overlap sweep of all Whitney
+    covers (_cover_stats_each), the first-owner pass over the cells of all
+    balls (_first_ball_owner) and the grouping of those cells into pieces,
+    with one stable sort by (input, owner), one bincount of the piece sums of
+    squares and one power-of-two rounding of the coefficients.  Each input's
+    WhitneyTerms holds slices of the shared arrays.  The residuals and
+    half-space norms come from one stack of the inputs, CHUNK elements at a
+    time.  Only the whitney_cover calls and the sequential sums (raw and
+    rounded coefficient sums, cover volumes) run input by input, in term
+    order, so every ledger is the one-input ledger bit for bit.  Nothing is
+    kept between calls.
+
+    The checks raise for the first failing input of the first failing check.
+    """
+    As, Qs = list(As), list(Qs)
+    if not As or len(As) != len(Qs):
+        raise ValueError("need at least one input and one ball per input")
+    grid = As[0].grid
+    if any(A.grid != grid for A in As):
+        raise ValueError("the inputs of one call must share one grid")
+    if not all(grid.covers_ball(Q, clip_time=grid.over_halfspace()) for Q in Qs):
+        raise DecompositionError("grid does not cover Q (clipped to X)")
+    for cert in validate_atom_each(As, Qs, AtomKind.CLASSICAL_2):
+        if not cert.passed:
+            raise DecompositionError(f"input is not a classical L2 atom: {cert}")
+    if any(truncated_volume(Q) <= 0.0 for Q in Qs):
+        raise DecompositionError("Q does not meet the half-space")
     if grid.t_min < 0.0:
-        half = restrict(A)
+        k0, hgrid = restrict_grid(grid)
     elif grid.over_halfspace():
-        half = A
+        k0, hgrid = 0, grid
     else:
         raise DecompositionError("grid must reach t = 0 or straddle it")
 
-    two_in, four_in = halfspace_flags(Q)
-    if four_in:
-        term = Term(1.0, half, Q, AtomKind.TYPE_A)
-        return Decomposition([term], residual=0.0, ledger={"case": "interior"})
-    if two_in:
-        term = Term(1.0, half, Q, AtomKind.TYPE_B)
-        return Decomposition([term], residual=0.0, ledger={"case": "boundary_band"})
-
+    decs: dict[int, Decomposition] = {}
+    for i, (A, Q) in enumerate(zip(As, Qs)):
+        two_in, four_in = halfspace_flags(Q)
+        if four_in:
+            kind, case = AtomKind.TYPE_A, "interior"
+        elif two_in:
+            kind, case = AtomKind.TYPE_B, "boundary_band"
+        else:
+            continue
+        half = restrict(A) if grid.t_min < 0.0 else A
+        decs[i] = Decomposition([Term(1.0, half, Q, kind)], residual=0.0, ledger={"case": case})
     # boundary case: Whitney cover, one type (b) slice per ball
-    hgrid = half.grid
-    bottom = max(Q.t0 - Q.radius**2, 0.0)
-    floor = max(hgrid.tau / 2.0, bottom)
-    cover = whitney_cover(Q, t_floor=floor)
-    stats = cover_stats(cover, Q)
-    bound = WHITNEY_OVERLAP_BOUND[Q.n]
-    if stats["overlap_max"] > bound:
-        raise DecompositionError(
-            f"cover overlap {stats['overlap_max']} exceeds the bound {bound}"
-        )
-    cells = np.flatnonzero(Q.mask(*hgrid.mesh()))
-    own = _first_ball_owner(cover, hgrid, cells)
+    whitney = [i for i in range(len(As)) if i not in decs]
+    if whitney:
+        decs.update(zip(whitney, _whitney_each([As[i] for i in whitney],
+                                               [Qs[i] for i in whitney], k0, hgrid)))
+    return [decs[i] for i in range(len(As))]
+
+
+def _half_values(As: Sequence[GridFunction], k0: int) -> np.ndarray:
+    """The inputs' values from slab k0 on, stacked: (len(As), cells over X)."""
+    return np.stack([A.values[k0:] for A in As]).reshape(len(As), -1)
+
+
+def _whitney_each(As: Sequence[GridFunction], Qs: Sequence[ParabolicBall], k0: int,
+                  hgrid: SpaceTimeGrid) -> list[Decomposition]:
+    """The Whitney branch of restrict_decompose_each, its inputs' slabs k0 on on hgrid."""
+    covers = [whitney_cover(Q, t_floor=max(hgrid.tau / 2.0, max(Q.t0 - Q.radius**2, 0.0)))
+              for Q in Qs]
+    layers = _Layers(covers)
+    stats = _cover_stats_each(layers, Qs)
+    bound = WHITNEY_OVERLAP_BOUND[hgrid.n]
+    for st in stats:
+        if st["overlap_max"] > bound:
+            raise DecompositionError(
+                f"cover overlap {st['overlap_max']} exceeds the bound {bound}"
+            )
+
+    # the cells of each Q ∩ X in C order, input by input, and the values there
+    size = math.prod(hgrid.shape)
+    found = []
+    for s in chunk_slices([size] * len(As)):
+        at = np.flatnonzero(ball_masks(Qs[s], *hgrid.mesh()))
+        found.append((at // size + s.start, at % size, _half_values(As[s], k0).ravel()[at]))
+    inp, cells, pv = (np.concatenate(x) for x in zip(*found))
+    own = _first_ball_owner(layers, hgrid, inp, cells)
     escaped = int((own < 0).sum())
     if escaped:
         raise DecompositionError(f"{escaped} cells of Q ∩ X escaped the cover")
-    # group the cells of Q by owner; the stable sort keeps each piece in C
-    # order, the order in which a boolean mask reads vals[piece]
-    order = np.argsort(own, kind="stable")
-    cells, own = cells[order], own[order]
-    pv = half.values.ravel()[cells]
+    # group the cells of each Q by owner; the stable sort keeps each piece in
+    # C order, the order in which a boolean mask reads vals[piece]
+    order = np.argsort(inp * (own.max(initial=0) + 1) + own, kind="stable")
+    inp, cells, pv, own = inp[order], cells[order], pv[order], own[order]
     sq = pv**2
-    starts = np.flatnonzero(np.concatenate(([True], own[1:] != own[:-1])))
+    new = (own[1:] != own[:-1]) | (inp[1:] != inp[:-1])
+    starts = np.flatnonzero(np.concatenate(([True], new)))
     lengths = np.diff(starts, append=len(cells))
     # per-piece sums of squares, each bit-identical to sq[a:b].sum(): numpy
     # adds fewer than 8 terms left to right, as bincount does, and unrolls
@@ -515,38 +707,53 @@ def restrict_decompose(A: GridFunction, Q: ParabolicBall) -> Decomposition:
         ss[k] = sq[starts[k]:starts[k] + lengths[k]].sum()
     w = np.sqrt(ss * hgrid.cell_measure)
     keep = w != 0.0
-    owners = own[starts[keep]]
-    layer_starts = np.cumsum([0] + [len(L) for L in cover.layers])
-    layer = np.searchsorted(layer_starts, owners, side="right") - 1
-    raw = w[keep] * np.sqrt(_layer_volumes(cover))[layer]
+    piece_inp, owners = inp[starts[keep]], own[starts[keep]]
+    # the layer of each owner, counted over the balls of all covers
+    ball = layers.ball_at[layers.first[piece_inp]] + owners
+    raw = w[keep] * np.sqrt(layers.volume)[np.searchsorted(layers.ball_at, ball, side="right") - 1]
     coeffs = _pow2_at_least(raw)
     in_kept = np.repeat(keep, lengths)
-    terms = WhitneyTerms(
-        hgrid,
-        cover,
-        cells[in_kept],
-        pv[in_kept] / np.repeat(coeffs, lengths[keep]),  # exact: powers of two
-        np.concatenate(([0], np.cumsum(lengths[keep]))),
-        owners,
-        coeffs,
-    )
+    cells, pv, inp = cells[in_kept], pv[in_kept], inp[in_kept]
+    per_cell = np.repeat(coeffs, lengths[keep])
+    values = pv / per_cell  # exact: powers of two
+    bounds = np.concatenate(([0], np.cumsum(lengths[keep])))
 
-    dec = Decomposition(terms, residual=lp_norm(half - terms.reconstruct(), 1))
-    # cumsum adds the raw constants one at a time, in term order
-    raw_sum = float(np.cumsum(raw)[-1]) if raw.size else 0.0
-    half_l2 = lp_norm(half, 2)
-    scale = half_l2 * math.sqrt(truncated_volume(Q))
-    dec.ledger.update(
-        {
-            "case": "whitney",
-            # realized bound includes the power-of-two rounding; the raw
-            # Cauchy-Schwarz constant is the one stable across inputs
-            "coefficient_constant": dec.coefficient_sum / scale if scale > 0 else 0.0,
-            "coefficient_constant_raw": raw_sum / scale if scale > 0 else 0.0,
-            **stats,
-        }
-    )
-    return dec
+    # |half - reconstruction| and |half|^2 summed per input; the
+    # reconstruction, coefficient * atom value on the pieces and zero
+    # elsewhere, only replaces the pieces' cells
+    resid, half_sq = np.empty(len(As)), np.empty(len(As))
+    for s in chunk_slices([size] * len(As)):
+        D = np.abs(_half_values(As[s], k0))
+        half_sq[s] = (D**2).sum(axis=1)
+        a, b = np.searchsorted(inp, [s.start, s.stop])
+        at = (inp[a:b] - s.start) * size + cells[a:b]
+        D.ravel()[at] = np.abs(pv[a:b] - per_cell[a:b] * values[a:b])
+        resid[s] = D.sum(axis=1)
+
+    decs = []
+    piece_at = np.searchsorted(piece_inp, np.arange(len(As) + 1))
+    for j, (cover, Q, st) in enumerate(zip(covers, Qs, stats)):
+        p0, p1 = piece_at[j], piece_at[j + 1]
+        c0, c1 = bounds[p0], bounds[p1]
+        terms = WhitneyTerms(hgrid, cover, cells[c0:c1], values[c0:c1], bounds[p0:p1 + 1] - c0,
+                             owners[p0:p1], coeffs[p0:p1])
+        dec = Decomposition(terms, residual=float(resid[j] * hgrid.cell_measure))
+        # cumsum adds the raw constants one at a time, in term order
+        raw_sum = float(np.cumsum(raw[p0:p1])[-1]) if p1 > p0 else 0.0
+        half_l2 = float(half_sq[j] * hgrid.cell_measure) ** 0.5
+        scale = half_l2 * math.sqrt(truncated_volume(Q))
+        dec.ledger.update(
+            {
+                "case": "whitney",
+                # realized bound includes the power-of-two rounding; the raw
+                # Cauchy-Schwarz constant is the one stable across inputs
+                "coefficient_constant": dec.coefficient_sum / scale if scale > 0 else 0.0,
+                "coefficient_constant_raw": raw_sum / scale if scale > 0 else 0.0,
+                **st,
+            }
+        )
+        decs.append(dec)
+    return decs
 
 
 # -- halving/symmetrisation of even-extension decompositions --------------------

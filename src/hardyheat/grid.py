@@ -9,17 +9,42 @@ produce the time-symmetric grid over (-T+, T+].
 A grid computes its coordinate arrays (xs, ts, x_edges, t_edges and the mesh)
 on first access and keeps them.  They are read-only, since every caller of
 the grid shares them; equality and hashing still see only the six fields.
+
+Passes over many inputs, balls or points at once (the corner sums of heatop,
+validate_atom_each, restrict_decompose_each) keep each temporary array near
+CHUNK elements.
 """
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .space import ParabolicBall
+
+
+#: elements per temporary array in a pass over many inputs, balls or points
+CHUNK = 1 << 16
+
+
+def chunk_slices(sizes: Sequence[int]) -> list[slice]:
+    """Consecutive runs of items whose sizes add up to at most CHUNK.
+
+    An item larger than CHUNK forms a run of its own.
+    """
+    runs, start, total = [], 0, 0
+    for i, size in enumerate(sizes):
+        if i > start and total + size > CHUNK:
+            runs.append(slice(start, i))
+            start, total = i, 0
+        total += size
+    if len(sizes):
+        runs.append(slice(start, len(sizes)))
+    return runs
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -206,13 +231,18 @@ def time_reflect(F: GridFunction) -> GridFunction:
     return GridFunction(g, F.values[::-1])
 
 
-def restrict(F: GridFunction) -> GridFunction:
-    """Restriction to X of a function on a grid with a slab edge at t = 0."""
-    g = F.grid
+def restrict_grid(g: SpaceTimeGrid) -> tuple[int, SpaceTimeGrid]:
+    """(k0, grid over X) for a grid with a slab edge at t = 0: slab k0 of g is
+    the first slab of the grid over X, and slabs k0 onwards are its slabs."""
     if not (g.t_min < 0.0 < g.t_max):
         raise ValueError("restrict expects a grid straddling t = 0")
     k0 = int(round(-g.t_min / g.tau))
     if abs(g.t_min + k0 * g.tau) > 1e-12 * max(1.0, g.t_max):
         raise ValueError("no slab edge at t = 0")
-    sub = SpaceTimeGrid(g.n, g.length, g.nx, 0.0, g.t_max, g.nt - k0)
+    return k0, SpaceTimeGrid(g.n, g.length, g.nx, 0.0, g.t_max, g.nt - k0)
+
+
+def restrict(F: GridFunction) -> GridFunction:
+    """Restriction to X of a function on a grid with a slab edge at t = 0."""
+    k0, sub = restrict_grid(F.grid)
     return GridFunction(sub, F.values[k0:])

@@ -93,7 +93,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .grid import GridFunction, SpaceTimeGrid
+from .grid import CHUNK, GridFunction, SpaceTimeGrid
 
 WHOLE_SPACE = "whole_space"
 HALF_LINE_DIRICHLET = "half_line_dirichlet"
@@ -367,8 +367,6 @@ def apply_Tstar(f: GridFunction, spec: KernelSpec = WHOLE) -> GridFunction:
 
 # -- corner sums: T and T* at arbitrary points ---------------------------------
 
-_CHUNK = 1 << 16  # elements per temporary array in a corner sum
-
 
 def _corner_sum(f: GridFunction, ts, pts: np.ndarray, spec: KernelSpec, op: str, kernel):
     """Σ_m Σ_j D_mj kernel(u, p - e_j) at every time in ts and point p (n = 1).
@@ -380,7 +378,7 @@ def _corner_sum(f: GridFunction, ts, pts: np.ndarray, spec: KernelSpec, op: str,
     is T of the slab-reversed input, whose corner m sits at
     t_min + t_max - t_edges[nt - m]: its lag is t_edges[nt - m] - t, read
     from the grid's own edges, so no reflected time is ever rounded.  Times
-    go in batches whose temporaries hold about _CHUNK elements.
+    go in batches whose temporaries hold about CHUNK elements.
     """
     if op not in ("T", "Tstar"):
         raise ValueError("op must be 'T' or 'Tstar'")
@@ -397,7 +395,7 @@ def _corner_sum(f: GridFunction, ts, pts: np.ndarray, spec: KernelSpec, op: str,
     keep = D.any(axis=0)  # edges without jumps add nothing
     edges, D = f.grid.x_edges[keep], D[:, keep]
     out = np.zeros((len(ts), pts.shape[-1]))
-    step = max(1, _CHUNK // max(1, out.shape[1] * len(edges)))
+    step = max(1, CHUNK // max(1, out.shape[1] * len(edges)))
     for m, u in enumerate(lags):
         live = np.flatnonzero(u > 0.0) if D[m].any() else []
         for c in range(0, len(live), step):

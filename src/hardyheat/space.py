@@ -8,6 +8,7 @@ open Euclidean ball B(x0, r).  All volumes are exact closed forms.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,9 +78,41 @@ class ParabolicBall:
         if len(xs) != self.n:
             raise ValueError("dimension mismatch")
         lo, hi = self.time_interval
-        inside = (np.asarray(t) > lo) & (np.asarray(t) < hi)
-        d2 = sum((np.asarray(x) - c) ** 2 for x, c in zip(xs, self.center.x))
-        return inside & (d2 < self.radius**2)
+        inside = in_time_interval(np.asarray(t), lo, hi)
+        return inside & in_section((np.asarray(x) for x in xs), self.center.x, self.radius**2)
+
+
+def in_time_interval(t, lo, hi) -> np.ndarray:
+    """The time test of a parabolic ball: lo < t < hi, both strict.
+
+    With in_section, the one definition of ball membership: ParabolicBall.mask,
+    ball_masks and the first-owner pass of a Whitney restriction all take it,
+    so their masks agree bit for bit.
+    """
+    return (t > lo) & (t < hi)
+
+
+def in_section(xs, centre, r2) -> np.ndarray:
+    """The spatial test of a parabolic ball: the sum over axes, in axis order,
+    of (x - c)^2 is below r2, strictly."""
+    return sum((x - c) ** 2 for x, c in zip(xs, centre)) < r2
+
+
+def ball_masks(Qs: Sequence[ParabolicBall], t, *xs) -> np.ndarray:
+    """Q.mask(t, *xs) of every ball in Qs, stacked on a new first axis.
+
+    One broadcast over the coordinates for all balls, with the tests of
+    ParabolicBall.mask, so every slice equals that ball's own mask.
+    """
+    if any(Q.n != len(xs) for Q in Qs):
+        raise ValueError("dimension mismatch")
+    t, xs = np.asarray(t), [np.asarray(x) for x in xs]
+    at = (len(Qs),) + (1,) * max(a.ndim for a in (t, *xs))
+    lo, hi = np.array([Q.time_interval for Q in Qs]).reshape(len(Qs), 2).T
+    centres = np.array([Q.center.x for Q in Qs]).reshape(len(Qs), len(xs)).T
+    r2 = np.array([Q.radius**2 for Q in Qs])
+    inside = in_time_interval(t, lo.reshape(at), hi.reshape(at))
+    return inside & in_section(xs, (c.reshape(at) for c in centres), r2.reshape(at))
 
 
 def ball(t0: float, x0, radius: float) -> ParabolicBall:

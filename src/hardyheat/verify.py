@@ -36,9 +36,9 @@ from .decompose import (
     finite_norm_bound,
     hz_decompose,
     molecule_decompose,
-    restrict_decompose,
+    restrict_decompose_each,
 )
-from .grid import GridFunction, SpaceTimeGrid, lp_norm, restrict, time_reflect
+from .grid import GridFunction, SpaceTimeGrid, chunk_slices, lp_norm, restrict, time_reflect
 from .heatop import (
     HALF_LINE_DIRICHLET,
     HALF_LINE_NEUMANN,
@@ -840,7 +840,7 @@ def roundtrips(settings: Settings) -> Measurement:
         grid_N = SpaceTimeGrid(2, 1.0, 20, -0.5, 0.5, 40)
     else:
         grid_N = SpaceTimeGrid(1, 3.0, 48, -2.0, 2.0, 64)
-    overlaps, constants = [], []
+    balls = []
     for i in range(settings.n_roundtrip_balls):
         rng = np.random.default_rng(settings.seed * 4001 + i)
         if settings.n == 2:
@@ -849,13 +849,18 @@ def roundtrips(settings: Settings) -> Measurement:
         else:
             r = float(rng.uniform(0.3, 0.9))
             x0 = float(rng.uniform(-2.0, 2.0))
-        Q = ball(float(rng.uniform(0.15, 0.95)) * r * r, x0, r)
-        A = make_atom(grid_N, Q, AtomKind.CLASSICAL_2, seed=i)
-        dec = restrict_decompose(A, Q)
-        if dec.residual != 0.0:
-            raise AssertionError("restriction residual must be exactly zero")
-        overlaps.append(dec.ledger["overlap_max"])
-        constants.append(dec.ledger["coefficient_constant_raw"])
+        balls.append(ball(float(rng.uniform(0.15, 0.95)) * r * r, x0, r))
+    overlaps, constants = [], []
+    # one batch per run of atoms holding about CHUNK grid values, so the
+    # atoms and the batch's arrays stay small whatever n_roundtrip_balls is
+    for run in chunk_slices([math.prod(grid_N.shape)] * len(balls)):
+        atoms = [make_atom(grid_N, Q, AtomKind.CLASSICAL_2, seed=i)
+                 for i, Q in enumerate(balls[run], run.start)]
+        for dec in restrict_decompose_each(atoms, balls[run]):
+            if dec.residual != 0.0:
+                raise AssertionError("restriction residual must be exactly zero")
+            overlaps.append(dec.ledger["overlap_max"])
+            constants.append(dec.ledger["coefficient_constant_raw"])
     parameters = {"n": settings.n, "n_balls": settings.n_roundtrip_balls}
     measured = {"restrict_residual_max": 0.0,
                 "overlap_max": max(overlaps),

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardyheat.atoms import (
+    ATOM_TOL,
+    AtomCertificate,
     AtomKind,
     _bump_field,
     fit_decay_exponent,
@@ -14,8 +16,10 @@ from hardyheat.atoms import (
     make_molecule,
     molecule_report,
     validate_atom,
+    validate_atom_each,
 )
-from hardyheat.grid import GridFunction, SpaceTimeGrid, lp_norm, sample
+from hardyheat import grid as grid_module
+from hardyheat.grid import GridFunction, SpaceTimeGrid, integrate, lp_norm, sample
 from hardyheat.space import ball, ball_volume, truncated_volume
 
 
@@ -48,6 +52,49 @@ def test_make_validate_roundtrip(kind, seed):
     assert cert.size_slack == pytest.approx(1.0, rel=1e-12)
     if kind.needs_moment:
         assert abs(cert.moment) <= 1e-12
+
+
+def _certificate_by_hand(a, Q, kind):
+    # the certificate from the mask, norms and moment of the one input
+    mask = Q.mask(*a.grid.mesh())
+    outside = np.abs(a.values[~mask])
+    scale = max(float(np.abs(a.values).max()), 1.0)
+    vol = ball_volume(Q)
+    l2 = lp_norm(a, 2)
+    moment = integrate(a)
+    return AtomCertificate(
+        kind=kind, ball=Q,
+        support_ok=bool(outside.size == 0 or outside.max() <= ATOM_TOL * scale),
+        geometry_ok=kind.fits(Q),
+        size_slack=lp_norm(a, np.inf) * vol if kind.uses_sup_norm else l2 * math.sqrt(vol),
+        moment=moment,
+        moment_rel=abs(moment) / (math.sqrt(vol) * l2) if l2 > 0 else 0.0,
+        tol=ATOM_TOL,
+    )
+
+
+@pytest.mark.parametrize("chunk", [None, 100])
+def test_validate_atom_each_equals_the_one_input_certificates(chunk, monkeypatch):
+    grid = classical_grid()
+    Qs = [ball(-0.5, 0.75, 0.8), ball(0.25, -0.5, 1.0), ball(0.0, 1.1, 0.5), ball(1.0, -2.0, 0.9)]
+    atoms = [make_atom(grid, Q, AtomKind.CLASSICAL_2, seed=i) for i, Q in enumerate(Qs)]
+    leaky = GridFunction(grid, atoms[2].values + 1e-3 * (~Qs[2].mask(*grid.mesh())))
+    atoms += [2.0 * atoms[0], leaky, GridFunction(grid, np.zeros(grid.shape))]
+    Qs += [Qs[0], Qs[2], Qs[3]]
+    if chunk:
+        monkeypatch.setattr(grid_module, "CHUNK", chunk)
+    for kind in (AtomKind.CLASSICAL_2, AtomKind.CLASSICAL_INF):
+        certs = validate_atom_each(atoms, Qs, kind)
+        assert certs == [_certificate_by_hand(a, Q, kind) for a, Q in zip(atoms, Qs)]
+        assert certs == [validate_atom(a, Q, kind) for a, Q in zip(atoms, Qs)]
+    assert [c.passed for c in validate_atom_each(atoms, Qs, AtomKind.CLASSICAL_2)] == [
+        True] * 4 + [False] * 2 + [True]
+    assert validate_atom_each([], [], AtomKind.CLASSICAL_2) == []
+    with pytest.raises(ValueError, match="one ball per input"):
+        validate_atom_each(atoms, Qs[:-1], AtomKind.CLASSICAL_2)
+    other = make_atom(halfspace_grid(), BALLS[AtomKind.TYPE_B], AtomKind.TYPE_B)
+    with pytest.raises(ValueError, match="share one grid"):
+        validate_atom_each([atoms[0], other], Qs[:2], AtomKind.CLASSICAL_2)
 
 
 def test_size_violation_is_caught():

@@ -6,8 +6,10 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import re
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -118,6 +120,17 @@ def test_list_prints_catalogue(capsys):
     for name in EXPERIMENTS:
         assert name in out
     assert "alias: certify-T" in out
+
+
+def test_python_m_hardyheat_runs_the_cli():
+    # the module entry point works from a source checkout, without the
+    # installed console script
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run([sys.executable, "-m", "hardyheat", "list"], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert all(name in out.stdout for name in EXPERIMENTS)
 
 
 def test_describe_resolves_alias_and_prints_claim(capsys):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardyheat import decompose
+from hardyheat import grid as grid_module
 from hardyheat.atoms import AtomKind, make_atom, make_molecule, validate_atom
 from hardyheat.config import Settings
 from hardyheat.decompose import (
@@ -23,11 +24,11 @@ from hardyheat.decompose import (
     WhitneyTerms,
     _pow2_at_least,
     cover_max_overlap,
-    cover_stats,
     finite_norm_bound,
     hz_decompose,
     molecule_decompose,
     restrict_decompose,
+    restrict_decompose_each,
     whitney_cover,
 )
 from hardyheat.grid import (
@@ -98,7 +99,7 @@ def test_whitney_every_ball_has_type_b_geometry():
 
 def test_whitney_overlap_within_bound():
     cover = whitney_cover(STRADDLE, t_floor=1.0 / 64)
-    stats = cover_stats(cover, STRADDLE)
+    stats = decompose._cover_stats_each(decompose._Layers([cover]), [STRADDLE])[0]
     assert stats["overlap_max"] <= WHITNEY_OVERLAP_BOUND[1]
     assert stats["n_layers"] == 4
     assert stats["volume_ratio"] < 8.0
@@ -213,6 +214,11 @@ def _cover(*balls):
     )
 
 
+def _max_overlap_each(covers):
+    # the batched sweep, as a list
+    return decompose._max_overlap_each(decompose._Layers(covers)).tolist()
+
+
 def test_cover_max_overlap_handmade():
     b = ball(1.0, 0.0, 0.5)
     assert cover_max_overlap(_cover(b, b)) == 2
@@ -266,10 +272,8 @@ def _lattice_overlap(cover):
     return int((a @ B.T).max())
 
 
-def _roundtrip_covers(seed, n, n_balls):
-    # the covers restrict_decompose builds for the roundtrips experiment's
-    # draws: t_floor = max(tau / 2, bottom) on the experiment's grid
-    tau = 4.0 / 64 if n == 1 else 1.0 / 40
+def _roundtrip_balls(seed, n, n_balls=100):
+    # the balls of the roundtrips experiment's restriction leg
     for i in range(n_balls):
         rng = np.random.default_rng(seed * 4001 + i)
         if n == 2:
@@ -278,8 +282,22 @@ def _roundtrip_covers(seed, n, n_balls):
         else:
             r = float(rng.uniform(0.3, 0.9))
             x0 = float(rng.uniform(-2.0, 2.0))
-        Q = ball(float(rng.uniform(0.15, 0.95)) * r * r, x0, r)
-        yield whitney_cover(Q, t_floor=max(tau / 2.0, Q.t0 - r * r, 0.0))
+        yield ball(float(rng.uniform(0.15, 0.95)) * r * r, x0, r)
+
+
+def _roundtrip_grid(n):
+    # the grid of the roundtrips experiment's restriction leg
+    if n == 2:
+        return SpaceTimeGrid(2, 1.0, 20, -0.5, 0.5, 40)
+    return SpaceTimeGrid(1, 3.0, 48, -2.0, 2.0, 64)
+
+
+def _roundtrip_covers(seed, n, n_balls):
+    # the covers restrict_decompose builds for the roundtrips experiment's
+    # draws: t_floor = max(tau / 2, bottom) on the experiment's grid
+    tau = _roundtrip_grid(n).tau
+    for Q in _roundtrip_balls(seed, n, n_balls):
+        yield whitney_cover(Q, t_floor=max(tau / 2.0, Q.t0 - Q.radius * Q.radius, 0.0))
 
 
 @pytest.mark.parametrize("n, n_balls, expected", [(1, 100, 6), (2, 20, 12)])
@@ -309,6 +327,41 @@ def test_cover_faces_stay_apart_near_the_ball_cap(Q, t_floor):
         assert np.all(np.abs(k - np.rint(k)) < 1e-6)
         assert 32.0 * np.spacing(np.abs(faces).max()) < 1e-3 * unit
     assert cover_max_overlap(cover) == (6 if Q.n == 1 else 12)
+
+
+def test_overlap_sweep_of_many_covers_equals_one_cover_sweeps():
+    # the roundtrips covers at seeds 0-19 (n = 1) and at seed 0 (n = 2)
+    for covers in [list(_roundtrip_covers(seed, 1, 100)) for seed in range(20)] + [
+            list(_roundtrip_covers(0, 2, 100))]:
+        assert _max_overlap_each(covers) == [cover_max_overlap(c) for c in covers]
+    straddle = whitney_cover(STRADDLE, t_floor=1.0 / 64)
+    # one layer per ball: the same boxes, counted without the lattice
+    assert _max_overlap_each([straddle, _cover(*straddle)]) == [cover_max_overlap(straddle)] * 2
+
+
+def test_overlap_sweep_merges_faces_per_cover():
+    # open balls that share the sliver (0.5 - 1e-10, 0.5): two of them meet
+    near = _cover(ball(1.0, 0.0, 0.5), ball(1.0, 1.0 - 1e-10, 0.5))
+    assert cover_max_overlap(near) == 2
+    # faces about 1e6 from the origin merge within 32 ulps of 1e6, 3.7e-9;
+    # with that tolerance the sliver of the near cover would vanish
+    far = whitney_cover(ball(0.5, 1e6, 1.0), t_floor=1.5 / 20.0)
+    assert 32.0 * np.spacing(1e6) > 1e-10
+    assert _max_overlap_each([far, near]) == [cover_max_overlap(far), 2]
+    assert _max_overlap_each([near, far, near]) == [2, cover_max_overlap(far), 2]
+
+
+def test_overlap_sweep_merges_coincident_faces_in_a_batch():
+    # the covers of test_cover_max_overlap_merges_coincident_faces between
+    # Whitney covers and an empty cover
+    coincident = [WhitneyCover((CoverLayer(rho, np.array([1.0]), np.array(c)[:, None]),))
+                  for rho, c in ((0.6, (1.1, 1.7, 2.3)), (0.9, (-1.4, -0.5, 0.4)),
+                                 (0.3, (0.7, 1.0, 1.3)))]
+    whitney = list(_roundtrip_covers(0, 1, 3))
+    covers = [whitney[0], *coincident, _cover(), whitney[1], _cover(*coincident[1]), whitney[2]]
+    assert _max_overlap_each(covers) == [cover_max_overlap(whitney[0]), 2, 2, 2, 0,
+                                         cover_max_overlap(whitney[1]), 2,
+                                         cover_max_overlap(whitney[2])]
 
 
 @settings(max_examples=15, deadline=None)
@@ -491,14 +544,82 @@ def _reference_whitney(A, Q):
     return dec
 
 
+def _reference_pieces(A, Q):
+    """restrict_decompose's Whitney branch at the cells of Q only, for batches
+    of the 2-d roundtrips balls.
+
+    _reference_whitney masks the full grid once per ball, which is too slow
+    for the 472,800 balls of the 2-d roundtrips covers at one seed.  Here each
+    layer tests its rows at the times and its centres at the positions of the
+    cells of Q ∩ X, with the strict tests of ParabolicBall.mask, and a cell
+    goes to the (layer, row, centre) that comes first in cover order.  Each
+    piece's owner is returned as the ball built from those arrays, not as a
+    cover index; the overlap comes from _lattice_overlap and the layer count
+    from the distinct radii.
+    """
+    half = restrict(A) if A.grid.t_min < 0.0 else A
+    hgrid = half.grid
+    floor = max(hgrid.tau / 2.0, max(Q.t0 - Q.radius**2, 0.0))
+    cover = whitney_cover(Q, t_floor=floor)
+    mesh = hgrid.mesh()
+    qmask = Q.mask(*mesh)
+    tt, *xs = (np.broadcast_to(m, hgrid.shape)[qmask] for m in mesh)
+    first = np.full((len(tt), 3), -1)  # (layer, row, centre) of each cell's ball
+    for k, L in enumerate(cover.layers):
+        r2 = L.rho**2
+        in_t = (tt > (L.rows - r2)[:, None]) & (tt < (L.rows + r2)[:, None])
+        in_x = sum((x - L.centres[:, i, None]) ** 2 for i, x in enumerate(xs)) < r2
+        new = (first[:, 0] < 0) & in_t.any(0) & in_x.any(0)
+        first[new] = np.stack([np.full(new.sum(), k), in_t.argmax(0)[new], in_x.argmax(0)[new]], 1)
+    assert np.all(first[:, 0] >= 0)  # every cell of Q ∩ X is covered
+    cells = np.flatnonzero(qmask)
+    vals = half.values.ravel()
+    cm = hgrid.cell_measure
+    balls, pieces, raws = [], [], []
+    # np.unique sorts the (layer, row, centre) triples in cover order
+    owners, which = np.unique(first, axis=0, return_inverse=True)
+    for i, (k, m, j) in enumerate(owners.tolist()):
+        piece = cells[which.ravel() == i]
+        w = math.sqrt(float((vals[piece] ** 2).sum()) * cm)
+        if w != 0.0:
+            L = cover.layers[k]
+            balls.append(ball(L.rows[m], L.centres[j], L.rho))
+            pieces.append(piece)
+            raws.append(w * math.sqrt(ball_volume(balls[-1])))
+    coefficients = [_pow2_at_least(raw) for raw in raws]
+    values = [vals[piece] / coeff for piece, coeff in zip(pieces, coefficients)]
+    recon = np.zeros(hgrid.shape)
+    for piece, coeff, v in zip(pieces, coefficients, values):
+        recon.flat[piece] = coeff * v
+    raw_sum = coefficient_sum = vol = 0.0
+    for raw, coeff in zip(raws, coefficients):
+        raw_sum += raw
+        coefficient_sum += coeff
+    for L in cover.layers:
+        v = ball_volume(L.ball(0)) if len(L) else 0.0
+        for _ in range(len(L)):
+            vol += v
+    scale = lp_norm(half, 2) * math.sqrt(truncated_volume(Q))
+    ref = {"half": half, "balls": balls, "cells": pieces, "values": values,
+           "coefficients": coefficients, "coefficient_sum": coefficient_sum,
+           "residual": lp_norm(half - GridFunction(hgrid, recon), 1)}
+    ref["ledger"] = {
+        "case": "whitney",
+        "coefficient_constant": coefficient_sum / scale,
+        "coefficient_constant_raw": raw_sum / scale,
+        "n_balls": len(cover),
+        "n_layers": len({L.rho for L in cover.layers if len(L)}),
+        "overlap_max": _lattice_overlap(cover),
+        "volume_sum": vol,
+        "volume_ratio": vol / truncated_volume(Q),
+    }
+    return ref
+
+
 def _roundtrip_2d_cases():
     # the draws of the roundtrips experiment's 2-d leg at seed 0
-    grid = SpaceTimeGrid(2, 1.0, 20, -0.5, 0.5, 40)
-    for i in range(5):
-        rng = np.random.default_rng(i)
-        r = float(rng.uniform(0.15, 0.4))
-        x0 = tuple(rng.uniform(-0.4, 0.4, size=2))
-        Q = ball(float(rng.uniform(0.15, 0.95)) * r * r, x0, r)
+    grid = _roundtrip_grid(2)
+    for i, Q in enumerate(_roundtrip_balls(0, 2, 5)):
         yield make_atom(grid, Q, AtomKind.CLASSICAL_2, seed=i), Q
 
 
@@ -593,9 +714,133 @@ def test_r_odd_bound_matches_per_ball_reference(box_function, monkeypatch):
     _assert_same_record(got.decomposition, want.decomposition)
 
 
+def _roundtrip_batch(seed, n):
+    # the atoms and balls of the roundtrips restriction leg and their batch
+    grid = _roundtrip_grid(n)
+    Qs = list(_roundtrip_balls(seed, n))
+    As = [make_atom(grid, Q, AtomKind.CLASSICAL_2, seed=i) for i, Q in enumerate(Qs)]
+    decs = restrict_decompose_each(As, Qs)
+    assert len(decs) == len(Qs)
+    return As, Qs, decs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_restrict_each_matches_per_ball_reference_on_roundtrips(seed):
+    """The batch over the 100 balls of roundtrips (n = 1) equals
+    _reference_whitney per ball, bit for bit: terms, coefficients, owner
+    balls, atoms, residual and ledger.
+
+    This test and its 2-d twin are the only guard on the batched first-owner
+    pass: roundtrips itself still passes with every owner shifted one ball,
+    since the pieces still partition Q ∩ X and the residual stays zero.
+    """
+    As, Qs, decs = _roundtrip_batch(seed, 1)
+    for dec, A, Q in zip(decs, As, Qs):
+        ref = _reference_whitney(A, Q)
+        _assert_same_record(dec, ref)
+        _assert_same_terms(list(dec.terms), ref.terms)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_restrict_each_matches_per_ball_reference_on_2d_roundtrips(seed):
+    """The batch over the 100 balls of roundtrips (n = 2) equals
+    _reference_pieces per ball, bit for bit: terms, coefficients, owner
+    balls, atoms, residual and ledger.
+
+    With its 1-d twin, the only guard on the batched first-owner pass (a
+    shifted owner still passes roundtrips).  The owners are compared as
+    balls, so the owner pass and WhitneyTerms must agree on the ball a cover
+    index names.
+    """
+    As, Qs, decs = _roundtrip_batch(seed, 2)
+    for dec, A, Q in zip(decs, As, Qs):
+        ref = _reference_pieces(A, Q)
+        terms = dec.terms
+        assert isinstance(terms, WhitneyTerms) and terms.grid == ref["half"].grid
+        assert [terms.cover.ball(o) for o in terms.owners] == ref["balls"]
+        assert terms.coefficients.tolist() == ref["coefficients"]
+        # a term's atom is its values at its cells and zero elsewhere
+        pieces = np.split(np.arange(terms.bounds[-1]), terms.bounds[1:-1])
+        assert [terms.cells[p].tolist() for p in pieces] == [c.tolist() for c in ref["cells"]]
+        assert [terms.values[p].tolist() for p in pieces] == [v.tolist() for v in ref["values"]]
+        assert dec.residual == ref["residual"] == 0.0
+        assert dec.coefficient_sum == ref["coefficient_sum"]
+        assert dec.ledger == ref["ledger"]
+
+
+def _mixed_cases():
+    # interior, boundary_band and Whitney inputs on one grid
+    grid = SpaceTimeGrid(1, 4.0, 64, -4.0, 20.0, 96)
+    balls = [ball(0.5, 0.25, 1.0), ball(17.0, 0.5, 1.0), ball(0.3, -1.5, 0.8),
+             ball(5.0, -0.5, 1.0), ball(16.0, 0.0, 1.0), ball(1.2, 1.0, 1.3)]
+    return [(make_atom(grid, Q, AtomKind.CLASSICAL_2, seed=i), Q) for i, Q in enumerate(balls)]
+
+
+def test_restrict_each_mixed_batch_keeps_input_order():
+    cases = _mixed_cases()
+    decs = restrict_decompose_each(*zip(*cases))
+    assert [d.ledger["case"] for d in decs] == [
+        "whitney", "interior", "whitney", "boundary_band", "interior", "whitney"]
+    for dec, (A, Q) in zip(decs, cases):
+        alone = restrict_decompose(A, Q)
+        _assert_same_record(dec, alone)
+        _assert_same_terms(list(dec.terms), list(alone.terms))
+        if dec.ledger["case"] == "whitney":
+            _assert_same_record(dec, _reference_whitney(A, Q))
+    # the same inputs in another order give the same decompositions
+    back = restrict_decompose_each(*zip(*cases[::-1]))
+    for got, want in zip(back, decs[::-1]):
+        _assert_same_record(got, want)
+
+
+def test_restrict_each_rejects_bad_batches():
+    (A, Q), (B, P) = _mixed_cases()[:2]
+    with pytest.raises(ValueError, match="at least one input"):
+        restrict_decompose_each([], [])
+    with pytest.raises(ValueError, match="one ball per input"):
+        restrict_decompose_each([A, B], [Q])
+    other = make_atom(SpaceTimeGrid(1, 4.0, 32, -4.0, 20.0, 96), Q, AtomKind.CLASSICAL_2, seed=1)
+    with pytest.raises(ValueError, match="share one grid"):
+        restrict_decompose_each([A, other], [Q, Q])
+    # one bad input fails the batch, whatever its place
+    with pytest.raises(DecompositionError, match="size_slack"):
+        restrict_decompose_each([A, 3.0 * B], [Q, P])
+
+
+def test_restrict_each_does_not_depend_on_the_chunk_size(monkeypatch):
+    # chunks of a few elements split every batched pass many times over
+    cases = {n: list(zip(*[(make_atom(_roundtrip_grid(n), Q, AtomKind.CLASSICAL_2, seed=i), Q)
+                           for i, Q in enumerate(_roundtrip_balls(1, n, 12))])) for n in (1, 2)}
+    want = {n: restrict_decompose_each(*c) for n, c in cases.items()}
+    covers = {n: list(_roundtrip_covers(1, n, 12)) for n in (1, 2)}
+    overlaps = {n: [cover_max_overlap(c) for c in cs] for n, cs in covers.items()}
+    monkeypatch.setattr(grid_module, "CHUNK", 50)
+    for n, c in cases.items():
+        for got, w in zip(restrict_decompose_each(*c), want[n]):
+            _assert_same_record(got, w)
+            _assert_same_terms(list(got.terms), list(w.terms))
+        assert _max_overlap_each(covers[n]) == overlaps[n]
+
+
+def test_restrict_each_bounds_its_temporaries():
+    # the 2-d leg of roundtrips: one owner table over all 39,400 centres and
+    # 400 spatial cells would hold about 16M entries; the passes without
+    # chunks peak at about 46 MB, with them at about 6.5 MB
+    grid = _roundtrip_grid(2)
+    Qs = list(_roundtrip_balls(0, 2))
+    As = [make_atom(grid, Q, AtomKind.CLASSICAL_2, seed=i) for i, Q in enumerate(Qs)]
+    tracemalloc.start()
+    try:
+        restrict_decompose_each(As, Qs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
 def test_restrict_whitney_builds_terms_only_on_demand(straddle_setup, monkeypatch):
-    # the Whitney leg builds one GridFunction (the reconstruction) and one
-    # ball per layer for the volumes, however many pieces Q ∩ X breaks into
+    # the Whitney leg builds no GridFunction (the residual is measured on a
+    # stack of the inputs) and no ball, however many pieces Q ∩ X breaks into
     _, Q, A = straddle_setup
     cases = [(A, Q), *_roundtrip_2d_cases()]
     calls = {"GridFunction": 0, "ball": 0}
@@ -608,21 +853,18 @@ def test_restrict_whitney_builds_terms_only_on_demand(straddle_setup, monkeypatc
 
     monkeypatch.setattr(decompose, "GridFunction", counting("GridFunction", GridFunction))
     monkeypatch.setattr(decompose, "ball", counting("ball", ball))
-    pieces = built = 0
+    pieces = 0
     for A, Q in cases:
         before = dict(calls)
         dec = restrict_decompose(A, Q)
         assert dec.ledger["case"] == "whitney" and dec.residual == 0.0
         assert dec.coefficient_sum > 0.0
-        assert calls["GridFunction"] - before["GridFunction"] == 1
-        assert calls["ball"] - before["ball"] <= 2 * dec.ledger["n_layers"]
+        # a per-piece build would make a GridFunction and a ball per term
+        assert calls == before
         pieces += len(dec.terms)
-        built += sum(calls.values()) - sum(before.values())
-        before = dict(calls)
         dec.terms[0]
         assert calls == {k: v + 1 for k, v in before.items()}
-    # a per-piece build would have made a GridFunction and a ball per term
-    assert pieces > 700 and built < 60
+    assert pieces > 700
 
 
 def test_roundtrips_fails_when_coefficients_are_not_powers_of_two(monkeypatch):

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from hardyheat import grid as grid_module
 from hardyheat.grid import (
     GridFunction,
     SpaceTimeGrid,
+    chunk_slices,
     even_extend,
     integrate,
     lp_norm,
@@ -150,3 +152,10 @@ def test_grid_coordinates_are_cached_and_read_only():
     twin = halfgrid(n=2, L=1.0, nx=4, T=0.5, nt=2)
     assert twin == g and hash(twin) == hash(g)
     assert twin.xs is not g.xs and np.array_equal(twin.xs, g.xs)
+
+
+def test_chunk_slices(monkeypatch):
+    monkeypatch.setattr(grid_module, "CHUNK", 7)
+    assert chunk_slices([3, 3, 3]) == [slice(0, 2), slice(2, 3)]
+    assert chunk_slices([9, 1, 2, 4, 4]) == [slice(0, 1), slice(1, 4), slice(4, 5)]
+    assert chunk_slices([]) == []

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardyheat.grid import SpaceTimeGrid
 from hardyheat.space import (
     Annulus,
     SpacePoint,
     ball,
+    ball_masks,
     ball_volume,
     dilate,
     halfspace_flags,
@@ -146,3 +148,21 @@ def test_annulus_measures_telescope():
 def test_annulus_measure_nonnegative(t0, r, j):
     a = Annulus(ball(t0, 0.0, r), j)
     assert a.measure() >= -1e-12
+
+
+@pytest.mark.parametrize("grid", [SpaceTimeGrid(1, 4.0, 32, -4.0, 4.0, 32),
+                                  SpaceTimeGrid(2, 1.0, 8, 0.0, 1.0, 8)], ids=["n1", "n2"])
+def test_ball_masks_equal_each_ball_mask(grid):
+    rng = np.random.default_rng(3)
+    # random balls, and balls whose edges fall on cell midpoints
+    balls = [ball(float(rng.uniform(-1.0, 1.0)), tuple(rng.uniform(-0.5, 0.5, grid.n)),
+                  float(rng.uniform(0.2, 1.0))) for _ in range(6)]
+    balls += [ball(grid.ts[3], tuple(grid.xs[:grid.n]), 2.0 * grid.h),
+              ball(0.5, (0.0,) * grid.n, grid.h / 2.0)]
+    masks = ball_masks(balls, *grid.mesh())
+    assert masks.shape == (len(balls),) + grid.shape
+    for Q, m in zip(balls, masks):
+        assert np.array_equal(m, Q.mask(*grid.mesh()))
+    assert ball_masks([], *grid.mesh()).shape == (0,) + grid.shape
+    with pytest.raises(ValueError, match="dimension"):
+        ball_masks([ball(0.0, (0.0,) * (3 - grid.n), 1.0)], *grid.mesh())
