@@ -247,6 +247,12 @@ def whitney_cover(Q: ParabolicBall, t_floor: float | None = None) -> WhitneyCove
     (largest first), then by row time (ascending: row t_c = A_k + (m + 1/2)
     rho_k^2), then by centre (lattice offsets in lexicographic order);
     restrict_decompose's first-ball partition depends on this order.
+
+    In layer k the rows step by rho_k^2 and the centres form the product
+    lattice x0 + rho_k {-N_k..N_k}^n in lexicographic order, which the
+    first-owner pass reads points off.  As rho_k = 2^(K - k) rho_K and A_k =
+    4 rho_k^2, every face also lies on the integer lattice of the last
+    radius rho_K that cover_max_overlap counts on.
     """
     if truncated_volume(Q) <= 0.0:
         raise ValueError("Q does not meet the half-space")
@@ -321,17 +327,11 @@ def cover_max_overlap(cover: WhitneyCover) -> int:
     This is the one-cover case of _max_overlap_each, which sweeps many
     covers at once.
 
-    Faces that coincide in exact arithmetic, such as c_j + rho and
-    c_{j+2} - rho, can differ by an ulp in floating point.  Counted apart, the
-    sliver between them would be a cell where open balls that only touch
-    appear to meet, so faces closer than 32 ulps of the axis' largest face
-    magnitude in the cover are merged.  Distinct faces of a Whitney cover are
-    much farther apart.  Time faces lie on (rho_K^2 / 2)Z and the faces of
-    each spatial axis on a shift of rho_K Z, with rho_K the last layer's
-    radius.  Below _MAX_COVER_BALLS the last layer has at least one row of
-    2 r / rho_K centres per axis, so rho_K > 1e-5 r and rho_K^2 > 2e-11 times
-    the cover's top time.  That is far above the merge tolerance in time, and
-    in space unless Q's centre lies about 1e9 radii from the origin.
+    The cover must lie on its integer lattice, as every whitney_cover does:
+    with rho_K its smallest radius, rows and r^2 on (rho_K^2 / 2)Z from the
+    first row, centres and r on rho_K Z^n from the first centre.  Faces are
+    counted as those integers; a cover more than 1e-3 of a unit off its
+    lattice raises DecompositionError.
     """
     return int(_max_overlap_each(_Layers([cover]))[0])
 
@@ -343,7 +343,11 @@ class _Layers:
     Cover c holds layers first[c]:first[c + 1]; layer g holds rows
     row_at[g]:row_at[g + 1] of rows, centres centre_at[g]:centre_at[g + 1]
     of centres, and the balls ball_at[g]:ball_at[g + 1] of all covers, counted
-    in cover order.  volume[g] is nu of one of its balls.
+    in cover order; row_layer and centre_layer name the layer of each row
+    and centre.  volume[g] is nu of one of its balls and r2[g] the square of
+    its radius that ParabolicBall.mask takes.  t_mid, t_half, x_mid and
+    x_half are the rows, time half-widths, centres and spatial half-widths
+    as integers on each cover's lattice (see cover_max_overlap).
     """
 
     def __init__(self, covers: Sequence[WhitneyCover]):
@@ -353,6 +357,7 @@ class _Layers:
         self.first = np.cumsum([0] + [len(cover.layers) for cover in covers])
         self.cover = np.repeat(np.arange(len(covers)), np.diff(self.first))
         self.rho = np.array([L.rho for L in layers])
+        self.r2 = np.array([L.rho**2 for L in layers])
         self.rows = np.concatenate([L.rows for L in layers] or [np.empty(0)])
         self.centres = np.concatenate([L.centres for L in layers] or [np.empty((0, n))])
         self.row_at = np.cumsum([0] + [len(L.rows) for L in layers])
@@ -361,27 +366,40 @@ class _Layers:
         # 2 rho^2 omega_n rho^n in ball_volume's order of operations, so each
         # entry is bit-equal to ball_volume of the layer's balls
         self.volume = np.array([2.0 * L.rho**2 * UNIT_BALL_VOLUME[n] * L.rho**n for L in layers])
+        # each layer's cover: its smallest radius, first row and first centre
+        rho_K = np.full(len(covers), np.inf)
+        np.minimum.at(rho_K, self.cover, self.rho)
+        rho_K, head = rho_K[self.cover], self.first[self.cover]
+        t0, x0 = self.rows[self.row_at[head]], self.centres[self.centre_at[head]]
+        self.row_layer = rl = np.repeat(np.arange(len(layers)), np.diff(self.row_at))
+        self.centre_layer = cl = np.repeat(np.arange(len(layers)), np.diff(self.centre_at))
+        t_unit = rho_K**2 / 2.0
+        self.t_mid = _on_lattice((self.rows - t0[rl]) / t_unit[rl])
+        self.t_half = _on_lattice(self.r2 / t_unit)
+        self.x_mid = _on_lattice((self.centres - x0[cl]) / rho_K[cl, None])
+        self.x_half = _on_lattice(self.rho / rho_K)
 
-    def __len__(self) -> int:
-        return len(self.rho)
 
-    def of(self, at: np.ndarray) -> np.ndarray:
-        """The layer of each row, centre or ball, given row_at, centre_at or ball_at."""
-        return np.repeat(np.arange(len(self)), np.diff(at))
+def _on_lattice(v: np.ndarray) -> np.ndarray:
+    """v rounded to integers; DecompositionError if an entry lies over 1e-3 off."""
+    k = np.rint(v)
+    if not np.all(np.abs(v - k) <= 1e-3):
+        raise DecompositionError("cover is off its integer lattice")
+    return k.astype(np.int64)
 
 
 def _max_overlap_each(layers: _Layers) -> np.ndarray:
     """cover_max_overlap of every cover, from one sweep over all of them.
 
-    The faces of the covers are merged in one lexsort by (cover, value),
-    each cover with its own tolerance, and the boxes of every layer of every
-    cover go into one difference array per axis set (_layer_box_diffs).
-    Covers go through the sweep in runs of about CHUNK faces; only the
-    cumulative sums and the product a^T b are formed cover by cover.
+    The faces of every cover are its integer lattice faces; one np.unique of
+    (cover, face) keys per axis gives each cover's cells (_box_cells), and
+    the boxes of every layer of every cover go into one difference array per
+    axis set (_layer_box_diffs).  Covers go through the sweep in runs of
+    about CHUNK faces; only the cumulative sums and the product a^T b are
+    formed cover by cover.
     """
     out = np.zeros(layers.n_covers, dtype=np.int64)
-    first, rho = layers.first, layers.rho
-    row_layer, centre_layer = layers.of(layers.row_at), layers.of(layers.centre_at)
+    first = layers.first
     faces = 2 * (np.diff(layers.row_at[first]) + np.diff(layers.centre_at[first]) * layers.n)
     for run in chunk_slices(faces):
         g0, g1 = first[run.start], first[run.stop]
@@ -390,11 +408,11 @@ def _max_overlap_each(layers: _Layers) -> np.ndarray:
         cover, n_covers = layers.cover[g0:g1] - run.start, run.stop - run.start
         rows = slice(layers.row_at[g0], layers.row_at[g1])
         centres = slice(layers.centre_at[g0], layers.centre_at[g1])
-        rl, cl = row_layer[rows] - g0, centre_layer[centres] - g0
-        t_lo, t_hi, t_shape = _box_cells(layers.rows[rows, None], rho[g0:g1][rl] ** 2, cover[rl],
-                                         n_covers)
-        x_lo, x_hi, x_shape = _box_cells(layers.centres[centres], rho[g0:g1][cl], cover[cl],
-                                         n_covers)
+        rl, cl = layers.row_layer[rows] - g0, layers.centre_layer[centres] - g0
+        t_lo, t_hi, t_shape = _box_cells(layers.t_mid[rows, None], layers.t_half[g0:g1][rl],
+                                         cover[rl], n_covers)
+        x_lo, x_hi, x_shape = _box_cells(layers.x_mid[centres], layers.x_half[g0:g1][cl],
+                                         cover[cl], n_covers)
         a, a_at = _layer_box_diffs(rl, t_lo, t_hi, t_shape[cover])
         b, b_at = _layer_box_diffs(cl, x_lo, x_hi, x_shape[cover])
         for c in range(n_covers):
@@ -411,50 +429,28 @@ def _max_overlap_each(layers: _Layers) -> np.ndarray:
     return out
 
 
-def _box_cells(points: np.ndarray, half: np.ndarray, group: np.ndarray, n_groups: int):
-    """Per axis, the cells [lo, hi) that each box |x - p| < half covers.
+def _box_cells(mids: np.ndarray, half: np.ndarray, group: np.ndarray, n_groups: int):
+    """Per axis, the cells [lo, hi) that each box |x - mid| < half covers.
 
-    Box i belongs to group[i] (its cover).  The cells of a group are the
-    elementary intervals between the merged faces of that group's boxes on
-    the axis, indexed from 0; faces are merged within a group only, with the
-    group's own tolerance.  Returns (lo, hi, shape): lo and hi of shape
-    (axes, boxes), shape (n_groups, axes) with each group's face count on
-    each axis (its cells + 1; 0 for a group without boxes).  A cell is
-    covered when its midpoint lies strictly inside.
+    mids (boxes x axes) and half are integers; box i belongs to group[i]
+    (its cover).  The cells of a group are the intervals between the
+    distinct faces of that group's boxes on the axis, indexed from 0.
+    Returns (lo, hi, shape): lo and hi of shape (axes, boxes), shape
+    (n_groups, axes) with each group's face count on each axis (its cells +
+    1; 0 for a group without boxes).
     """
-    n_axes = points.shape[1]
-    lo = np.empty((n_axes, len(points)), dtype=np.int64)
-    hi = np.empty_like(lo)
-    shape = np.zeros((n_groups, n_axes), dtype=np.int64)
     groups = np.concatenate([group, group])
-    for d, p in enumerate(points.T):
+    lo, hi, shape = [], [], []
+    for p in mids.T:
         ends = np.concatenate([p - half, p + half])
-        order = np.lexsort((ends, groups))
-        faces, g = ends[order], groups[order]
-        new = np.concatenate(([True], g[1:] != g[:-1]))
-        rank = np.cumsum(new) - 1  # group rank of each sorted face
-        head = np.flatnonzero(new)
-        tail = np.append(head[1:], len(faces)) - 1
-        # sorted, so the largest magnitude is at one end of each group
-        tol = 32.0 * np.spacing(np.maximum(-faces[head], faces[tail]))
-        keep = new.copy()
-        keep[1:] |= faces[1:] - faces[:-1] > tol[rank[1:]]
-        merged = np.cumsum(keep) - 1  # the kept face each face merges into
-        kept = faces[keep]
-        mids = 0.5 * (kept[:-1] + kept[1:])
-        count = np.diff(np.append(merged[head], len(kept)))
-        local = merged - merged[head][rank]
-        # searchsorted(mids of the group, face): kept faces are more than tol
-        # apart, so each mid below the face's own kept face lies below the
-        # face and each mid above the next kept face above it; only the mid
-        # between the two needs a comparison
-        up = local < count[rank] - 1
-        up[up] = mids[merged[up]] < faces[up]
-        at = np.empty_like(order)
-        at[order] = local + up
-        lo[d], hi[d] = at[: len(p)], at[len(p) :]
-        shape[g[head], d] = count
-    return lo, hi, shape
+        base, span = ends.min(), ends.max() - ends.min() + 1
+        keys, at = np.unique(groups * span + (ends - base), return_inverse=True)
+        count = np.bincount(keys // span, minlength=n_groups)
+        at -= (np.cumsum(count) - count)[groups]  # from each group's first face
+        lo.append(at[: len(p)])
+        hi.append(at[len(p) :])
+        shape.append(count)
+    return np.array(lo), np.array(hi), np.array(shape).T
 
 
 def _layer_box_diffs(layer: np.ndarray, lo, hi, shape) -> tuple[np.ndarray, np.ndarray]:
@@ -502,73 +498,79 @@ def _cover_stats_each(layers: _Layers, Qs: Sequence[ParabolicBall]) -> list[dict
     return stats
 
 
-_NONE = np.iinfo(np.int64).max  # no containing row or centre
+def _nearest3(u: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The three lattice indices nearest u, ascending, clipped to [0, count)."""
+    return np.clip(np.rint(u)[..., None].astype(np.int64) + np.arange(-1, 2), 0,
+                   count[..., None] - 1)
 
 
-def _first_hit(inside: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Per segment at[g]:at[g + 1] of inside's rows, the first row that is
-    inside, counted from the segment's start (_NONE where none is)."""
-    shape = (-1,) + (1,) * (inside.ndim - 1)
-    hit = np.minimum.reduceat(np.where(inside, np.arange(len(inside)).reshape(shape), _NONE),
-                              at, axis=0)
-    return np.where(hit == _NONE, _NONE, hit - at.reshape(shape))
+def _first_ball_owner(layers: _Layers, inp: np.ndarray, t: np.ndarray,
+                      xs: list[np.ndarray]) -> np.ndarray:
+    """Index in cover inp[i] of its first ball containing the point (t[i], xs[.][i]).
 
-
-def _first_ball_owner(layers: _Layers, grid: SpaceTimeGrid,
-                      inp: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Index in cover inp[i] of its first ball containing the midpoint of cells[i].
-
-    cells are flat indices into the grid; -1 marks a cell no ball contains.
-    Within a layer a ball contains a cell iff its row contains the cell's
-    time (in_time_interval) and its centre the cell's position (in_section),
-    the tests of ParabolicBall.mask.  Balls run (layer, row, centre), so the first
-    containing ball pairs the first such row with the first such centre, in
-    the first layer that has both.  np.minimum.reduceat over the layers of
-    all covers gives the first row per (layer, slab), and the first centre
-    per (layer, spatial cell) for the spatial cells that hold a cell of the
-    layer's input, CHUNK elements at a time; then one pass per layer rank
-    assigns the owners of every cell.
+    -1 marks a point no ball contains.  Within a layer a ball contains a
+    point iff its row contains t (in_time_interval) and its centre x
+    (in_section), the tests of ParabolicBall.mask.  Balls run (layer, row,
+    centre), so the first containing ball pairs the first such row with the
+    first such centre, in the first layer that has both.  On the layer's
+    lattice (whitney_cover) only the three rows nearest (t - first row) /
+    rho^2 and, per axis, the three centres nearest (x - first centre) / rho
+    can hold the point; they are tested and the first hit in (row, centre)
+    order kept, in one pass per layer rank.
     """
-    first, nc = layers.first, np.diff(layers.centre_at)
+    n, first = len(xs), layers.first
     n_layers = np.diff(first)
+    n_rows, n_centres = np.diff(layers.row_at), np.diff(layers.centre_at)
+    side = np.rint(n_centres ** (1.0 / n)).astype(np.int64)  # centres per axis
     start = layers.ball_at[:-1] - layers.ball_at[first[layers.cover]]  # within its cover
-    # Python's rho**2, the square ParabolicBall.mask takes of a radius
-    r2 = np.array([rho**2 for rho in layers.rho.tolist()])
-
-    rr = np.repeat(r2, np.diff(layers.row_at))
-    in_t = in_time_interval(grid.ts, (layers.rows - rr)[:, None], (layers.rows + rr)[:, None])
-    first_row = _first_hit(in_t, layers.row_at[:-1])
-
-    # the spatial cells of each input, once each; pair (u, k) is spatial
-    # cell u with layer k of its input's cover
-    n_cells = grid.nx**grid.n
-    slab, cell = np.divmod(cells, n_cells)
-    spots, which = np.unique(inp * n_cells + cell, return_inverse=True)
-    spot_inp, spot_cell = np.divmod(spots, n_cells)
-    pair_at = np.cumsum(n_layers[spot_inp]) - n_layers[spot_inp]
-    pair_spot = np.repeat(np.arange(len(spots)), n_layers[spot_inp])
-    pair_layer = first[spot_inp][pair_spot] + np.arange(len(pair_spot)) - pair_at[pair_spot]
-    pair_x = [grid.xs[ax][pair_spot] for ax in np.unravel_index(spot_cell, (grid.nx,) * grid.n)]
-    first_centre = np.empty(len(pair_spot), dtype=np.int64)
-    for run in chunk_slices(nc[pair_layer]):
-        g = pair_layer[run]
-        at = np.cumsum(nc[g]) - nc[g]
-        # every centre of each pair's layer, pair by pair
-        k = np.repeat(layers.centre_at[g] - at, nc[g]) + np.arange(at[-1] + nc[g][-1])
-        inside = in_section((np.repeat(x[run], nc[g]) for x in pair_x),
-                            (c[k] for c in layers.centres.T), np.repeat(r2[g], nc[g]))
-        first_centre[run] = _first_hit(inside, at)
-
-    owner = np.full(len(cells), -1)
+    point = (-1,) + (1,) * n  # one point per entry of the first axis
+    owner = np.full(len(t), -1)
     for k in range(n_layers.max(initial=0)):
         todo = np.flatnonzero((owner < 0) & (n_layers[inp] > k))
-        pair = pair_at[which[todo]] + k
-        g = pair_layer[pair]
-        fr, fc = first_row[g, slab[todo]], first_centre[pair]
-        hit = (fr != _NONE) & (fc != _NONE)
-        g = g[hit]
-        owner[todo[hit]] = start[g] + fr[hit] * nc[g] + fc[hit]
+        g = first[inp[todo]] + k
+        r2, row0, centre0 = layers.r2[g], layers.row_at[g], layers.centre_at[g]
+        m = _nearest3((t[todo] - layers.rows[row0]) / r2, n_rows[g])
+        row = layers.rows[row0[:, None] + m]
+        in_t = in_time_interval(t[todo, None], row - r2[:, None], row + r2[:, None])
+        # per axis the offsets of the three candidate centres and their
+        # coordinates, shaped so that the 3^n candidates run in
+        # lexicographic order
+        js, cs = [], []
+        for i, x in enumerate(xs):
+            step = side[g, None] ** (n - 1 - i)
+            j = step * _nearest3((x[todo] - layers.centres[centre0, i]) / layers.rho[g], side[g])
+            js.append(j)
+            c = layers.centres[centre0[:, None] + j, i]
+            cs.append(c.reshape(point[:i + 1] + (3,) + point[i + 2:]))
+        in_x = in_section((x[todo].reshape(point) for x in xs), cs, r2.reshape(point))
+        in_x = in_x.reshape(len(todo), 3**n)
+        hit = in_t.any(axis=1) & in_x.any(axis=1)
+        at = np.arange(len(todo))
+        fr = m[at, in_t.argmax(axis=1)]
+        fc = sum(j[at, i] for j, i in zip(js, np.unravel_index(in_x.argmax(axis=1), (3,) * n)))
+        owner[todo[hit]] = (start[g] + fr * n_centres[g] + fc)[hit]
     return owner
+
+
+def _outside_owner(layers: _Layers, inp: np.ndarray, t: np.ndarray, xs: list[np.ndarray],
+                   owner: np.ndarray) -> int:
+    """How many points (t[i], xs[.][i]) lie outside ball owner[i] of cover inp[i].
+
+    An owner of -1, or one past the cover's last ball, counts as outside.
+    Each owner's row, centre and radius are rebuilt from the layer arrays
+    and the point put to the strict tests of ParabolicBall.mask, so the
+    count does not rest on the owner pass.
+    """
+    n_balls = layers.ball_at[layers.first[1:]] - layers.ball_at[layers.first[:-1]]
+    placed = (owner >= 0) & (owner < n_balls[inp])
+    flat = layers.ball_at[layers.first[inp[placed]]] + owner[placed]
+    g = np.searchsorted(layers.ball_at, flat, side="right") - 1
+    m, c = np.divmod(flat - layers.ball_at[g], np.diff(layers.centre_at)[g])
+    row, centre = layers.rows[layers.row_at[g] + m], layers.centres[layers.centre_at[g] + c]
+    r2 = layers.r2[g]
+    inside = (in_time_interval(t[placed], row - r2, row + r2)
+              & in_section((x[placed] for x in xs), centre.T, r2))
+    return len(owner) - int(inside.sum())
 
 
 # -- restriction of classical atoms --------------------------------------------
@@ -609,7 +611,8 @@ def restrict_decompose_each(As: Sequence[GridFunction],
     paid once per batch: the input checks (ball masks and atom
     certificates, validate_atom_each), the overlap sweep of all Whitney
     covers (_cover_stats_each), the first-owner pass over the cells of all
-    balls (_first_ball_owner) and the grouping of those cells into pieces,
+    balls (_first_ball_owner), the check that each cell lies in its owner
+    ball (_outside_owner) and the grouping of those cells into pieces,
     with one stable sort by (input, owner), one bincount of the piece sums of
     squares and one power-of-two rounding of the coefficients.  Each input's
     WhitneyTerms holds slices of the shared arrays.  The residuals and
@@ -686,10 +689,11 @@ def _whitney_each(As: Sequence[GridFunction], Qs: Sequence[ParabolicBall], k0: i
         at = np.flatnonzero(ball_masks(Qs[s], *hgrid.mesh()))
         found.append((at // size + s.start, at % size, _half_values(As[s], k0).ravel()[at]))
     inp, cells, pv = (np.concatenate(x) for x in zip(*found))
-    own = _first_ball_owner(layers, hgrid, inp, cells)
-    escaped = int((own < 0).sum())
-    if escaped:
-        raise DecompositionError(f"{escaped} cells of Q ∩ X escaped the cover")
+    t, *xs = (np.broadcast_to(m, hgrid.shape).ravel()[cells] for m in hgrid.mesh())
+    own = _first_ball_owner(layers, inp, t, xs)
+    outside = _outside_owner(layers, inp, t, xs, own)
+    if outside:
+        raise DecompositionError(f"{outside} cells of Q ∩ X lie outside their owner ball")
     # group the cells of each Q by owner; the stable sort keeps each piece in
     # C order, the order in which a boolean mask reads vals[piece]
     order = np.argsort(inp * (own.max(initial=0) + 1) + own, kind="stable")

@@ -34,9 +34,6 @@ class SpacePoint:
     def n(self) -> int:
         return len(self.x)
 
-    def in_halfspace(self) -> bool:
-        return self.t > 0.0
-
 
 def parabolic_distance(p: SpacePoint, q: SpacePoint) -> float:
     """max(|x - y|, sqrt(|t - s|)); symmetric, vanishes only at p == q."""
@@ -178,9 +175,8 @@ class Annulus:
         return dilate(self.ball, 2.0**self.j) if self.j >= 2 else None
 
     def contains(self, p: SpacePoint) -> bool:
-        if not p.in_halfspace():
-            return False
-        if not self.outer.contains(p):
+        """Pointwise membership: the reference mask is tested against."""
+        if not (p.t > 0.0 and self.outer.contains(p)):
             return False
         return self.inner is None or not self.inner.contains(p)
 
@@ -189,8 +185,4 @@ class Annulus:
         if self.inner is not None:
             m &= ~self.inner.mask(t, *xs)
         return m
-
-    def measure(self) -> float:
-        out = truncated_volume(self.outer)
-        return out - truncated_volume(self.inner) if self.inner is not None else out
 

@@ -223,11 +223,31 @@ def test_cover_max_overlap_handmade():
     b = ball(1.0, 0.0, 0.5)
     assert cover_max_overlap(_cover(b, b)) == 2
     assert cover_max_overlap(_cover(b, ball(9.0, 0.0, 0.5))) == 1
-    assert cover_max_overlap(_cover(b, ball(1.0, 0.1, 0.3))) == 2
+    assert cover_max_overlap(_cover(b, ball(1.0, 0.5, 0.5))) == 2
+    assert cover_max_overlap(_cover(b, ball(1.0, 1.0, 0.5))) == 1  # open balls that touch
     assert cover_max_overlap(_cover()) == 0
-    # n = 2 sweeps bounding squares: these disks share no point, their
-    # squares overlap at the corner
-    assert cover_max_overlap(_cover(ball(1.0, (0.0, 0.0), 1.0), ball(1.0, (1.9, 1.9), 1.0))) == 2
+    # n = 2 sweeps bounding squares: these disks share no point (their
+    # centres lie 3 sqrt(2) > 3 + 1 apart), their squares overlap at the corner
+    assert cover_max_overlap(_cover(ball(1.0, (0.0, 0.0), 3.0), ball(1.0, (3.0, 3.0), 1.0))) == 2
+
+
+def test_cover_max_overlap_rejects_off_lattice_covers():
+    # 0.5 is not a multiple of the smallest radius 0.3, nor 0.1 of 0.3
+    with pytest.raises(DecompositionError, match="lattice"):
+        cover_max_overlap(_cover(ball(1.0, 0.0, 0.5), ball(1.0, 0.1, 0.3)))
+    # a Whitney layer with one centre moved by 1 % of its radius
+    cover = whitney_cover(STRADDLE, t_floor=1.0 / 64)
+    L = cover.layers[-1]
+    centres = L.centres.copy()
+    centres[3] += 0.01 * L.rho
+    moved = WhitneyCover(cover.layers[:-1] + (CoverLayer(L.rho, L.rows, centres),))
+    with pytest.raises(DecompositionError, match="lattice"):
+        cover_max_overlap(moved)
+    # and one with a row moved by 1 % of its step
+    rows = L.rows.copy()
+    rows[-1] += 0.01 * L.rho**2
+    with pytest.raises(DecompositionError, match="lattice"):
+        cover_max_overlap(WhitneyCover(cover.layers[:-1] + (CoverLayer(L.rho, rows, L.centres),)))
 
 
 def test_cover_max_overlap_merges_coincident_faces():
@@ -310,23 +330,53 @@ def test_cover_max_overlap_equals_lattice_count(n, n_balls, expected):
         assert max(got) == expected
 
 
-@pytest.mark.parametrize("Q, t_floor", [
-    (ball(0.5, 0.25, 1.0), 1.5 * 2.0**-22), (ball(0.05, (0.1, -0.2), 0.3), 0.14 * 2.0**-10),
-], ids=["n1", "n2"])
+_CAP_COVERS = [(ball(0.5, 0.25, 1.0), 1.5 * 2.0**-22), (ball(0.05, (0.1, -0.2), 0.3), 0.14 * 2.0**-10)]
+
+
+@pytest.mark.parametrize("Q, t_floor", _CAP_COVERS, ids=["n1", "n2"])
 def test_cover_faces_stay_apart_near_the_ball_cap(Q, t_floor):
-    # the merge tolerance of cover_max_overlap (32 ulps of the largest face)
-    # stays far below the lattice spacing of the faces near _MAX_COVER_BALLS
+    # rho_K is smallest against the faces here; the lattice test below
+    # checks that the faces still sit on their integer lattice
     cover = whitney_cover(Q, t_floor=t_floor)
     assert 0.8 * decompose._MAX_COVER_BALLS < len(cover) <= decompose._MAX_COVER_BALLS
-    rho_K = cover.layers[-1].rho
-    t_faces = np.concatenate([np.r_[L.rows - L.rho**2, L.rows + L.rho**2] for L in cover.layers])
-    x_faces = np.concatenate([np.r_[L.centres - L.rho, L.centres + L.rho] for L in cover.layers])
-    for faces, unit, origin in ((t_faces, rho_K**2 / 2.0, 0.0),
-                                (x_faces, rho_K, cover.layers[0].centres[0])):
-        k = (faces - origin) / unit
-        assert np.all(np.abs(k - np.rint(k)) < 1e-6)
-        assert 32.0 * np.spacing(np.abs(faces).max()) < 1e-3 * unit
     assert cover_max_overlap(cover) == (6 if Q.n == 1 else 12)
+
+
+def _lattice_covers():
+    # every roundtrips cover at seeds 0-2 in both dimensions, and the two
+    # covers near the ball cap, where rho_K is smallest against the faces
+    for seed, n in product(range(3), (1, 2)):
+        yield from _roundtrip_covers(seed, n, 100)
+    for Q, t_floor in _CAP_COVERS:
+        yield whitney_cover(Q, t_floor=t_floor)
+
+
+def test_whitney_covers_lie_on_their_lattice():
+    """The lattice the overlap sweep and the owner pass rely on.
+
+    In each layer the rows step by rho^2 and the centres form a product
+    lattice of step rho in lexicographic order; every face lies within 1e-3
+    of a unit of the cover's lattice: time faces on (rho_K^2 / 2)Z from the
+    first row, spatial faces on rho_K Z^n from the first centre.
+    """
+    for cover in _lattice_covers():
+        rho_K = min(L.rho for L in cover.layers)
+        t0, x0 = cover.layers[0].rows[0], cover.layers[0].centres[0]
+        for L in cover.layers:
+            m = (L.rows - L.rows[0]) / L.rho**2
+            assert np.all(np.abs(m - np.arange(len(L.rows))) < 1e-3)
+            n_centres, n = L.centres.shape
+            side = round(n_centres ** (1.0 / n))
+            assert side**n == n_centres
+            offsets = np.stack(np.meshgrid(*[np.arange(side)] * n, indexing="ij"), -1)
+            j = (L.centres - L.centres[0]) / L.rho
+            assert np.all(np.abs(j - offsets.reshape(-1, n)) < 1e-3)
+            for faces, origin, unit in ((L.rows[:, None] + [-L.rho**2, L.rho**2], t0,
+                                         rho_K**2 / 2.0),
+                                        (L.centres[..., None] + [-L.rho, L.rho], x0[:, None],
+                                         rho_K)):
+                k = (faces - origin) / unit
+                assert np.all(np.abs(k - np.rint(k)) < 1e-3)
 
 
 def test_overlap_sweep_of_many_covers_equals_one_cover_sweeps():
@@ -339,16 +389,18 @@ def test_overlap_sweep_of_many_covers_equals_one_cover_sweeps():
     assert _max_overlap_each([straddle, _cover(*straddle)]) == [cover_max_overlap(straddle)] * 2
 
 
-def test_overlap_sweep_merges_faces_per_cover():
-    # open balls that share the sliver (0.5 - 1e-10, 0.5): two of them meet
-    near = _cover(ball(1.0, 0.0, 0.5), ball(1.0, 1.0 - 1e-10, 0.5))
-    assert cover_max_overlap(near) == 2
-    # faces about 1e6 from the origin merge within 32 ulps of 1e6, 3.7e-9;
-    # with that tolerance the sliver of the near cover would vanish
-    far = whitney_cover(ball(0.5, 1e6, 1.0), t_floor=1.5 / 20.0)
-    assert 32.0 * np.spacing(1e6) > 1e-10
-    assert _max_overlap_each([far, near]) == [cover_max_overlap(far), 2]
-    assert _max_overlap_each([near, far, near]) == [2, cover_max_overlap(far), 2]
+def test_overlap_sweep_counts_each_cover_on_its_own_lattice():
+    # covers about 1e6 and 1e9 from the origin, batched beside near ones,
+    # count as the same ball at the origin: each cover's lattice starts at
+    # its own first row and first centre
+    near = whitney_cover(ball(0.5, 0.25, 1.0), t_floor=1.5 / 20.0)
+    far, farther = (whitney_cover(ball(0.5, 0.25 + shift, 1.0), t_floor=1.5 / 20.0)
+                    for shift in (1e6, 1e9))
+    whitney = list(_roundtrip_covers(0, 1, 3))
+    want = cover_max_overlap(near)
+    assert cover_max_overlap(far) == cover_max_overlap(farther) == want
+    assert _max_overlap_each([far, *whitney, farther, near]) == [
+        want, *(cover_max_overlap(c) for c in whitney), want, want]
 
 
 def test_overlap_sweep_merges_coincident_faces_in_a_batch():
@@ -730,9 +782,9 @@ def test_restrict_each_matches_per_ball_reference_on_roundtrips(seed):
     _reference_whitney per ball, bit for bit: terms, coefficients, owner
     balls, atoms, residual and ledger.
 
-    This test and its 2-d twin are the only guard on the batched first-owner
-    pass: roundtrips itself still passes with every owner shifted one ball,
-    since the pieces still partition Q ∩ X and the residual stays zero.
+    This test and its 2-d twin are the only guard that each owner is the
+    first ball containing its cells: roundtrips checks only that every cell
+    lies in its owner ball, and at n = 1 the next ball holds it too.
     """
     As, Qs, decs = _roundtrip_batch(seed, 1)
     for dec, A, Q in zip(decs, As, Qs):
@@ -747,10 +799,9 @@ def test_restrict_each_matches_per_ball_reference_on_2d_roundtrips(seed):
     _reference_pieces per ball, bit for bit: terms, coefficients, owner
     balls, atoms, residual and ledger.
 
-    With its 1-d twin, the only guard on the batched first-owner pass (a
-    shifted owner still passes roundtrips).  The owners are compared as
-    balls, so the owner pass and WhitneyTerms must agree on the ball a cover
-    index names.
+    With its 1-d twin, the only guard that each owner is the first
+    containing ball.  The owners are compared as balls, so the owner pass
+    and WhitneyTerms must agree on the ball a cover index names.
     """
     As, Qs, decs = _roundtrip_batch(seed, 2)
     for dec, A, Q in zip(decs, As, Qs):
@@ -823,9 +874,8 @@ def test_restrict_each_does_not_depend_on_the_chunk_size(monkeypatch):
 
 
 def test_restrict_each_bounds_its_temporaries():
-    # the 2-d leg of roundtrips: one owner table over all 39,400 centres and
-    # 400 spatial cells would hold about 16M entries; the passes without
-    # chunks peak at about 46 MB, with them at about 6.5 MB
+    # the 2-d leg of roundtrips: the owner pass tests three rows and nine
+    # centres per cell and layer, and the passes peak at about 9.4 MB
     grid = _roundtrip_grid(2)
     Qs = list(_roundtrip_balls(0, 2))
     As = [make_atom(grid, Q, AtomKind.CLASSICAL_2, seed=i) for i, Q in enumerate(Qs)]

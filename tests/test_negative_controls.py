@@ -5,8 +5,10 @@ passes) and once with one defect patched into the layer it certifies (it
 fails).  The program itself carries no defect switch.
 """
 import numpy as np
+import pytest
 from scipy.special import erfc
 
+import hardyheat.decompose as decompose
 import hardyheat.heatop as heatop
 from hardyheat.verify import Settings, run_experiment
 
@@ -78,11 +80,50 @@ def test_dropping_minus_g_fails_the_oracle(monkeypatch):
     assert not run_experiment("telescoping_oracle", settings).passed
 
 
+def _psi_of_width(width):
+    return lambda u, z: -0.5 * np.sign(z) * erfc(np.abs(z) / (width * np.sqrt(u)))
+
+
 def test_a_narrow_heat_kernel_fails_the_oracle(monkeypatch):
     # psi with width 1.9 sqrt(u) instead of 2 sqrt(u): max_rel_error reads
     # 0.060 against the 1e-3 gate
     settings = Settings(oracle_inputs=2)
     assert run_experiment("telescoping_oracle", settings).passed
-    monkeypatch.setattr(heatop, "_psi", lambda u, z: -0.5 * np.sign(z) * erfc(
-        np.abs(z) / (1.9 * np.sqrt(u))))
+    monkeypatch.setattr(heatop, "_psi", _psi_of_width(1.9))
     assert not run_experiment("telescoping_oracle", settings).passed
+
+
+def test_a_slightly_narrow_heat_kernel_fails_the_refinement_gate(monkeypatch):
+    # psi with width 1.999 sqrt(u): only the refinement gate sees it.
+    # min_refinement_gain reads 0.995 against >= 4, while max_rel_error,
+    # 5.8e-4, still passes its 1e-3 gate; lp_probe and l2_stability pass
+    settings = Settings(oracle_inputs=2)
+    assert run_experiment("telescoping_oracle", settings).passed
+    monkeypatch.setattr(heatop, "_psi", _psi_of_width(1.999))
+    result = run_experiment("telescoping_oracle", settings)
+    assert not result.passed
+    assert result.measured["max_rel_error"] <= result.tolerances["oracle_rel"]
+    assert result.measured["min_refinement_gain"] < result.tolerances["oracle_improvement"]
+
+
+@pytest.mark.parametrize("n, shift", [(1, -1), (2, 1)], ids=["n1-previous", "n2-next"])
+def test_a_wrong_owner_fails_roundtrips(monkeypatch, n, shift):
+    # every cell handed to a neighbouring ball of its cover: the pieces still
+    # partition Q ∩ X and the residual stays 0, but the cells leave the balls
+    # their terms name (coefficient_constant_max 1.59 as shipped at n = 1).
+    # At n = 1 the next ball is no defect this check can see: the centre
+    # before a cell's first centre c does not hold it, so c <= x < c + rho,
+    # the next ball holds the cell too (unless x = c) and the terms stay type
+    # (b) atoms; only the per-ball reference tests of tests/test_decompose.py
+    # see that owner
+    settings = Settings(n=n, n_roundtrip_balls=20, n_hz_given=2)
+    assert run_experiment("roundtrips", settings).passed
+    first_owner = decompose._first_ball_owner
+
+    def neighbour(layers, inp, t, xs):
+        n_balls = layers.ball_at[layers.first[1:]] - layers.ball_at[layers.first[:-1]]
+        return (first_owner(layers, inp, t, xs) + shift) % n_balls[inp]
+
+    monkeypatch.setattr(decompose, "_first_ball_owner", neighbour)
+    with pytest.raises(decompose.DecompositionError, match="outside their owner ball"):
+        run_experiment("roundtrips", settings)
