@@ -17,7 +17,9 @@ earlier run and prints, for each experiment and measured key, the largest
 relative drift of this run from it (|new - old| / |old|) over the key's
 index paths and the seeds, and every seed whose verdict changed.  Exit status:
 0 when every seed passed, 1 when one failed or raised, 2 on a usage error
-(a bad --set, a negative --seeds, a setting the config rejects).
+(a bad --set, a negative --seeds, an unknown experiment, a setting the
+config rejects).  Experiments are named as in ``hardyheat run``: registry
+names or aliases, with '-' and '_' alike.
 
     python3 scripts/seed_sweep.py --seeds 9
     python3 scripts/seed_sweep.py --seeds 3 --set n_atoms=5 atom_images
@@ -32,7 +34,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hardyheat.config import ConfigError, load_config
+from hardyheat.config import ConfigError, canonical, load_config
 from hardyheat.verify import EXPERIMENTS, run_experiment
 
 
@@ -109,8 +111,9 @@ def run(args: argparse.Namespace) -> int:
     if any("=" not in kv for kv in args.set):
         raise ConfigError("--set takes KEY=VALUE")
     overrides = dict(kv.split("=", 1) for kv in args.set)
+    names = [canonical(name) for name in args.experiments] or list(EXPERIMENTS)
     records = []
-    for name in args.experiments or EXPERIMENTS:
+    for name in names:
         passes = 0
         worst = {}  # gate -> (slack, relative, value, limit, seed)
         seeded = "seed" in EXPERIMENTS[name].reads
@@ -156,7 +159,7 @@ def run(args: argparse.Namespace) -> int:
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("experiments", nargs="*", help="registry names (default: all)")
+    ap.add_argument("experiments", nargs="*", help="registry names or aliases (default: all)")
     ap.add_argument("--seeds", type=int, default=9, help="sweep seeds 0..N (default 9)")
     ap.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                     help="override a settings key; repeatable")

@@ -66,18 +66,19 @@ def canonical(name: str) -> str:
 
 
 def parse_value(key: str, raw: str, kind: type) -> object:
-    """raw as a Settings value: kind is int, float, or tuple (of floats)."""
+    """raw as a Settings value: kind is int, float, or tuple (of floats).
+
+    Every float, a tuple's entries included, must be finite.
+    """
     raw = raw.strip()
     try:
         if kind is int:
             return int(raw)
-        if kind is float:
-            value = float(raw)
-            if not math.isfinite(value):
-                raise ValueError("non-finite")
-            return value
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
-        return tuple(float(p) for p in parts)
+        parts = [raw] if kind is float else [p.strip() for p in raw.split(",") if p.strip()]
+        values = tuple(float(p) for p in parts)
+        if not all(map(math.isfinite, values)):
+            raise ValueError("non-finite")
+        return values[0] if kind is float else values
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
 

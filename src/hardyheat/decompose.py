@@ -32,7 +32,6 @@ recorded in the decomposition ledger.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -188,23 +187,28 @@ class WhitneyTerms(Sequence):
 
 @dataclass(frozen=True, eq=False)
 class CoverLayer:
-    """One layer of a Whitney cover: a ball of radius rho at every (row, centre) pair.
+    """One layer of a Whitney cover: a ball of radius rho at every lattice point.
 
-    rows holds the ball times in ascending order and centres the spatial
-    centres (n_centres x n) in lexicographic order of their lattice offsets;
-    the layer's balls run row-major over (row, centre).
+    The lattice is a product: rows holds the ball times and axes[i] the
+    centre coordinates on spatial axis i, each ascending.  The layer's balls
+    run row-major over (row, axes[0], ..., axes[n - 1]), so within a row the
+    centres come in lexicographic order.
     """
 
     rho: float
     rows: np.ndarray
-    centres: np.ndarray
+    axes: tuple[np.ndarray, ...]
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (len(self.rows), *(len(a) for a in self.axes))
 
     def __len__(self) -> int:
-        return len(self.rows) * len(self.centres)
+        return math.prod(self.shape)
 
     def ball(self, i: int) -> ParabolicBall:
-        m, c = divmod(int(i), len(self.centres))
-        return ball(self.rows[m], self.centres[c], self.rho)
+        m, *j = np.unravel_index(int(i), self.shape)
+        return ball(self.rows[m], tuple(a[k] for a, k in zip(self.axes, j)), self.rho)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,8 +252,8 @@ def whitney_cover(Q: ParabolicBall, t_floor: float | None = None) -> WhitneyCove
     rho_k^2), then by centre (lattice offsets in lexicographic order);
     restrict_decompose's first-ball partition depends on this order.
 
-    In layer k the rows step by rho_k^2 and the centres form the product
-    lattice x0 + rho_k {-N_k..N_k}^n in lexicographic order, which the
+    Layer k is stored as its lattice: the rows, stepping by rho_k^2, and per
+    spatial axis i the coordinates x0_i + rho_k {-N_k..N_k}, which the
     first-owner pass reads points off.  As rho_k = 2^(K - k) rho_K and A_k =
     4 rho_k^2, every face also lies on the integer lattice of the last
     radius rho_K that cover_max_overlap counts on.
@@ -298,13 +302,7 @@ def whitney_cover(Q: ParabolicBall, t_floor: float | None = None) -> WhitneyCove
                     f"cover layer of radius {rho} (rows {rows[0]} to {rows[-1]}) "
                     "lost type (b) geometry"
                 )
-            # the lattice x0 + offs^n in lexicographic order: axis i of the
-            # grid below runs over the offsets of coordinate i
-            m = len(offs)
-            centres = np.empty((m,) * n + (n,))
-            for i, c in enumerate(x0):
-                centres[..., i] = (c + offs).reshape((m,) + (1,) * (n - 1 - i))
-            layers.append(CoverLayer(rho, rows, centres.reshape(-1, n)))
+            layers.append(CoverLayer(rho, rows, tuple(c + offs for c in x0)))
         if A_k <= t_floor:
             break
         k += 1
@@ -318,19 +316,20 @@ def cover_max_overlap(cover: WhitneyCover) -> int:
     that is the ball itself and the count is exact; for n = 2 the box is the
     bounding square of the spatial disk, so the count can exceed the true
     overlap and a gate on it is conservative.  The box count is constant on
-    the cells of the arrangement of box faces.  Within a layer every ball is a
-    (row, centre) pair, so at a cell the count is sum_k a_k(t) b_k(x): the rows
-    of layer k whose interval holds t times the centres of layer k whose box
-    holds x.  a[k, time cell] and b[k, spatial cell] each come from one
-    difference array per layer, filled by bincount (_layer_box_diffs) and
-    summed up along each axis; the result is the largest entry of a^T b.
-    This is the one-cover case of _max_overlap_each, which sweeps many
-    covers at once.
+    the cells of the arrangement of box faces, a product of one run of
+    intervals per axis.  Within a layer the balls are the product of its
+    rows and its per-axis coordinates, so at a cell the count is sum_k
+    a_k(t) b_k1(x_1) ... b_kn(x_n): the rows of layer k whose interval holds
+    t times, per axis, the coordinates of layer k whose interval holds x_i.
+    Each factor comes from one difference array per axis, filled by
+    bincount (_axis_counts); the result is the largest entry of the sum over
+    layers.  This is the one-cover case of _max_overlap_each, which sweeps
+    many covers at once.
 
     The cover must lie on its integer lattice, as every whitney_cover does:
     with rho_K its smallest radius, rows and r^2 on (rho_K^2 / 2)Z from the
-    first row, centres and r on rho_K Z^n from the first centre.  Faces are
-    counted as those integers; a cover more than 1e-3 of a unit off its
+    first row, coordinates and r on rho_K Z from the first centre.  Faces
+    are counted as those integers; a cover more than 1e-3 of a unit off its
     lattice raises DecompositionError.
     """
     return int(_max_overlap_each(_Layers([cover]))[0])
@@ -340,44 +339,41 @@ class _Layers:
     """The layers of a sequence of covers as flat arrays, layer g running over
     the layers of every cover in cover order.
 
-    Cover c holds layers first[c]:first[c + 1]; layer g holds rows
-    row_at[g]:row_at[g + 1] of rows, centres centre_at[g]:centre_at[g + 1]
-    of centres, and the balls ball_at[g]:ball_at[g + 1] of all covers, counted
-    in cover order; row_layer and centre_layer name the layer of each row
-    and centre.  volume[g] is nu of one of its balls and r2[g] the square of
-    its radius that ParabolicBall.mask takes.  t_mid, t_half, x_mid and
-    x_half are the rows, time half-widths, centres and spatial half-widths
-    as integers on each cover's lattice (see cover_max_overlap).
+    Cover c holds layers first[c]:first[c + 1], and layer g the balls
+    ball_at[g]:ball_at[g + 1] of all covers, counted in cover order.  Axis a
+    is time for a = 0 and spatial axis a - 1 otherwise: layer g holds the
+    coordinates coords[a][at[a][g]:at[a][g + 1]] on it, layer_of[a] names
+    the layer of each coordinate, and mid[a] and half[a] are the coordinates
+    and the layers' half-widths as integers on each cover's lattice (see
+    cover_max_overlap).  volume[g] is nu of one of its balls and r2[g] the
+    square of its radius that ParabolicBall.mask takes.
     """
 
     def __init__(self, covers: Sequence[WhitneyCover]):
         layers = [L for cover in covers for L in cover.layers]
-        self.n = n = layers[0].centres.shape[1] if layers else 1
+        n = len(layers[0].axes) if layers else 1
         self.n_covers = len(covers)
         self.first = np.cumsum([0] + [len(cover.layers) for cover in covers])
         self.cover = np.repeat(np.arange(len(covers)), np.diff(self.first))
         self.rho = np.array([L.rho for L in layers])
         self.r2 = np.array([L.rho**2 for L in layers])
-        self.rows = np.concatenate([L.rows for L in layers] or [np.empty(0)])
-        self.centres = np.concatenate([L.centres for L in layers] or [np.empty((0, n))])
-        self.row_at = np.cumsum([0] + [len(L.rows) for L in layers])
-        self.centre_at = np.cumsum([0] + [len(L.centres) for L in layers])
         self.ball_at = np.cumsum([0] + [len(L) for L in layers])
         # 2 rho^2 omega_n rho^n in ball_volume's order of operations, so each
         # entry is bit-equal to ball_volume of the layer's balls
         self.volume = np.array([2.0 * L.rho**2 * UNIT_BALL_VOLUME[n] * L.rho**n for L in layers])
-        # each layer's cover: its smallest radius, first row and first centre
+        per_axis = [[L.rows for L in layers]] + [[L.axes[i] for L in layers] for i in range(n)]
+        self.coords = [np.concatenate(c or [np.empty(0)]) for c in per_axis]
+        self.at = [np.cumsum([0] + [len(v) for v in c]) for c in per_axis]
+        self.layer_of = [np.repeat(np.arange(len(layers)), np.diff(at)) for at in self.at]
+        # each layer's cover: its smallest radius and first layer, whose first
+        # coordinates are the lattice origin
         rho_K = np.full(len(covers), np.inf)
         np.minimum.at(rho_K, self.cover, self.rho)
         rho_K, head = rho_K[self.cover], self.first[self.cover]
-        t0, x0 = self.rows[self.row_at[head]], self.centres[self.centre_at[head]]
-        self.row_layer = rl = np.repeat(np.arange(len(layers)), np.diff(self.row_at))
-        self.centre_layer = cl = np.repeat(np.arange(len(layers)), np.diff(self.centre_at))
-        t_unit = rho_K**2 / 2.0
-        self.t_mid = _on_lattice((self.rows - t0[rl]) / t_unit[rl])
-        self.t_half = _on_lattice(self.r2 / t_unit)
-        self.x_mid = _on_lattice((self.centres - x0[cl]) / rho_K[cl, None])
-        self.x_half = _on_lattice(self.rho / rho_K)
+        unit = [rho_K**2 / 2.0] + [rho_K] * n
+        self.mid = [_on_lattice((c - c[at[head]][g]) / u[g])
+                    for c, at, g, u in zip(self.coords, self.at, self.layer_of, unit)]
+        self.half = [_on_lattice(w / u) for w, u in zip([self.r2] + [self.rho] * n, unit)]
 
 
 def _on_lattice(v: np.ndarray) -> np.ndarray:
@@ -391,89 +387,61 @@ def _on_lattice(v: np.ndarray) -> np.ndarray:
 def _max_overlap_each(layers: _Layers) -> np.ndarray:
     """cover_max_overlap of every cover, from one sweep over all of them.
 
-    The faces of every cover are its integer lattice faces; one np.unique of
-    (cover, face) keys per axis gives each cover's cells (_box_cells), and
-    the boxes of every layer of every cover go into one difference array per
-    axis set (_layer_box_diffs).  Covers go through the sweep in runs of
-    about CHUNK faces; only the cumulative sums and the product a^T b are
+    The faces of every cover are its integer lattice faces; per axis, one
+    _axis_counts gives every layer of every cover its counts over the cells
+    of its cover.  Covers go through the sweep in runs of about CHUNK faces;
+    only the products of the per-axis counts and their sum over layers are
     formed cover by cover.
     """
     out = np.zeros(layers.n_covers, dtype=np.int64)
     first = layers.first
-    faces = 2 * (np.diff(layers.row_at[first]) + np.diff(layers.centre_at[first]) * layers.n)
+    faces = 2 * sum(np.diff(at[first]) for at in layers.at)
     for run in chunk_slices(faces):
         g0, g1 = first[run.start], first[run.stop]
         if g0 == g1:
             continue
-        cover, n_covers = layers.cover[g0:g1] - run.start, run.stop - run.start
-        rows = slice(layers.row_at[g0], layers.row_at[g1])
-        centres = slice(layers.centre_at[g0], layers.centre_at[g1])
-        rl, cl = layers.row_layer[rows] - g0, layers.centre_layer[centres] - g0
-        t_lo, t_hi, t_shape = _box_cells(layers.t_mid[rows, None], layers.t_half[g0:g1][rl],
-                                         cover[rl], n_covers)
-        x_lo, x_hi, x_shape = _box_cells(layers.x_mid[centres], layers.x_half[g0:g1][cl],
-                                         cover[cl], n_covers)
-        a, a_at = _layer_box_diffs(rl, t_lo, t_hi, t_shape[cover])
-        b, b_at = _layer_box_diffs(cl, x_lo, x_hi, x_shape[cover])
-        for c in range(n_covers):
-            k0, k1 = first[run.start + c] - g0, first[run.start + c + 1] - g0
+        cover = layers.cover[g0:g1] - run.start
+        counts = []
+        for mid, half, at, layer in zip(layers.mid, layers.half, layers.at, layers.layer_of):
+            s = slice(at[g0], at[g1])
+            counts.append(_axis_counts(mid[s], half[g0:g1], layer[s] - g0, cover,
+                                       run.stop - run.start))
+        for c in range(run.start, run.stop):
+            k0, k1 = first[c] - g0, first[c + 1] - g0
             if k0 == k1:
                 continue
-            # counts from differences: cumulative sums along every axis
-            A = a[a_at[k0]:a_at[k1]].reshape(k1 - k0, -1).cumsum(axis=1)
-            B = b[b_at[k0]:b_at[k1]].reshape((k1 - k0, *x_shape[c]))
-            for axis in range(1, B.ndim):
-                B = B.cumsum(axis=axis)
-            # small integers: the float product is exact
-            out[run.start + c] = (A.T @ B.reshape(k1 - k0, -1)).max()
+            A, B, *rest = (v[at[k0]:at[k1]].reshape(k1 - k0, -1) for v, at in counts)
+            for b in rest:
+                B = (B[:, :, None] * b[:, None, :]).reshape(k1 - k0, -1)
+            # small integers held as floats, so the BLAS product is exact
+            out[c] = (A.T @ B).max()
     return out
 
 
-def _box_cells(mids: np.ndarray, half: np.ndarray, group: np.ndarray, n_groups: int):
-    """Per axis, the cells [lo, hi) that each box |x - mid| < half covers.
+def _axis_counts(mid: np.ndarray, half: np.ndarray, layer: np.ndarray, cover: np.ndarray,
+                 n_covers: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per layer, how many of its intervals hold each cell of its cover on one axis.
 
-    mids (boxes x axes) and half are integers; box i belongs to group[i]
-    (its cover).  The cells of a group are the intervals between the
-    distinct faces of that group's boxes on the axis, indexed from 0.
-    Returns (lo, hi, shape): lo and hi of shape (axes, boxes), shape
-    (n_groups, axes) with each group's face count on each axis (its cells +
-    1; 0 for a group without boxes).
+    Layer layer[i] has the interval |u - mid[i]| < half[layer[i]] (integers)
+    and belongs to cover[layer[i]] of n_covers.  The cells of a cover are the
+    runs between the distinct interval ends of its layers, from 0.  Returns
+    (counts, at): layer g's counts are counts[at[g]:at[g + 1]], one float per
+    face of its cover, the count on the cell above that face (0 above the
+    last face).
     """
-    groups = np.concatenate([group, group])
-    lo, hi, shape = [], [], []
-    for p in mids.T:
-        ends = np.concatenate([p - half, p + half])
-        base, span = ends.min(), ends.max() - ends.min() + 1
-        keys, at = np.unique(groups * span + (ends - base), return_inverse=True)
-        count = np.bincount(keys // span, minlength=n_groups)
-        at -= (np.cumsum(count) - count)[groups]  # from each group's first face
-        lo.append(at[: len(p)])
-        hi.append(at[len(p) :])
-        shape.append(count)
-    return np.array(lo), np.array(hi), np.array(shape).T
-
-
-def _layer_box_diffs(layer: np.ndarray, lo, hi, shape) -> tuple[np.ndarray, np.ndarray]:
-    """Per layer, the difference array of its boxes; returns (diffs, at).
-
-    Box i of layer[i] covers the cells [lo[d][i], hi[d][i]) on each axis d
-    (the output of _box_cells) of the arrangement of shape[layer[i]], the
-    face counts of its cover.  Layer g's differences are diffs[at[g]:at[g +
-    1]] in C order over shape[g], one bincount per corner of the boxes;
-    cumulative sums along the axes turn them into the layer's box counts.
-    """
-    size = shape.prod(axis=1)
-    at = np.concatenate(([0], np.cumsum(size)))
-    box_shape = shape[layer]
-    diffs = np.zeros(at[-1])
-    for corner in itertools.product((0, 1), repeat=shape.shape[1]):
-        flat = at[layer]
-        stride = 1
-        for d in reversed(range(shape.shape[1])):
-            flat = flat + stride * (hi[d] if corner[d] else lo[d])
-            stride = stride * box_shape[:, d]
-        diffs += (-1) ** sum(corner) * np.bincount(flat, minlength=at[-1])
-    return diffs, at
+    ends = np.concatenate([mid - half[layer], mid + half[layer]])
+    end_layer = np.concatenate([layer, layer])
+    group = cover[end_layer]
+    base, span = ends.min(), ends.max() - ends.min() + 1
+    keys, face = np.unique(group * span + (ends - base), return_inverse=True)
+    n_faces = np.bincount(keys // span, minlength=n_covers)
+    face -= (np.cumsum(n_faces) - n_faces)[group]  # from its cover's first face
+    at = np.concatenate(([0], np.cumsum(n_faces[cover])))
+    # +1 where an interval opens and -1 where it closes, in its layer's
+    # block; each block sums to 0, so one running sum counts every layer
+    diffs = np.bincount(at[end_layer] + face,
+                        weights=np.repeat([1.0, -1.0], len(mid)), minlength=at[-1])
+    return np.cumsum(diffs), at
 
 
 def _cover_stats_each(layers: _Layers, Qs: Sequence[ParabolicBall]) -> list[dict]:
@@ -514,41 +482,39 @@ def _first_ball_owner(layers: _Layers, inp: np.ndarray, t: np.ndarray,
     centre), so the first containing ball pairs the first such row with the
     first such centre, in the first layer that has both.  On the layer's
     lattice (whitney_cover) only the three rows nearest (t - first row) /
-    rho^2 and, per axis, the three centres nearest (x - first centre) / rho
+    rho^2 and, per axis, the three coordinates nearest (x - first one) / rho
     can hold the point; they are tested and the first hit in (row, centre)
     order kept, in one pass per layer rank.
     """
     n, first = len(xs), layers.first
     n_layers = np.diff(first)
-    n_rows, n_centres = np.diff(layers.row_at), np.diff(layers.centre_at)
-    side = np.rint(n_centres ** (1.0 / n)).astype(np.int64)  # centres per axis
+    sizes = [np.diff(at) for at in layers.at]
     start = layers.ball_at[:-1] - layers.ball_at[first[layers.cover]]  # within its cover
     point = (-1,) + (1,) * n  # one point per entry of the first axis
     owner = np.full(len(t), -1)
     for k in range(n_layers.max(initial=0)):
         todo = np.flatnonzero((owner < 0) & (n_layers[inp] > k))
         g = first[inp[todo]] + k
-        r2, row0, centre0 = layers.r2[g], layers.row_at[g], layers.centre_at[g]
-        m = _nearest3((t[todo] - layers.rows[row0]) / r2, n_rows[g])
-        row = layers.rows[row0[:, None] + m]
-        in_t = in_time_interval(t[todo, None], row - r2[:, None], row + r2[:, None])
-        # per axis the offsets of the three candidate centres and their
-        # coordinates, shaped so that the 3^n candidates run in
-        # lexicographic order
+        r2 = layers.r2[g]
+        # per axis, time first, the three candidate indices and coordinates
         js, cs = [], []
-        for i, x in enumerate(xs):
-            step = side[g, None] ** (n - 1 - i)
-            j = step * _nearest3((x[todo] - layers.centres[centre0, i]) / layers.rho[g], side[g])
+        for u, unit, coords, at, size in zip([t, *xs], [r2] + [layers.rho[g]] * n,
+                                             layers.coords, layers.at, sizes):
+            j = _nearest3((u[todo] - coords[at[g]]) / unit, size[g])
             js.append(j)
-            c = layers.centres[centre0[:, None] + j, i]
-            cs.append(c.reshape(point[:i + 1] + (3,) + point[i + 2:]))
-        in_x = in_section((x[todo].reshape(point) for x in xs), cs, r2.reshape(point))
+            cs.append(coords[at[g, None] + j])
+        in_t = in_time_interval(t[todo, None], cs[0] - r2[:, None], cs[0] + r2[:, None])
+        # the 3^n candidate centres in lexicographic order
+        cs[1:] = (c.reshape(point[:i + 1] + (3,) + point[i + 2:]) for i, c in enumerate(cs[1:]))
+        in_x = in_section((x[todo].reshape(point) for x in xs), cs[1:], r2.reshape(point))
         in_x = in_x.reshape(len(todo), 3**n)
         hit = in_t.any(axis=1) & in_x.any(axis=1)
-        at = np.arange(len(todo))
-        fr = m[at, in_t.argmax(axis=1)]
-        fc = sum(j[at, i] for j, i in zip(js, np.unravel_index(in_x.argmax(axis=1), (3,) * n)))
-        owner[todo[hit]] = (start[g] + fr * n_centres[g] + fc)[hit]
+        i = np.arange(len(todo))
+        picks = (in_t.argmax(axis=1), *np.unravel_index(in_x.argmax(axis=1), (3,) * n))
+        flat = 0
+        for j, pick, size in zip(js, picks, sizes):
+            flat = flat * size[g] + j[i, pick]
+        owner[todo[hit]] = (start[g] + flat)[hit]
     return owner
 
 
@@ -565,11 +531,16 @@ def _outside_owner(layers: _Layers, inp: np.ndarray, t: np.ndarray, xs: list[np.
     placed = (owner >= 0) & (owner < n_balls[inp])
     flat = layers.ball_at[layers.first[inp[placed]]] + owner[placed]
     g = np.searchsorted(layers.ball_at, flat, side="right") - 1
-    m, c = np.divmod(flat - layers.ball_at[g], np.diff(layers.centre_at)[g])
-    row, centre = layers.rows[layers.row_at[g] + m], layers.centres[layers.centre_at[g] + c]
+    # the owner's row and centre: its index in its layer unravelled by the
+    # per-axis sizes, last axis fastest
+    i, coords = flat - layers.ball_at[g], [None] * len(layers.at)
+    for a in reversed(range(len(layers.at))):
+        i, j = np.divmod(i, np.diff(layers.at[a])[g])
+        coords[a] = layers.coords[a][layers.at[a][g] + j]
+    row, *centre = coords
     r2 = layers.r2[g]
     inside = (in_time_interval(t[placed], row - r2, row + r2)
-              & in_section((x[placed] for x in xs), centre.T, r2))
+              & in_section((x[placed] for x in xs), centre, r2))
     return len(owner) - int(inside.sum())
 
 

@@ -360,6 +360,22 @@ def test_run_rejects_empty_counts(tmp_path, capsys, key, experiment, bad):
     assert not (tmp_path / "r").exists()  # rejected before anything ran
 
 
+@pytest.mark.parametrize("key, experiment, bad", [
+    ("growth_T_values", "growth_T", "8,16,inf"),
+    ("growth_T_values", "growth_T", "8,nan"),
+    ("oracle_grid", "telescoping_oracle", "4,64,inf,16"),
+    ("lp_exponents", "lp_probe", "1.5,inf"),
+])
+def test_run_rejects_non_finite_tuple_entries(tmp_path, capsys, key, experiment, bad):
+    # only scalar floats used to be checked for finiteness: the first three
+    # failed at run time (exit 1) after the output directory was made, and
+    # lp_exponents=1.5,inf passed lp_probe outside its 1 < p < inf claim
+    code = main(["run", experiment, "--set", f"{key}={bad}", "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()  # rejected before anything ran
+
+
 def test_run_2d_roundtrips(tmp_path):
     out = tmp_path / "res"
     code = main(["run", "roundtrips", "--n", "2", "--out", str(out),
@@ -431,6 +447,19 @@ def test_seed_sweep_rejects_negative_seeds():
                               json=None, against=None)
     with pytest.raises(ConfigError, match="--seeds"):
         _seed_sweep().run(args)
+
+
+def test_seed_sweep_resolves_names_like_run(capsys):
+    # an alias used to end in a KeyError traceback (exit 1), and so did an
+    # unknown name, a usage error
+    sweep = _seed_sweep()
+    args = argparse.Namespace(experiments=["certify-T"], seeds=0, set=["n_atoms=1"],
+                              json=None, against=None)
+    assert sweep.run(args) == 0
+    assert "atom_images seed=0 pass " in capsys.readouterr().out
+    args.experiments = ["nosuch"]
+    with pytest.raises(ConfigError, match="unknown experiment 'nosuch'"):
+        sweep.run(args)
 
 
 def test_seed_sweep_drift_covers_list_valued_keys(capsys):

@@ -184,7 +184,7 @@ def test_whitney_cover_order(Q):
 def test_whitney_cover_len_and_keyword_sweep():
     # an outside tracer counts len(cover) and reads the argument named cover
     cover = whitney_cover(STRADDLE, t_floor=1.0 / 64)
-    assert len(cover) == sum(1 for _ in cover) == sum(len(L.rows) * len(L.centres)
+    assert len(cover) == sum(1 for _ in cover) == sum(len(L.rows) * len(_centres(L))
                                                       for L in cover.layers)
     assert cover_max_overlap(cover=cover) == cover_max_overlap(cover)
 
@@ -209,9 +209,14 @@ def test_whitney_ball_cap_raises_before_building(monkeypatch):
 
 def _cover(*balls):
     """A cover with one single-ball layer per ball, in the given order."""
-    return WhitneyCover(
-        tuple(CoverLayer(b.radius, np.array([b.t0]), np.array([b.center.x])) for b in balls)
-    )
+    return WhitneyCover(tuple(CoverLayer(b.radius, np.array([b.t0]),
+                                         tuple(np.array([c]) for c in b.center.x))
+                              for b in balls))
+
+
+def _centres(L):
+    """The centres of layer L (n_centres x n) in lexicographic order."""
+    return np.stack(np.meshgrid(*L.axes, indexing="ij"), -1).reshape(-1, len(L.axes))
 
 
 def _max_overlap_each(covers):
@@ -238,16 +243,16 @@ def test_cover_max_overlap_rejects_off_lattice_covers():
     # a Whitney layer with one centre moved by 1 % of its radius
     cover = whitney_cover(STRADDLE, t_floor=1.0 / 64)
     L = cover.layers[-1]
-    centres = L.centres.copy()
+    centres = L.axes[0].copy()
     centres[3] += 0.01 * L.rho
-    moved = WhitneyCover(cover.layers[:-1] + (CoverLayer(L.rho, L.rows, centres),))
+    moved = WhitneyCover(cover.layers[:-1] + (CoverLayer(L.rho, L.rows, (centres,)),))
     with pytest.raises(DecompositionError, match="lattice"):
         cover_max_overlap(moved)
     # and one with a row moved by 1 % of its step
     rows = L.rows.copy()
     rows[-1] += 0.01 * L.rho**2
     with pytest.raises(DecompositionError, match="lattice"):
-        cover_max_overlap(WhitneyCover(cover.layers[:-1] + (CoverLayer(L.rho, rows, L.centres),)))
+        cover_max_overlap(WhitneyCover(cover.layers[:-1] + (CoverLayer(L.rho, rows, L.axes),)))
 
 
 def test_cover_max_overlap_merges_coincident_faces():
@@ -255,7 +260,7 @@ def test_cover_max_overlap_merges_coincident_faces():
     # point, computed two ways; open balls that only touch there do not meet
     for rho, centres in ((0.6, (1.1, 1.7, 2.3)), (0.9, (-1.4, -0.5, 0.4)),
                          (0.3, (0.7, 1.0, 1.3))):
-        layer = CoverLayer(rho, np.array([1.0]), np.array(centres)[:, None])
+        layer = CoverLayer(rho, np.array([1.0]), (np.array(centres),))
         assert cover_max_overlap(WhitneyCover((layer,))) == 2
         # the same balls as one-ball layers
         assert cover_max_overlap(_cover(*WhitneyCover((layer,)))) == 2
@@ -271,7 +276,7 @@ def _lattice_overlap(cover):
     holds it times the centres whose box holds it, summed over layers.
     """
     rho_K = cover.layers[-1].rho
-    origin = cover.layers[0].centres[0]
+    origin = _centres(cover.layers[0])[0]
 
     def lattice(v):
         k = np.rint(v).astype(np.int64)
@@ -280,16 +285,31 @@ def _lattice_overlap(cover):
 
     T = [lattice(2.0 * L.rows / rho_K**2) for L in cover.layers]
     wt = [lattice(2.0 * L.rho**2 / rho_K**2) for L in cover.layers]
-    X = [lattice((L.centres - origin) / rho_K) for L in cover.layers]
+    X = [lattice((_centres(L) - origin) / rho_K) for L in cover.layers]
     wx = [lattice(L.rho / rho_K) for L in cover.layers]
     pt = np.unique(np.concatenate([np.r_[t - w, t + w] for t, w in zip(T, wt)])) + 0.5
     px = [np.unique(np.concatenate([np.r_[x[:, i] - w, x[:, i] + w] for x, w in zip(X, wx)]))
-          + 0.5 for i in range(cover.layers[0].centres.shape[1])]
+          + 0.5 for i in range(len(origin))]
     pts = np.array(list(product(*px)))
     a = np.stack([(np.abs(pt[:, None] - t) < w).sum(1) for t, w in zip(T, wt)], axis=1)
     B = np.stack([(np.abs(pts[:, None, :] - x) < w).all(2).sum(1) for x, w in zip(X, wx)],
                  axis=1)
     return int((a @ B.T).max())
+
+
+def test_overlap_sweep_counts_rectangular_layers():
+    # n = 2 layers whose axes differ in length, which a table of centres
+    # with equal sides cannot hold: 2 rows x 3 x 5 centres of radius 0.5,
+    # 8 boxes deep (2 rows x 2 x 2 centres), and 3 rows x 4 x 2 centres of
+    # radius 0.25, 8 deep inside a cell where the first layer is 8 deep
+    big = CoverLayer(0.5, np.array([1.0, 1.25]), (0.5 * np.arange(3), 0.5 * np.arange(5)))
+    small = CoverLayer(0.25, np.array([1.0625, 1.125, 1.1875]),
+                       (np.array([0.25, 0.5, 0.75, 1.0]), np.array([0.5, 0.75])))
+    covers = [WhitneyCover((big,)), WhitneyCover((big, small))]
+    assert [len(c) for c in covers] == [30, 54]
+    assert [cover_max_overlap(c) for c in covers] == [8, 16]
+    assert _max_overlap_each(covers) == [8, 16]
+    assert [_lattice_overlap(c) for c in covers] == [8, 16]
 
 
 def _roundtrip_balls(seed, n, n_balls=100):
@@ -354,28 +374,22 @@ def _lattice_covers():
 def test_whitney_covers_lie_on_their_lattice():
     """The lattice the overlap sweep and the owner pass rely on.
 
-    In each layer the rows step by rho^2 and the centres form a product
-    lattice of step rho in lexicographic order; every face lies within 1e-3
-    of a unit of the cover's lattice: time faces on (rho_K^2 / 2)Z from the
-    first row, spatial faces on rho_K Z^n from the first centre.
+    In each layer the rows step by rho^2 and the coordinates on each
+    spatial axis by rho; every face lies within 1e-3 of a unit of the
+    cover's lattice: time faces on (rho_K^2 / 2)Z from the first row,
+    spatial faces on rho_K Z from the first centre's coordinate.
     """
     for cover in _lattice_covers():
         rho_K = min(L.rho for L in cover.layers)
-        t0, x0 = cover.layers[0].rows[0], cover.layers[0].centres[0]
+        first = cover.layers[0]
         for L in cover.layers:
-            m = (L.rows - L.rows[0]) / L.rho**2
-            assert np.all(np.abs(m - np.arange(len(L.rows))) < 1e-3)
-            n_centres, n = L.centres.shape
-            side = round(n_centres ** (1.0 / n))
-            assert side**n == n_centres
-            offsets = np.stack(np.meshgrid(*[np.arange(side)] * n, indexing="ij"), -1)
-            j = (L.centres - L.centres[0]) / L.rho
-            assert np.all(np.abs(j - offsets.reshape(-1, n)) < 1e-3)
-            for faces, origin, unit in ((L.rows[:, None] + [-L.rho**2, L.rho**2], t0,
-                                         rho_K**2 / 2.0),
-                                        (L.centres[..., None] + [-L.rho, L.rho], x0[:, None],
-                                         rho_K)):
-                k = (faces - origin) / unit
+            assert len(L.axes) == len(first.axes)
+            for v, step, origin, unit in ((L.rows, L.rho**2, first.rows[0], rho_K**2 / 2.0),
+                                          *((a, L.rho, a0[0], rho_K)
+                                            for a, a0 in zip(L.axes, first.axes))):
+                m = (v - v[0]) / step
+                assert np.all(np.abs(m - np.arange(len(v))) < 1e-3)
+                k = (v[:, None] + [-step, step] - origin) / unit
                 assert np.all(np.abs(k - np.rint(k)) < 1e-3)
 
 
@@ -406,7 +420,7 @@ def test_overlap_sweep_counts_each_cover_on_its_own_lattice():
 def test_overlap_sweep_merges_coincident_faces_in_a_batch():
     # the covers of test_cover_max_overlap_merges_coincident_faces between
     # Whitney covers and an empty cover
-    coincident = [WhitneyCover((CoverLayer(rho, np.array([1.0]), np.array(c)[:, None]),))
+    coincident = [WhitneyCover((CoverLayer(rho, np.array([1.0]), (np.array(c),)),))
                   for rho, c in ((0.6, (1.1, 1.7, 2.3)), (0.9, (-1.4, -0.5, 0.4)),
                                  (0.3, (0.7, 1.0, 1.3)))]
     whitney = list(_roundtrip_covers(0, 1, 3))
@@ -620,7 +634,8 @@ def _reference_pieces(A, Q):
     for k, L in enumerate(cover.layers):
         r2 = L.rho**2
         in_t = (tt > (L.rows - r2)[:, None]) & (tt < (L.rows + r2)[:, None])
-        in_x = sum((x - L.centres[:, i, None]) ** 2 for i, x in enumerate(xs)) < r2
+        centres = _centres(L)
+        in_x = sum((x - centres[:, i, None]) ** 2 for i, x in enumerate(xs)) < r2
         new = (first[:, 0] < 0) & in_t.any(0) & in_x.any(0)
         first[new] = np.stack([np.full(new.sum(), k), in_t.argmax(0)[new], in_x.argmax(0)[new]], 1)
     assert np.all(first[:, 0] >= 0)  # every cell of Q ∩ X is covered
@@ -635,7 +650,7 @@ def _reference_pieces(A, Q):
         w = math.sqrt(float((vals[piece] ** 2).sum()) * cm)
         if w != 0.0:
             L = cover.layers[k]
-            balls.append(ball(L.rows[m], L.centres[j], L.rho))
+            balls.append(ball(L.rows[m], _centres(L)[j], L.rho))
             pieces.append(piece)
             raws.append(w * math.sqrt(ball_volume(balls[-1])))
     coefficients = [_pow2_at_least(raw) for raw in raws]
@@ -875,7 +890,7 @@ def test_restrict_each_does_not_depend_on_the_chunk_size(monkeypatch):
 
 def test_restrict_each_bounds_its_temporaries():
     # the 2-d leg of roundtrips: the owner pass tests three rows and nine
-    # centres per cell and layer, and the passes peak at about 9.4 MB
+    # centres per cell and layer, and the passes peak at about 7.1 MB
     grid = _roundtrip_grid(2)
     Qs = list(_roundtrip_balls(0, 2))
     As = [make_atom(grid, Q, AtomKind.CLASSICAL_2, seed=i) for i, Q in enumerate(Qs)]

@@ -127,3 +127,28 @@ def test_a_wrong_owner_fails_roundtrips(monkeypatch, n, shift):
     monkeypatch.setattr(decompose, "_first_ball_owner", neighbour)
     with pytest.raises(decompose.DecompositionError, match="outside their owner ball"):
         run_experiment("roundtrips", settings)
+
+
+@pytest.mark.parametrize("n, k_pass, k_fail", [(1, 2, 3), (2, 5, 6)], ids=["n1", "n2"])
+def test_repeated_cover_layers_fail_the_overlap_bound(monkeypatch, n, k_pass, k_fail):
+    # every cover with its layers repeated k times: the copies own no cell,
+    # so the decompositions stay exact, but every point lies in k times as
+    # many balls.  overlap_max reads 6 (n = 1) and 12 (n = 2) as shipped, so
+    # exactly 6 k and 12 k here: k_pass still meets the bound (16 and 64),
+    # k_fail exceeds it by one repeat, which shows the sweep counts exactly
+    settings = Settings(n=n, n_roundtrip_balls=20, n_hz_given=2)
+    shipped, bound = (6, 16) if n == 1 else (12, 64)
+    assert run_experiment("roundtrips", settings).measured["overlap_max"] == shipped
+    cover = decompose.whitney_cover
+
+    def repeat(k):
+        monkeypatch.setattr(decompose, "whitney_cover", lambda Q, t_floor=None:
+                            decompose.WhitneyCover(cover(Q, t_floor).layers * k))
+
+    repeat(k_pass)
+    result = run_experiment("roundtrips", settings)
+    assert result.passed and result.measured["overlap_max"] == k_pass * shipped
+    repeat(k_fail)
+    with pytest.raises(decompose.DecompositionError,
+                       match=f"cover overlap {k_fail * shipped} exceeds the bound {bound}"):
+        run_experiment("roundtrips", settings)
