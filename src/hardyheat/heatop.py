@@ -66,6 +66,18 @@ measured down to the underflow of erfc instead of to a truncation radius.  On
 a cell edge ψ(u, 0) = 0 and the sum reads the midpoint of the jump (H(0) = 1/2).
 Window integrals over x replace ψ by Ψ, the kernel of the same _corner_sum.
 
+On a lattice shared by all times, the corner sum evaluates each distinct
+kernel value once and gathers it (_corner_kernel).  Lattices on cell
+midpoints repeat their offsets |x - e_j| (126 distinct among an atom's 1,368
+point-edge pairs), and rows on slab midpoints repeat their lags (about 30%
+distinct for T*), while rows past the grid horizon do not (75-85% distinct).
+So a table of distinct lags × distinct |z| is built when the distinct |z| are
+at most half the point-edge pairs, else a table of distinct lags × points ×
+edges when the distinct lags are at most half the live (corner, row) pairs;
+a table larger than CHUNK elements is not built, and the kernel is then
+evaluated per corner, as it is for per-time points.  A gathered operand is
+the direct one bit for bit, so every path gives the same sums.
+
 Half-line kernels (n = 1) come from the method of images,
 K_u(x, y) = p_u(x-y) ∓ p_u(x+y) for Dirichlet/Neumann (Carslaw & Jaeger
 §2.5): the half-line T of f is the whole-space T of f on x > 0 plus ∓ its
@@ -368,7 +380,49 @@ def apply_Tstar(f: GridFunction, spec: KernelSpec = WHOLE) -> GridFunction:
 # -- corner sums: T and T* at arbitrary points ---------------------------------
 
 
-def _corner_sum(f: GridFunction, ts, pts: np.ndarray, spec: KernelSpec, op: str, kernel):
+def _corner_kernel(kernel, odd: bool, lags: np.ndarray, live: np.ndarray,
+                   pts: np.ndarray, edges: np.ndarray):
+    """The operand of _corner_sum: a function (m, i) -> kernel(u, p - e_j) at
+    the lags lags[m, i] of corner m and rows i, shape (len(i), k, len(edges)).
+
+    For a lattice shared by all times (pts.ndim == 1) it gathers from a
+    table of distinct live lags × distinct |z| (z = p - e) or of distinct
+    live lags × points × edges, as the module docstring says when; otherwise
+    it evaluates the kernel directly.  A gathered value is the direct one bit
+    for bit: the kernel is elementwise, Ψ is even in z, and sign(z) ψ(u, |z|)
+    is ψ(u, z) exactly, since ψ's factor -sgn(z)/2 scales erfc exactly.
+    Only live (corner, row) pairs are ever asked for, so the lag index of a
+    dead one is never read.
+    """
+    if pts.ndim == 1:
+        z = pts[:, None] - edges
+        us, zs = np.unique(lags[live]), np.unique(np.abs(z))
+        if 2 * zs.size <= z.size and us.size * zs.size <= CHUNK:
+            table = kernel(us[:, None], zs)
+            index, zi = np.searchsorted(us, lags), np.searchsorted(zs, np.abs(z))
+            sign = np.sign(z)
+
+            def aligned(m, i):
+                # np.take gives a C-contiguous operand, which the matmul of
+                # _corner_sum takes as it takes a direct one
+                out = np.take(table[index[m, i]], zi, axis=1)
+                return out * sign if odd else out
+            return aligned
+        if 2 * us.size <= np.count_nonzero(live) and us.size * z.size <= CHUNK:
+            table, index = kernel(us[:, None, None], z), np.searchsorted(us, lags)
+
+            def by_lag(m, i):
+                return table[index[m, i]]
+            return by_lag
+
+    def direct(m, i):
+        p = pts if pts.ndim == 1 else pts[i]
+        return kernel(lags[m, i][:, None, None], p[..., None] - edges)
+    return direct
+
+
+def _corner_sum(f: GridFunction, ts, pts: np.ndarray, spec: KernelSpec, op: str,
+                kernel, odd: bool):
     """Σ_m Σ_j D_mj kernel(u, p - e_j) at every time in ts and point p (n = 1).
 
     pts is one row of points shared by all times, shape (k,), or one row per
@@ -377,8 +431,10 @@ def _corner_sum(f: GridFunction, ts, pts: np.ndarray, spec: KernelSpec, op: str,
     at the corners (t_m, e_j), and u = t - t_m; only u > 0 contributes.  T*
     is T of the slab-reversed input, whose corner m sits at
     t_min + t_max - t_edges[nt - m]: its lag is t_edges[nt - m] - t, read
-    from the grid's own edges, so no reflected time is ever rounded.  Times
-    go in batches whose temporaries hold about CHUNK elements.
+    from the grid's own edges, so no reflected time is ever rounded.  The
+    kernel is odd (ψ) or even (Ψ) in z, as odd says; _corner_kernel gives
+    its values.  Each row adds its corner terms in corner order, times in
+    batches whose operands hold about CHUNK elements.
     """
     if op not in ("T", "Tstar"):
         raise ValueError("op must be 'T' or 'Tstar'")
@@ -394,14 +450,15 @@ def _corner_sum(f: GridFunction, ts, pts: np.ndarray, spec: KernelSpec, op: str,
     D = np.diff(np.diff(np.pad(g, 1), axis=0), axis=1)
     keep = D.any(axis=0)  # edges without jumps add nothing
     edges, D = f.grid.x_edges[keep], D[:, keep]
+    live = (lags > 0.0) & D.any(axis=1)[:, None]
+    operand = _corner_kernel(kernel, odd, lags, live, pts, edges)
     out = np.zeros((len(ts), pts.shape[-1]))
     step = max(1, CHUNK // max(1, out.shape[1] * len(edges)))
-    for m, u in enumerate(lags):
-        live = np.flatnonzero(u > 0.0) if D[m].any() else []
-        for c in range(0, len(live), step):
-            i = live[c : c + step]
-            p = pts if pts.ndim == 1 else pts[i]
-            out[i] += kernel(u[i][:, None, None], p[..., None] - edges) @ D[m]
+    for m in range(len(lags)):
+        rows = np.flatnonzero(live[m])
+        for c in range(0, len(rows), step):
+            i = rows[c : c + step]
+            out[i] += operand(m, i) @ D[m]
     return out
 
 
@@ -414,7 +471,7 @@ def image_rows(f: GridFunction, ts, x_out, spec: KernelSpec = WHOLE, op: str = "
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     x_out = np.atleast_1d(np.asarray(x_out, dtype=float))
-    out = _corner_sum(f, ts, x_out, spec, op, _psi)
+    out = _corner_sum(f, ts, x_out, spec, op, _psi, odd=True)
     if not spec.is_whole:
         out[np.broadcast_to(x_out <= 0.0, out.shape)] = 0.0
     return out
@@ -425,12 +482,22 @@ def image_window(f: GridFunction, ts, lo, hi, spec: KernelSpec = WHOLE, op: str 
 
     lo and hi broadcast against ts.  Each corner term integrates in closed
     form, Ψ(u, hi - e) - Ψ(u, lo - e); half lines integrate over x > 0.
+    Scalar ends are one lattice of two points for all times, so the corner
+    sum can share kernel values between times (_corner_kernel).
+
+    Far from every corner both terms sit near the same -√(u/π), so a window
+    keeps only about 1e-16 √u absolute: a window that holds no corner and
+    whose value is far below √u has no relative accuracy.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    ends = np.stack(np.broadcast_arrays(lo, hi, ts)[:2], axis=-1).astype(float)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if lo.ndim == hi.ndim == 0:
+        ends = np.stack([lo, hi])
+    else:
+        ends = np.stack(np.broadcast_arrays(lo, hi, ts)[:2], axis=-1)
     if not spec.is_whole:
         ends = np.maximum(ends, 0.0)
-    out = _corner_sum(f, ts, ends, spec, op, _psi_window)
+    out = _corner_sum(f, ts, ends, spec, op, _psi_window, odd=False)
     return out[:, 1] - out[:, 0]
 
 

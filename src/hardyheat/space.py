@@ -35,14 +35,6 @@ class SpacePoint:
         return len(self.x)
 
 
-def parabolic_distance(p: SpacePoint, q: SpacePoint) -> float:
-    """max(|x - y|, sqrt(|t - s|)); symmetric, vanishes only at p == q."""
-    if p.n != q.n:
-        raise ValueError("dimension mismatch")
-    dx = math.dist(p.x, q.x)
-    return max(dx, math.sqrt(abs(p.t - q.t)))
-
-
 @dataclass(frozen=True)
 class ParabolicBall:
     """Open ball Q = I(t0, r^2) x B(x0, r) for the parabolic quasi-distance."""
@@ -66,9 +58,6 @@ class ParabolicBall:
     def time_interval(self) -> tuple[float, float]:
         r2 = self.radius**2
         return (self.t0 - r2, self.t0 + r2)
-
-    def contains(self, p: SpacePoint) -> bool:
-        return parabolic_distance(self.center, p) < self.radius
 
     def mask(self, t, *xs) -> np.ndarray:
         """Vectorised membership for broadcastable coordinate arrays."""
@@ -173,12 +162,6 @@ class Annulus:
     @property
     def inner(self) -> ParabolicBall | None:
         return dilate(self.ball, 2.0**self.j) if self.j >= 2 else None
-
-    def contains(self, p: SpacePoint) -> bool:
-        """Pointwise membership: the reference mask is tested against."""
-        if not (p.t > 0.0 and self.outer.contains(p)):
-            return False
-        return self.inner is None or not self.inner.contains(p)
 
     def mask(self, t, *xs) -> np.ndarray:
         m = (np.asarray(t) > 0.0) & self.outer.mask(t, *xs)

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from hardyheat.grid import GridFunction, SpaceTimeGrid, lp_norm, sample
+from hardyheat import heatop
+from hardyheat.grid import CHUNK, GridFunction, SpaceTimeGrid, lp_norm, sample
 from hardyheat.heatop import (
     HALF_LINE_DIRICHLET,
     HALF_LINE_NEUMANN,
@@ -38,6 +39,7 @@ from hardyheat.heatop import (
     _near_field_row,
     _operator_input,
     _psi,
+    _psi_window,
     _toeplitz,
 )
 
@@ -741,6 +743,88 @@ def test_image_rows_edge_conventions(op):
     before, on, after = image_rows(f, [te - d, te, te + d], [0.11], op=op)[:, 0]
     assert on == pytest.approx(before, abs=1e-6)
     assert on == pytest.approx(after, abs=1e-6)
+
+
+def _loop_corner_sum(f, ts, pts, spec, op, kernel):
+    """The corner sum corner by corner, every kernel value evaluated directly:
+    the reference the kernel tables of heatop._corner_sum are tested against."""
+    g = _operator_input(f, spec)
+    if op == "Tstar":
+        g, lags = g[::-1], f.grid.t_edges[::-1, None] - ts
+    else:
+        lags = ts - f.grid.t_edges[:, None]
+    D = np.diff(np.diff(np.pad(g, 1), axis=0), axis=1)
+    keep = D.any(axis=0)
+    edges, D = f.grid.x_edges[keep], D[:, keep]
+    out = np.zeros((len(ts), pts.shape[-1]))
+    step = max(1, CHUNK // max(1, out.shape[1] * len(edges)))
+    for m, u in enumerate(lags):
+        live = np.flatnonzero(u > 0.0) if D[m].any() else []
+        for c in range(0, len(live), step):
+            i = live[c : c + step]
+            p = pts if pts.ndim == 1 else pts[i]
+            out[i] += kernel(u[i][:, None, None], p[..., None] - edges) @ D[m]
+    return out
+
+
+def _loop_image_rows(f, ts, x_out, spec, op):
+    ts, x_out = np.asarray(ts, dtype=float), np.asarray(x_out, dtype=float)
+    out = _loop_corner_sum(f, ts, x_out, spec, op, _psi)
+    if not spec.is_whole:
+        out[np.broadcast_to(x_out <= 0.0, out.shape)] = 0.0
+    return out
+
+
+def _loop_image_window(f, ts, lo, hi, spec, op):
+    # one row of ends per time, scalar ends too
+    ts = np.asarray(ts, dtype=float)
+    ends = np.stack(np.broadcast_arrays(lo, hi, ts)[:2], axis=-1).astype(float)
+    if not spec.is_whole:
+        ends = np.maximum(ends, 0.0)
+    out = _loop_corner_sum(f, ts, ends, spec, op, _psi_window)
+    return out[:, 1] - out[:, 0]
+
+
+@pytest.mark.parametrize("spec", [WHOLE, DIRICHLET, NEUMANN])
+@pytest.mark.parametrize("op", ["T", "Tstar"])
+@pytest.mark.parametrize("dyadic", [True, False])
+def test_corner_sum_tables_equal_the_corner_loop(monkeypatch, spec, op, dyadic):
+    # the kernel tables gather the values the loop evaluates and every row
+    # adds its corner terms in corner order, so they agree bit for bit
+    g = (SpaceTimeGrid(1, 1.0, 16, 0.0, 1.0, 8) if dyadic
+         else SpaceTimeGrid(1, 0.7, 18, 0.3, 1.1, 7))
+    rng = np.random.default_rng(11)
+    atom = np.zeros(g.shape)  # jumps on a few corners only, as an atom has
+    atom[2:5, 6:10] = rng.normal(size=(3, 4))
+    paths, corner_kernel = [], heatop._corner_kernel
+
+    def spy(*args):
+        operand = corner_kernel(*args)
+        paths.append(operand.__name__)
+        return operand
+
+    monkeypatch.setattr(heatop, "_corner_kernel", spy)
+    R = 0.37
+    midpoints = -g.length + (np.arange(-4, g.nx + 4) + 0.5) * g.h  # cell-aligned
+    off_grid = 0.05 - R + (np.arange(24) + 0.5) * (2.0 * R / 24)
+    slab_rows = (g.t_edges[:-1, None] + (np.arange(3) + 0.5) * (g.tau / 3)).ravel()
+    past = g.t_max * 2.0 ** np.linspace(0.05, 4.0, 17)  # rows past the horizon
+    for values in (rng.normal(size=g.shape), atom):
+        f = GridFunction(g, values)
+        for ts in (slab_rows, past, np.concatenate([slab_rows, past])):
+            for xs in (midpoints, off_grid):
+                got = image_rows(f, ts, xs, spec, op)
+                assert np.array_equal(got, _loop_image_rows(f, ts, xs, spec, op))
+            X = off_grid + 0.01 * np.arange(len(ts))[:, None]  # per-time points
+            got = image_rows(f, ts, X, spec, op)
+            assert np.array_equal(got, _loop_image_rows(f, ts, X, spec, op))
+            for lo, hi in [(-0.3, 0.45), (g.x_edges[3], 5.0), (-R - ts, R + ts)]:
+                got = image_window(f, ts, lo, hi, spec, op)
+                assert np.array_equal(got, _loop_image_window(f, ts, lo, hi, spec, op))
+    # all three operands are exercised; the dyadic grid repeats its lags
+    # exactly at the slab-midpoint rows
+    assert {"aligned", "direct"} <= set(paths)
+    assert "by_lag" in paths or not dyadic
 
 
 def _mp_slab_sum(f, t, op, mass, cells):

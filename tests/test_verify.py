@@ -18,6 +18,7 @@ from hardyheat.heatop import (
     HALF_LINE_NEUMANN,
     WHOLE,
     KernelSpec,
+    _dyadic_edges,
     gauss_kernel,
     image_rows,
     image_window,
@@ -35,6 +36,7 @@ from hardyheat.verify import (
     _kernel_dt_mass,
     _moment_scale,
     _smooth_field,
+    _time_panels,
     _window_moment,
     image_molecule_report,
     random_hz_atom,
@@ -131,6 +133,49 @@ def test_annulus_rows_cover_and_align():
     for r, w in zip(rows, wts):
         inside = (grid.t_edges > r - w / 2 + 1e-12) & (grid.t_edges < r + w / 2 - 1e-12)
         assert not inside.any()
+
+
+def _loop_time_panels(grid, t_lo, t_hi):
+    """The panel edges of _time_panels, one edge at a time into a set."""
+    edges = {t_lo, t_hi}
+    edges.update(float(e) for e in grid.t_edges if t_lo < e < t_hi)
+    if t_hi > grid.t_max:
+        edges.update(_dyadic_edges(max(grid.t_max, t_lo), t_hi)[1:])
+    return sorted(edges)
+
+
+def _loop_annulus_rows(outer, grid, rows_target):
+    """The rows and weights of _annulus_rows, one panel and one row at a time."""
+    t_lo = max(0.0, outer.t0 - outer.radius**2)
+    t_hi = outer.t0 + outer.radius**2
+    edges = _loop_time_panels(grid, t_lo, t_hi)
+    span = t_hi - t_lo
+    rows, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        q = max(1, round(rows_target * (b - a) / span))
+        w = (b - a) / q
+        rows.extend(a + (m + 0.5) * w for m in range(q))
+        weights.extend([w] * q)
+    return np.asarray(rows), np.asarray(weights)
+
+
+@pytest.mark.parametrize("grid", [SpaceTimeGrid(1, 1.0, 8, 0.0, 0.7, 7),
+                                  SpaceTimeGrid(1, 0.7, 36, 0.37, 1.9, 14),
+                                  SpaceTimeGrid(1, 1.0, 8, 0.0, 1.0, 4)])
+@pytest.mark.parametrize("rows_target", [1, 3, 5, 9, 10, 40])
+def test_annulus_rows_equal_the_panel_loop(grid, rows_target):
+    # balls inside the grid's time range, straddling t = 0, and past the
+    # horizon; on the last grid the ball (0, 0.5) has quarter panels, whose
+    # counts 1.5 and 2.5 at rows_target 3 and 5 round to even in both
+    for t0, r, theta in [(0.5, 0.1, 1.0), (0.1, 0.2, 8.0), (1.2, 0.25, 4.0),
+                         (1.5, 0.3, 64.0), (0.45, 0.05, 2.0), (0.25, 0.5, 1.0)]:
+        outer = dilate(ball(t0, 0.0, r), theta)
+        t_lo, t_hi = max(0.0, t0 - (theta * r) ** 2), t0 + (theta * r) ** 2
+        assert np.array_equal(_time_panels(grid, t_lo, t_hi),
+                              _loop_time_panels(grid, t_lo, t_hi))
+        rows, wts = _annulus_rows(outer, grid, rows_target)
+        ref_rows, ref_wts = _loop_annulus_rows(outer, grid, rows_target)
+        assert np.array_equal(rows, ref_rows) and np.array_equal(wts, ref_wts)
 
 
 # -- window moments vs adaptive quadrature --------------------------------------
