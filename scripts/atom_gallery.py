@@ -39,4 +39,10 @@ if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--atoms", type=int, default=3)
     ap.add_argument("--seed", type=int, default=0)
-    sys.exit(run(ap.parse_args()))
+    args = ap.parse_args()
+    # no atom certifies nothing, and numpy's generators take no negative seed
+    if args.atoms < 1:
+        ap.error(f"--atoms must be at least 1, got {args.atoms}")
+    if args.seed < 0:
+        ap.error(f"--seed must be non-negative, got {args.seed}")
+    sys.exit(run(args))

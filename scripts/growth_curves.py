@@ -6,7 +6,8 @@ f = chi_{(0,1)x(-1,1)}.  For T*: G(T) = double integral of |d_t p_t| from
 t = 1.  Both tables print the dyadic increments next to the c*ln(2) they
 should approach; watching the increment column flatten IS the result.
 Exit status: 0 when both tables pass their gates, 1 when one fails, 2 when
-the config rejects the horizons (--tmax below 16 gives fewer than two).
+the config rejects the horizons (--tmax below 16 gives fewer than two; a
+non-finite --tmax is rejected).
 """
 
 import argparse
@@ -16,7 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hardyheat.config import ConfigError, load_config
+from hardyheat.config import ConfigError, load_config, tmax_horizons
 from hardyheat.verify import C_TSTAR, growth_T, growth_Tstar
 
 
@@ -31,11 +32,7 @@ def table(name: str, rows: list[list[float]], target: float) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
-    values, v = [], 8.0
-    while v <= args.tmax:
-        values.append(v)
-        v *= 2.0
-    settings = load_config(None, {"growth_T_values": ",".join(map(repr, values))}).settings
+    settings = load_config(None, {"growth_T_values": tmax_horizons(args.tmax)}).settings
     rt = growth_T(settings)
     table("T on the indicator box", rt.measured["growth_table"],
           rt.measured["log_slope"] * math.log(2.0))

@@ -31,7 +31,8 @@ import traceback
 from pathlib import Path
 
 from .atoms import FIT_SLACK
-from .config import ConfigError, RunConfig, canonical, dumps, format_value, load_config
+from .config import (ConfigError, RunConfig, canonical, dumps, format_value, load_config,
+                     tmax_horizons)
 from .verify import EXPERIMENTS, Experiment, ExperimentResult, Gate, run_experiment
 
 __all__ = ["main"]
@@ -140,11 +141,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides["moment_rel_tol"] = repr(args.tol)
         overrides["mean_value_tol"] = repr(args.tol)
     if args.tmax is not None:
-        values, v = [], 8.0
-        while v <= args.tmax:
-            values.append(v)
-            v *= 2.0
-        overrides["growth_T_values"] = ",".join(repr(v) for v in values)
+        overrides["growth_T_values"] = tmax_horizons(args.tmax)
     if args.out is not None:
         overrides["out_dir"] = args.out
 

@@ -26,6 +26,7 @@ __all__ = [
     "canonical",
     "load_config",
     "dumps",
+    "tmax_horizons",
 ]
 
 
@@ -91,6 +92,18 @@ def format_value(value: object) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def tmax_horizons(tmax: float) -> str:
+    """The growth_T_values of a --tmax: the dyadic horizons 8, 16, 32, … <= tmax."""
+    # the doubling below never passes an infinite tmax
+    if not math.isfinite(tmax):
+        raise ConfigError(f"--tmax must be finite, got {tmax!r}")
+    values, v = [], 8.0
+    while v <= tmax:
+        values.append(v)
+        v *= 2.0
+    return format_value(tuple(values))
 
 
 def parse_kv(text: str) -> dict[str, str]:

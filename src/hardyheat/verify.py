@@ -397,6 +397,8 @@ def image_molecule_report(
     """
     if f.grid.n != 1:
         raise ValueError("image certification lattices are one-dimensional")
+    if f.grid.t_min < 0:
+        raise ValueError("T acts on functions on X; grid must start at t >= 0")
     x0 = _x0(Q)
     norms = []
     row_l1_max = 0.0

@@ -26,6 +26,7 @@ from hardyheat.config import (
     load_config,
     parse_kv,
     parse_value,
+    tmax_horizons,
 )
 from hardyheat.verify import EXPERIMENTS
 
@@ -504,6 +505,43 @@ def test_growth_curves_rejects_one_horizon(monkeypatch, capsys):
         runpy.run_path(str(path), run_name="__main__")
     assert exit_.value.code == 2
     assert "growth_T_values" in capsys.readouterr().err
+
+
+def test_growth_curves_rejects_a_non_finite_tmax(monkeypatch, capsys):
+    # the horizons doubled toward an infinite --tmax until memory ran out
+    assert tmax_horizons(40.0) == "8.0,16.0,32.0"
+    path = Path(__file__).resolve().parents[1] / "scripts" / "growth_curves.py"
+    for tmax in ("inf", "nan"):
+        with pytest.raises(ConfigError, match="finite"):
+            tmax_horizons(float(tmax))
+        monkeypatch.setattr(sys, "argv", [str(path), "--tmax", tmax])
+        monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_path(str(path), run_name="__main__")
+        assert exit_.value.code == 2
+        assert "--tmax must be finite" in capsys.readouterr().err
+
+
+def test_run_rejects_a_non_finite_tmax(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "growth_T", "--tmax", "inf", "--out", str(out)]) == 2
+    assert "--tmax must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--seed", "-1"], "--seed"),
+    (["--atoms", "0"], "--atoms"),
+])
+def test_atom_gallery_rejects_bad_arguments(args, message, monkeypatch, capsys):
+    # a negative seed ended in a numpy traceback, and no atom certified nothing
+    path = Path(__file__).resolve().parents[1] / "scripts" / "atom_gallery.py"
+    monkeypatch.setattr(sys, "argv", [str(path), *args])
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(path), run_name="__main__")
+    assert exit_.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("script, args", [

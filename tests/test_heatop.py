@@ -42,6 +42,7 @@ from hardyheat.heatop import (
     _psi_window,
     _toeplitz,
 )
+from hardyheat.verify import Settings, run_experiment
 
 DIRICHLET = KernelSpec(1, HALF_LINE_DIRICHLET)
 NEUMANN = KernelSpec(1, HALF_LINE_NEUMANN)
@@ -785,25 +786,24 @@ def _loop_image_window(f, ts, lo, hi, spec, op):
     return out[:, 1] - out[:, 0]
 
 
-@pytest.mark.parametrize("spec", [WHOLE, DIRICHLET, NEUMANN])
-@pytest.mark.parametrize("op", ["T", "Tstar"])
-@pytest.mark.parametrize("dyadic", [True, False])
-def test_corner_sum_tables_equal_the_corner_loop(monkeypatch, spec, op, dyadic):
-    # the kernel tables gather the values the loop evaluates and every row
-    # adds its corner terms in corner order, so they agree bit for bit
+def _corner_sums_match_the_loop(monkeypatch, spec, op, dyadic) -> list[str]:
+    """Every corner-sum lattice shape against the corner loop, bit for bit.
+
+    Returns the path (table or direct) of each corner sum, in call order.
+    """
     g = (SpaceTimeGrid(1, 1.0, 16, 0.0, 1.0, 8) if dyadic
          else SpaceTimeGrid(1, 0.7, 18, 0.3, 1.1, 7))
     rng = np.random.default_rng(11)
     atom = np.zeros(g.shape)  # jumps on a few corners only, as an atom has
     atom[2:5, 6:10] = rng.normal(size=(3, 4))
-    paths, corner_kernel = [], heatop._corner_kernel
+    paths, corner_table = [], heatop._corner_table
 
     def spy(*args):
-        operand = corner_kernel(*args)
-        paths.append(operand.__name__)
-        return operand
+        table = corner_table(*args)
+        paths.append("direct" if table is None else "table")
+        return table
 
-    monkeypatch.setattr(heatop, "_corner_kernel", spy)
+    monkeypatch.setattr(heatop, "_corner_table", spy)
     R = 0.37
     midpoints = -g.length + (np.arange(-4, g.nx + 4) + 0.5) * g.h  # cell-aligned
     off_grid = 0.05 - R + (np.arange(24) + 0.5) * (2.0 * R / 24)
@@ -821,10 +821,47 @@ def test_corner_sum_tables_equal_the_corner_loop(monkeypatch, spec, op, dyadic):
             for lo, hi in [(-0.3, 0.45), (g.x_edges[3], 5.0), (-R - ts, R + ts)]:
                 got = image_window(f, ts, lo, hi, spec, op)
                 assert np.array_equal(got, _loop_image_window(f, ts, lo, hi, spec, op))
-    # all three operands are exercised; the dyadic grid repeats its lags
-    # exactly at the slab-midpoint rows
-    assert {"aligned", "direct"} <= set(paths)
-    assert "by_lag" in paths or not dyadic
+    return paths
+
+
+@pytest.mark.parametrize("spec", [WHOLE, DIRICHLET, NEUMANN])
+@pytest.mark.parametrize("op", ["T", "Tstar"])
+@pytest.mark.parametrize("dyadic", [True, False])
+def test_corner_sum_tables_equal_the_corner_loop(monkeypatch, spec, op, dyadic):
+    # the kernel table holds the values the loop evaluates and every row
+    # adds its corner terms in corner order, so they agree bit for bit
+    paths = _corner_sums_match_the_loop(monkeypatch, spec, op, dyadic)
+    assert {"table", "direct"} <= set(paths)
+
+
+@pytest.mark.parametrize("op", ["T", "Tstar"])
+def test_corner_sums_without_room_for_a_table_equal_the_corner_loop(monkeypatch, op):
+    # a CHUNK of 64 elements leaves room for few tables and batches the rows
+    # one or two at a time, against the loop's batches of the usual CHUNK
+    tables = _corner_sums_match_the_loop(monkeypatch, NEUMANN, op, True).count("table")
+    monkeypatch.setattr(heatop, "CHUNK", 64)
+    paths = _corner_sums_match_the_loop(monkeypatch, NEUMANN, op, True)
+    assert paths.count("table") < tables  # the larger tables fall back
+
+
+def test_corner_tables_keep_the_kernel_work_down(monkeypatch):
+    # ψ and Ψ elements at seed 0, at most what one table of distinct lags ×
+    # distinct signed offsets evaluates.  Without a table every live (corner,
+    # row, point, edge) term is evaluated directly, far above these limits.
+    # The two layouts it replaced (distinct lags × distinct |z|, distinct
+    # lags × points × edges) read 2,003,183 and 231,756.
+    count = [0]
+    for name in ("_psi", "_psi_window"):
+        def counted(u, z, kernel=getattr(heatop, name)):
+            count[0] += np.broadcast(u, z).size
+            return kernel(u, z)
+
+        monkeypatch.setattr(heatop, name, counted)
+    for experiment, overrides, limit in [("atom_images", {"n_atoms": 2}, 2_028_032),
+                                         ("tstar_images", {"n_tstar_atoms": 1}, 244_188)]:
+        count[0] = 0
+        assert run_experiment(experiment, Settings(seed=0, **overrides)).passed
+        assert count[0] <= limit, experiment
 
 
 def _mp_slab_sum(f, t, op, mass, cells):

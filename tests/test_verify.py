@@ -135,6 +135,22 @@ def test_annulus_rows_cover_and_align():
         assert not inside.any()
 
 
+def test_dyadic_edges_double_from_a_positive_start():
+    assert _dyadic_edges(1.0, 5.0) == [1.0, 2.0, 4.0, 5.0]
+    # doubling never leaves a start of 0 or below: it used to loop forever
+    for a in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive time"):
+            _dyadic_edges(a, 1.0)
+
+
+def test_image_molecule_report_rejects_a_grid_before_t_0():
+    # a grid ending at t = 0 used to double its time panels from 0 forever
+    grid = SpaceTimeGrid(1, 1.0, 8, -1.0, 0.0, 4)
+    f = GridFunction(grid, np.ones(grid.shape))
+    with pytest.raises(ValueError, match="functions on X"):
+        image_molecule_report(f, ball(0.1, 0.0, 0.2), "T", 0.5, 3)
+
+
 def _loop_time_panels(grid, t_lo, t_hi):
     """The panel edges of _time_panels, one edge at a time into a set."""
     edges = {t_lo, t_hi}
