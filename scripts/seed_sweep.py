@@ -18,7 +18,8 @@ relative drift of this run from it (|new - old| / |old|) over the key's
 index paths and the seeds, and every seed whose verdict changed.  Exit status:
 0 when every seed passed, 1 when one failed or raised, 2 on a usage error
 (a bad --set, a negative --seeds, an unknown experiment, a setting the
-config rejects).  Experiments are named as in ``hardyheat run``: registry
+config rejects, an --against file that holds no records, a --json path
+outside an existing directory), found before the first seed runs.  Experiments are named as in ``hardyheat run``: registry
 names or aliases, with '-' and '_' alike.
 
     python3 scripts/seed_sweep.py --seeds 9
@@ -105,11 +106,29 @@ def print_drifts(records: list, old_records: list) -> None:
               flush=True)
 
 
+def read_records(path: str) -> list:
+    """The records of an earlier --json file; ConfigError if it holds none."""
+    try:
+        records = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"--against {path}: {exc}") from None
+    if not (isinstance(records, list) and all(
+            isinstance(r, dict) and {"experiment", "seed", "passed"} <= r.keys()
+            for r in records)):
+        raise ConfigError(f"--against {path}: not a list of seed_sweep records")
+    return records
+
+
 def run(args: argparse.Namespace) -> int:
     if args.seeds < 0:
         raise ConfigError(f"--seeds must be at least 0, got {args.seeds}")
     if any("=" not in kv for kv in args.set):
         raise ConfigError("--set takes KEY=VALUE")
+    # both files are checked before the first seed runs, so a bad path
+    # cannot cost the sweep
+    old_records = read_records(args.against) if args.against else None
+    if args.json and (Path(args.json).is_dir() or not Path(args.json).parent.is_dir()):
+        raise ConfigError(f"--json {args.json}: not a file in an existing directory")
     overrides = dict(kv.split("=", 1) for kv in args.set)
     names = [canonical(name) for name in args.experiments] or list(EXPERIMENTS)
     records = []
@@ -151,8 +170,8 @@ def run(args: argparse.Namespace) -> int:
                   f"{'relative' if relative else 'absolute'}", flush=True)
     if args.json:
         Path(args.json).write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
-    if args.against:
-        print_drifts(records, json.loads(Path(args.against).read_text()))
+    if old_records is not None:
+        print_drifts(records, old_records)
     return 0 if all(r["passed"] for r in records) else 1
 
 

@@ -82,6 +82,50 @@ K_u(x, y) = p_u(x-y) ∓ p_u(x+y) for Dirichlet/Neumann (Carslaw & Jaeger
 §2.5): the half-line T of f is the whole-space T of f on x > 0 plus ∓ its
 mirror image (_operator_input), read at x > 0.
 
+Far field (far_field; T, n = 1).  Past the last live corner t_last the
+corner sum cancels: its terms are of order one while Tf is small, so it
+loses about 1.5 digits per dyadic annulus.  There T is one Hermite series
+instead, the moment expansion of the fast Gauss transform (Greengard &
+Strain, SIAM J. Sci. Stat. Comput. 12, 1991).  Write ψ = Φ - H, with
+Φ(u, ·) = e^{uΔ}H entire, and expand Φ(t - t_m, x - e_j) about the centre
+(t_c, c), the midpoints of the live corner times and edges.  Then:
+
+  - Σ_j D_mj = 0 kills every term without a space moment, and past t_last
+    Σ_m D_mj = 0 kills the H part and every term without a time moment;
+  - ∂_u Φ = ∂_z² Φ folds the time Taylor terms into the same series.
+
+With s = 2√(t - t_c), r = -1/s, y = (x - c)/s and the Hermite functions
+h_k(y) = H_k(y) e^{-y²}/√π,
+
+    Tf(t, x) = -Σ_{n=3}^{K} A_n r^n h_{n-1}(y),
+    A_n = Σ_{k + 2l = n} μ_lk / (l! k!),  μ_lk = Σ D_mj (t_c - t_m)^l (c - e_j)^k.
+
+The moments are summed by parts over the slabs and cells of f
+(_space_time_moments), so every μ_l0 and μ_0k is 0 exactly and the
+mean-zero cancellation happens in the algebra, not in rounding.  A window
+∫_lo^hi is G(hi) - G(lo) with G = s Σ_n A_n r^n h_{n-2}(y): no erf at all.
+Both sums run the recurrence q_{n+1} = a q_n - (n - 1) b q_{n-1} of
+q_n = r^n h_{n-1}(y), with a = -2(x - c)/s² and b = 2/s², over a flat list
+of points.  Half lines expand f on x > 0 and read the series at x plus
+image_sign times at -x.
+
+The series takes a time when ρ_x = max|e - c|/s <= FAR_RHO_X = 0.5 and
+ρ_t = max|t_m - t_c|/s² <= FAR_RHO_T = 0.05 (which puts t past t_last), and
+a pass takes no times unless they hold FAR_MIN_POINTS = 16 points.  The
+truncation bound fixes K = FAR_TERMS = 40.  Cramér's inequality
+|h_m(y)| <= 1.0865 √(2^m m!/π) and |μ_lk| <= l k span^{l-1} width^{k-1} ‖f‖₁
+bound the terms past K by E_K ‖f‖₁/s³, with
+
+    E_K = 1.0865/√π Σ_{n>K} Σ_{2l+k=n; l,k>=1} ρ_t^{l-1} ρ_x^{k-1}
+          √(2^{n-1} (n-1)!) / ((l-1)! (k-1)!).
+
+At the thresholds E_40 = 9.4e-9, against 1.73 for the leading term n = 3,
+and E_8 = 1.8.  The bound holds for every y; on the battery's atoms the
+series is within 3.1e-13 of max|Tf| at the first time it takes, against a
+40-digit reference (tests/test_heatop.py).  The corner sum stays the
+reference, and it still takes T*, the near rows and the direct image_rows
+and image_window calls.
+
 `duhamel_reference` is an independent brute-force quadrature of the defining
 integral (midpoint-in-space ∂_u kernel matrices under Gauss-Legendre panels
 away from the singularity, plus an analytically differentiated near-field),
@@ -486,6 +530,134 @@ def image_window(f: GridFunction, ts, lo, hi, spec: KernelSpec = WHOLE, op: str 
         ends = np.maximum(ends, 0.0)
     out = _corner_sum(f, ts, ends, spec, op, _psi_window)
     return out[:, 1] - out[:, 0]
+
+
+# -- far field: T past the last live corner as one Hermite series -------------
+
+FAR_TERMS = 40  # K: the series keeps the terms n <= K
+FAR_RHO_X = 0.5  # the series takes a time when max|e - c| <= FAR_RHO_X s
+FAR_RHO_T = 0.05  # ... and max|t_m - t_c| <= FAR_RHO_T s²
+FAR_MIN_POINTS = 16  # a pass with fewer far points leaves them to the corner sum
+
+
+@dataclass(frozen=True)
+class FarField:
+    """Tf past the last live corner, as the Hermite series of the module docstring.
+
+    coeffs holds A_n at n = 0 .. FAR_TERMS about the centre (t_c, c); width
+    and span are the largest |e - c| and |t_m - t_c| of the live corners, and
+    t_last the last live corner time.  image_sign is 0 on the whole line and
+    the half line's sign otherwise: the series is then that of f on x > 0,
+    read at x and, times image_sign, at -x.
+    """
+
+    coeffs: np.ndarray
+    t_c: float
+    c: float
+    t_last: float
+    width: float
+    span: float
+    image_sign: float
+
+    def reaches(self, ts, points) -> np.ndarray:
+        """Which times in ts the series takes: past t_last, where it converges.
+
+        points is the number of points read at each time (a scalar or one
+        per time).  When the times it takes hold fewer than FAR_MIN_POINTS
+        points in all, it takes none: so few are cheaper on the corner sum.
+        """
+        ts = np.asarray(ts, dtype=float)
+        s2 = 4.0 * np.maximum(ts - self.t_c, 0.0)
+        far = ((ts > self.t_last) & (self.width**2 <= FAR_RHO_X**2 * s2)
+               & (self.span <= FAR_RHO_T * s2))
+        if np.sum(np.broadcast_to(points, far.shape)[far]) < FAR_MIN_POINTS:
+            far[:] = False
+        return far
+
+    def _sum(self, coeffs: np.ndarray, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """-Σ_{n ≥ 1} coeffs[n] q_n(t, x), with q_n = r^n h_{n-1}(y) by its recurrence."""
+        s2 = 4.0 * (ts - self.t_c)
+        a, b = -2.0 * (xs - self.c) / s2, 2.0 / s2
+        q_prev, q = np.zeros_like(a), -np.exp(-(xs - self.c) ** 2 / s2) / np.sqrt(math.pi * s2)
+        out = -coeffs[1] * q
+        for n in range(1, len(coeffs) - 1):
+            q, q_prev = a * q - (n - 1) * b * q_prev, q
+            out -= coeffs[n + 1] * q
+        return out
+
+    def _read(self, coeffs: np.ndarray, ts: np.ndarray, xs: np.ndarray,
+              sign: float) -> np.ndarray:
+        """_sum at (t, x) plus sign times _sum at (t, -x), in one pass."""
+        if not sign:
+            return self._sum(coeffs, ts, xs)
+        both = self._sum(coeffs, np.concatenate([ts, ts]), np.concatenate([xs, -xs]))
+        return both[: len(ts)] + sign * both[len(ts):]
+
+    def rows(self, ts, xs) -> np.ndarray:
+        """Tf at the flat list of points (ts[i], xs[i]); half lines read 0 at x <= 0."""
+        ts, xs = (np.ravel(a).astype(float) for a in np.broadcast_arrays(ts, xs))
+        out = self._read(self.coeffs, ts, xs, self.image_sign)
+        if self.image_sign:
+            out[xs <= 0.0] = 0.0
+        return out
+
+    def window(self, ts, lo, hi) -> np.ndarray:
+        """∫_lo^hi Tf(t, x) dx at every time in ts: G(hi) - G(lo), no erf.
+
+        lo and hi broadcast against ts; half lines integrate over x > 0.  G is
+        an antiderivative, so the mirror image enters it with the sign flipped.
+        """
+        ts, lo, hi = (np.ravel(a).astype(float) for a in np.broadcast_arrays(ts, lo, hi))
+        if self.image_sign:
+            lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
+        G = self._read(self.coeffs[1:], np.concatenate([ts, ts]), np.concatenate([hi, lo]),
+                       -self.image_sign)
+        return G[: len(ts)] - G[len(ts):]
+
+
+def _space_time_moments(g: np.ndarray, t_edges: np.ndarray, x_edges: np.ndarray,
+                        t_c: float, c: float) -> np.ndarray:
+    """μ_lk = Σ D_mj (t_c - t_m)^l (c - e_j)^k for l <= FAR_TERMS // 2, k <= FAR_TERMS.
+
+    Summed by parts over the slabs and cells of g, whose corners and edges
+    t_edges and x_edges are: μ = ΔT g ΔX^T with ΔT[l, i] = δ_i^l - δ_{i+1}^l
+    and ΔX[k, p] = ε_p^k - ε_{p+1}^k.  So μ_l0 and μ_0k are 0 exactly, not
+    sums of jumps that cancel to rounding.
+    """
+    dt = np.vander(t_c - t_edges, FAR_TERMS // 2 + 1, increasing=True)
+    dx = np.vander(c - x_edges, FAR_TERMS + 1, increasing=True)
+    return (dt[:-1] - dt[1:]).T @ g @ (dx[:-1] - dx[1:])
+
+
+def far_field(f: GridFunction, spec: KernelSpec = WHOLE) -> FarField:
+    """The Hermite series of Tf past the last live corner of f (n = 1).
+
+    A_n = Σ_{k + 2l = n} μ_lk / (l! k!) about the midpoints of the live
+    corner times and edges.  Half lines expand f on x > 0.  An input without
+    corners gives a series that reaches no time.
+    """
+    if f.grid.n != 1:
+        raise ValueError("the far-field series is one-dimensional")
+    g = np.asarray(f.values, dtype=float)
+    sign = 0.0
+    if not spec.is_whole:
+        g, sign = g * (f.grid.xs > 0.0), spec.image_sign
+    slabs, cells = np.flatnonzero(g.any(axis=1)), np.flatnonzero(g.any(axis=0))
+    if not slabs.size:
+        return FarField(np.zeros(FAR_TERMS + 1), 0.0, 0.0, math.inf, 0.0, 0.0, sign)
+    te = f.grid.t_edges[slabs[0] : slabs[-1] + 2]
+    xe = f.grid.x_edges[cells[0] : cells[-1] + 2]
+    t_c, c = 0.5 * (te[0] + te[-1]), 0.5 * (xe[0] + xe[-1])
+    mu = _space_time_moments(g[slabs[0] : slabs[-1] + 1, cells[0] : cells[-1] + 1],
+                             te, xe, t_c, c)
+    l, k = np.arange(mu.shape[0])[:, None], np.arange(mu.shape[1])
+    fact = np.cumprod([1.0, *range(1, FAR_TERMS + 1)])
+    order = 2 * l + k
+    keep = order <= FAR_TERMS
+    coeffs = np.bincount(order[keep], (mu / (fact[l] * fact[k]))[keep],
+                         minlength=FAR_TERMS + 1)
+    return FarField(coeffs, t_c, c, float(te[-1]), 0.5 * (xe[-1] - xe[0]),
+                    0.5 * (te[-1] - te[0]), sign)
 
 
 # -- independent Duhamel oracle --------------------------------------------------

@@ -16,7 +16,9 @@ The operator images Ta, T*a are certified as molecules without ever building a
 global grid at the 2^(J+1)Q scale: the annulus norms M_j come from local
 midpoint lattices whose time rows align with the slab kinks of the telescoped
 image, and the moments come from closed-form spatial window masses integrated
-in time by Gauss panels between the same kinks.
+in time by Gauss panels between the same kinks.  For T, the rows and nodes
+far past the input take one far-field series per report (heatop.far_field),
+which keeps the decay measurable where the corner sums cancel to rounding.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .heatop import (
     HALF_LINE_NEUMANN,
     U_SWITCH,
     WHOLE,
+    FarField,
     KernelSpec,
     _dyadic_edges,
     _gl_nodes,
@@ -51,6 +54,7 @@ from .heatop import (
     apply_T,
     apply_T_each,
     duhamel_reference,
+    far_field,
     gauss_kernel_dt,
     image_rows,
     image_window,
@@ -342,13 +346,16 @@ def _window_moment(
     win: tuple[float, float],
     t_lo: float,
     t_hi: float,
+    series: FarField | None = None,
     gl_order: int = 6,
 ) -> float:
     """∫_{t_lo}^{t_hi} ∫_{win} (Tf or T*f)(t, x) dx dt, n = 1.
 
-    The spatial integral is exact (image_window).  Time panels come from
-    _time_panels, with Gauss-Legendre nodes inside each panel; the integrand
-    is evaluated at all nodes in one call.
+    The spatial integral is exact: image_window, or for T the far-field
+    series at the nodes it reaches (series, built here when not given).
+    Time panels come from _time_panels, with Gauss-Legendre nodes inside
+    each panel; the integrand is evaluated at all nodes in at most one call
+    of each.
     """
     edges = _time_panels(f.grid, t_lo, t_hi)
     a, b = edges[:-1, None], edges[1:, None]
@@ -356,8 +363,15 @@ def _window_moment(
     # sqrt(edge - t) just before one for T*); a square-root substitution at
     # the singular end keeps the panels spectral
     ss, wq = _gl_nodes(0.0, np.sqrt(b - a), gl_order)
-    ts = a + ss * ss if op == "T" else b - ss * ss
-    values = image_window(f, ts.ravel(), win[0], win[1], spec, op)
+    ts = (a + ss * ss if op == "T" else b - ss * ss).ravel()
+    if op == "T" and series is None:
+        series = far_field(f, spec)
+    far = series.reaches(ts, 2) if op == "T" else np.zeros(ts.shape, dtype=bool)
+    values = np.empty(ts.shape)
+    if far.any():
+        values[far] = series.window(ts[far], win[0], win[1])
+    if not far.all():
+        values[~far] = image_window(f, ts[~far], win[0], win[1], spec, op)
     return float((2.0 * ss * wq).ravel() @ values)
 
 
@@ -378,6 +392,53 @@ def _annulus_rows(outer: ParabolicBall, grid: SpaceTimeGrid, rows_target: int):
     return np.repeat(a, q) + (m + 0.5) * w, w
 
 
+def _far_rows(series: FarField, lattices: list) -> list[np.ndarray]:
+    """Which rows of each annulus lattice (rows, xs) the series takes, as one pass."""
+    every = series.reaches(np.concatenate([rows for rows, _ in lattices]),
+                           np.concatenate([np.full(len(rows), len(xs))
+                                           for rows, xs in lattices]))
+    return np.split(every, np.cumsum([len(rows) for rows, _ in lattices])[:-1])
+
+
+def _annulus_images(f: GridFunction, lattices: list, spec: KernelSpec, op: str,
+                    series: FarField | None) -> list[np.ndarray]:
+    """The image on each annulus lattice (rows, xs), one array per lattice.
+
+    For T, the rows the far-field series reaches (_far_rows), in all annuli,
+    take one series pass over the flat list of their points.  The other rows
+    stay on the corner sum, and annuli whose near rows coincide share one
+    image_rows call on the union of their lattices: for T these are the
+    annuli j >= 2, whose near rows are the slab midpoints.  The shared call
+    gives each annulus the values of its own call to rounding: a point's
+    corner terms are one dot product over the edges, whose last bit can
+    depend on where the point falls in the BLAS blocking of the lattice.
+    """
+    out = [np.empty((len(rows), len(xs))) for rows, xs in lattices]
+    far = [np.zeros(len(rows), dtype=bool) for rows, _ in lattices]
+    if series is not None:
+        far = _far_rows(series, lattices)
+        counts = [np.count_nonzero(m) for m in far]
+        if any(counts):
+            ts = np.concatenate([np.repeat(rows[m], len(xs))
+                                 for (rows, xs), m in zip(lattices, far)])
+            xs = np.concatenate([np.tile(xs, k) for (_, xs), k in zip(lattices, counts)])
+            values = series.rows(ts, xs)
+            ends = np.cumsum([k * o.shape[1] for o, k in zip(out, counts)])[:-1]
+            for o, m, k, v in zip(out, far, counts, np.split(values, ends)):
+                o[m] = v.reshape(k, o.shape[1])
+    groups: dict[bytes, list[int]] = {}
+    for i, ((rows, _), m) in enumerate(zip(lattices, far)):
+        if not m.all():
+            groups.setdefault(rows[~m].tobytes(), []).append(i)
+    for members in groups.values():
+        near = lattices[members[0]][0][~far[members[0]]]
+        xs = np.unique(np.concatenate([lattices[i][1] for i in members]))
+        values = image_rows(f, near, xs, spec, op)
+        for i in members:
+            out[i][~far[i]] = values[:, np.searchsorted(xs, lattices[i][1])]
+    return out
+
+
 def image_molecule_report(
     f: GridFunction,
     Q: ParabolicBall,
@@ -394,19 +455,19 @@ def image_molecule_report(
     seen along the way (the natural denominator for per-time mean checks).
     Half-line kernels restrict the lattice to x > 0; the volume weights keep
     only the time truncation, which shifts the constant, not the exponent.
+    For T the far rows and the moment's far nodes come from one far-field
+    series (heatop.far_field); see _annulus_images.
     """
     if f.grid.n != 1:
         raise ValueError("image certification lattices are one-dimensional")
     if f.grid.t_min < 0:
         raise ValueError("T acts on functions on X; grid must start at t >= 0")
     x0 = _x0(Q)
-    norms = []
-    row_l1_max = 0.0
+    annuli, lattices = [], []
     for j in range(1, J + 1):
         ann = Annulus(Q, j)
-        outer = ann.outer
-        R = outer.radius
-        rows, wts = _annulus_rows(outer, f.grid, rows_target)
+        R = ann.outer.radius
+        rows, wts = _annulus_rows(ann.outer, f.grid, rows_target)
         if j == 1:
             # the first annulus contains the support of f, where the active
             # slab leaves the cell jumps of g in the image; nodes aligned with
@@ -420,16 +481,22 @@ def image_molecule_report(
             xs = x0 - R + (np.arange(nx_loc) + 0.5) * hx
         if not spec.is_whole:
             xs = xs[xs > 0.0]
-        vals = image_rows(f, rows, xs, spec, op)
+        annuli.append((ann, wts, hx))
+        lattices.append((rows, xs))
+    series = far_field(f, spec) if op == "T" else None
+    norms = []
+    row_l1_max = 0.0
+    images = _annulus_images(f, lattices, spec, op, series)
+    for (ann, wts, hx), (rows, xs), vals in zip(annuli, lattices, images):
         msk = ann.mask(rows[:, None], xs[None, :])
         acc = float(np.where(msk, vals**2, 0.0).sum(axis=1) @ wts) * hx
         row_l1_max = max(row_l1_max, float(np.abs(vals).sum(axis=1).max()) * hx)
-        norms.append(math.sqrt(acc) * math.sqrt(truncated_volume(outer)))
+        norms.append(math.sqrt(acc) * math.sqrt(truncated_volume(ann.outer)))
     outer = dilate(Q, 2.0 ** (J + 1))
     R = outer.radius
     win = (x0 - R, x0 + R) if spec.is_whole else (0.0, x0 + R)
     moment = _window_moment(
-        f, spec, op, win, max(0.0, outer.t0 - R**2), outer.t0 + R**2
+        f, spec, op, win, max(0.0, outer.t0 - R**2), outer.t0 + R**2, series
     )
     report = MoleculeReport(Q, alpha, tuple(range(1, J + 1)), tuple(norms), moment)
     return report, row_l1_max

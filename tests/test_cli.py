@@ -450,6 +450,46 @@ def test_seed_sweep_rejects_negative_seeds():
         _seed_sweep().run(args)
 
 
+def _bad_paths(tmp_path):
+    (tmp_path / "text.json").write_text("not json\n")
+    (tmp_path / "dict.json").write_text('{"experiment": "e"}\n')
+    return [
+        ("against", str(tmp_path / "missing.json"), "--against"),
+        ("against", str(tmp_path / "text.json"), "--against"),
+        ("against", str(tmp_path / "dict.json"), "not a list of seed_sweep records"),
+        ("json", str(tmp_path / "no" / "such" / "dir.json"), "--json"),
+        ("json", str(tmp_path), "--json"),
+    ]
+
+
+def test_seed_sweep_checks_its_files_before_the_first_seed(tmp_path, monkeypatch, capsys):
+    # a missing or non-JSON --against file and a --json path in a missing
+    # directory used to raise only after every seed had run, with exit 1,
+    # the status of a failed seed
+    sweep = _seed_sweep()
+    monkeypatch.setattr(sweep, "run_experiment", lambda *args: pytest.fail("a seed ran"))
+    for option, path, message in _bad_paths(tmp_path):
+        args = argparse.Namespace(experiments=["growth_Tstar"], seeds=0, set=[],
+                                  json=None, against=None)
+        setattr(args, option, path)
+        with pytest.raises(ConfigError, match=message):
+            sweep.run(args)
+
+
+def test_seed_sweep_exits_2_on_a_bad_path(tmp_path, monkeypatch, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "seed_sweep.py"
+    for option, bad, message in _bad_paths(tmp_path):
+        monkeypatch.setattr(sys, "argv", [str(path), "--seeds", "0", f"--{option}", bad,
+                                          "growth_Tstar"])
+        monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_path(str(path), run_name="__main__")
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("seed_sweep: ") and message in captured.err
+        assert "growth_Tstar seed=0" not in captured.out
+
+
 def test_seed_sweep_resolves_names_like_run(capsys):
     # an alias used to end in a KeyError traceback (exit 1), and so did an
     # unknown name, a usage error

@@ -4,6 +4,7 @@ Frozen reference values are computed independently (closed forms or scipy
 quadrature) and pinned here; the shadow bounds use constants frozen from an
 analytic worst-case computation with ~20% headroom.
 """
+import functools
 import math
 
 import numpy as np
@@ -846,10 +847,13 @@ def test_corner_sums_without_room_for_a_table_equal_the_corner_loop(monkeypatch,
 
 def test_corner_tables_keep_the_kernel_work_down(monkeypatch):
     # ψ and Ψ elements at seed 0, at most what one table of distinct lags ×
-    # distinct signed offsets evaluates.  Without a table every live (corner,
-    # row, point, edge) term is evaluated directly, far above these limits.
-    # The two layouts it replaced (distinct lags × distinct |z|, distinct
-    # lags × points × edges) read 2,003,183 and 231,756.
+    # distinct signed offsets evaluates on the rows and window nodes that the
+    # far-field series leaves to the corner sums.  Without a table every live
+    # (corner, row, point, edge) term is evaluated directly, far above these
+    # limits.  The two layouts it replaced (distinct lags × distinct |z|,
+    # distinct lags × points × edges) read 2,003,183 and 231,756.  With every
+    # far row on the corner sums, atom_images reads 2,028,032 and
+    # boundary_dirichlet 437,409.
     count = [0]
     for name in ("_psi", "_psi_window"):
         def counted(u, z, kernel=getattr(heatop, name)):
@@ -857,22 +861,23 @@ def test_corner_tables_keep_the_kernel_work_down(monkeypatch):
             return kernel(u, z)
 
         monkeypatch.setattr(heatop, name, counted)
-    for experiment, overrides, limit in [("atom_images", {"n_atoms": 2}, 2_028_032),
-                                         ("tstar_images", {"n_tstar_atoms": 1}, 244_188)]:
+    for experiment, overrides, limit in [("atom_images", {"n_atoms": 2}, 662_056),
+                                         ("tstar_images", {"n_tstar_atoms": 1}, 244_188),
+                                         ("boundary_dirichlet", {}, 104_609)]:
         count[0] = 0
         assert run_experiment(experiment, Settings(seed=0, **overrides)).passed
         assert count[0] <= limit, experiment
 
 
-def _mp_slab_sum(f, t, op, mass, cells):
-    """Σ over slabs and cells of f · (mass(u1, cell) - mass(u2, cell)), 80 digits.
+def _mp_slab_sum(f, t, op, mass, cells, dps=80):
+    """Σ over slabs and cells of f · (mass(u1, cell) - mass(u2, cell)), dps digits.
 
     u1, u2 are the lags of the slab's far and near ends (T: t - a, t - b;
     T*: b - t, a - t; clipped at 0); cells(lo, hi) lists the cells that a
     grid cell (lo, hi) contributes, each with its weight.
     """
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 80
+    mp.mp.dps = dps
     t = mp.mpf(t)
     total = mp.mpf(0)
     te, xe = f.grid.t_edges, f.grid.x_edges
@@ -897,10 +902,10 @@ def _mp_cells(image_sign):
     return lambda lo, hi: [(1, lo, hi), (image_sign, -hi, -lo)]
 
 
-def _mp_reference(f, t, x, op, image_sign=0):
-    """Tf or T*f at (t, x) by the slab sum of cell masses in 80-digit arithmetic."""
+def _mp_reference(f, t, x, op, image_sign=0, dps=80):
+    """Tf or T*f at (t, x) by the slab sum of cell masses in dps-digit arithmetic."""
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 80
+    mp.mp.dps = dps
     x = mp.mpf(x)
 
     def mass(u, lo, hi):  # ∫_lo^hi p_u(x - y) dy, in the tail that keeps it exact
@@ -911,11 +916,11 @@ def _mp_reference(f, t, x, op, image_sign=0):
             return (mp.erfc((lo - x) / s) - mp.erfc((hi - x) / s)) / 2
         return (mp.erfc((x - hi) / s) - mp.erfc((x - lo) / s)) / 2
 
-    return _mp_slab_sum(f, t, op, mass, _mp_cells(image_sign))
+    return _mp_slab_sum(f, t, op, mass, _mp_cells(image_sign), dps)
 
 
-def _mp_window_reference(f, t, x_lo, x_hi, op, image_sign=0):
-    """∫_{x_lo}^{x_hi} (Tf or T*f)(t, x) dx in 80-digit arithmetic.
+def _mp_window_reference(f, t, x_lo, x_hi, op, image_sign=0, dps=80):
+    """∫_{x_lo}^{x_hi} (Tf or T*f)(t, x) dx in dps-digit arithmetic.
 
     The double integral of p_u over window × cell is
     (s/2) [F((x_hi - lo)/s) - F((x_hi - hi)/s) - F((x_lo - lo)/s) + F((x_lo - hi)/s)]
@@ -923,7 +928,7 @@ def _mp_window_reference(f, t, x_lo, x_hi, op, image_sign=0):
     overlap length.
     """
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 80
+    mp.mp.dps = dps
     x_lo, x_hi = mp.mpf(x_lo), mp.mpf(x_hi)
 
     def F(z):
@@ -936,7 +941,7 @@ def _mp_window_reference(f, t, x_lo, x_hi, op, image_sign=0):
         return s / 2 * (F((x_hi - lo) / s) - F((x_hi - hi) / s)
                         - F((x_lo - lo) / s) + F((x_lo - hi) / s))
 
-    return _mp_slab_sum(f, t, op, mass, _mp_cells(image_sign))
+    return _mp_slab_sum(f, t, op, mass, _mp_cells(image_sign), dps)
 
 
 @pytest.mark.parametrize("x, size", [
@@ -1001,6 +1006,108 @@ def test_far_field_T_against_80_digit_reference():
     for t, x in ((0.9, 14.0), (0.3, -6.0), (0.45, 0.13)):
         ref = float(_mp_reference(f, t, x, "T"))
         assert float(image_rows(f, [t], [x])[0, 0]) == pytest.approx(ref, rel=1e-11)
+
+
+# -- the far-field series ------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def far_field_reference(spec):
+    """Far rows and windows of a battery atom, with their 40-digit references.
+
+    The atom is random_hz_atom(0) on the whole line and the near wall atom
+    of the seed-0 wall experiments on the half lines.  Two times: just past
+    the first time the series reaches, where its truncation is largest, and
+    16 times that lag.  Returns (f, rows, windows): rows is a list of
+    (t, xs, reference values), windows of (t, ends, reference values).
+    """
+    from hardyheat.verify import _wall_atom, random_hz_atom
+
+    f = random_hz_atom(0)[0] if spec.is_whole else _wall_atom(0.25, 0.25, seed=1)[0]
+    sign = 0 if spec.is_whole else spec.image_sign
+    inside = GridFunction(f.grid, f.values * (f.grid.xs > 0.0)) if sign else f
+    series = heatop.far_field(f, spec)
+    u_first = max(series.width**2 / (4.0 * heatop.FAR_RHO_X**2),
+                  series.span / (4.0 * heatop.FAR_RHO_T))
+    rows, windows = [], []
+    for t in series.t_c + u_first * np.array([1.01, 16.0]):
+        s = 2.0 * math.sqrt(t - series.t_c)
+        if sign:
+            xs, ends = s * np.array([0.02, 0.6, 2.0]), s * np.array([[0.0, 0.5], [0.3, 3.0]])
+        else:
+            xs = series.c + s * np.array([-1.2, 0.3, 2.0])
+            ends = series.c + s * np.array([[-1.0, 0.7], [0.5, 4.0]])
+        rows.append((t, xs, np.array([float(_mp_reference(inside, t, x, "T", sign, dps=40))
+                                      for x in xs])))
+        windows.append((t, ends, np.array([
+            float(_mp_window_reference(inside, t, lo, hi, "T", sign, dps=40))
+            for lo, hi in ends])))
+    return f, rows, windows
+
+
+def far_field_errors(spec) -> tuple[float, float]:
+    """The largest error of heatop.far_field's rows and windows against the
+    40-digit references of far_field_reference, each relative to the largest
+    reference value at its time."""
+    f, rows, windows = far_field_reference(spec)
+    series = heatop.far_field(f, spec)
+    row_err = win_err = 0.0
+    for t, xs, ref in rows:
+        assert series.reaches([t], heatop.FAR_MIN_POINTS).all()
+        got = series.rows(np.full(len(xs), t), xs)
+        row_err = max(row_err, np.abs(got - ref).max() / np.abs(ref).max())
+    for t, ends, ref in windows:
+        got = series.window(t, ends[:, 0], ends[:, 1])
+        win_err = max(win_err, np.abs(got - ref).max() / np.abs(ref).max())
+    return row_err, win_err
+
+
+@pytest.mark.parametrize("spec", [WHOLE, DIRICHLET, NEUMANN])
+def test_far_field_series_against_40_digit_reference(spec):
+    # measured at most 3.1e-13 on rows and 1.5e-13 on windows; the direct
+    # corner sum is 1.3e-10 off on rows at t = 50 on the same whole-line atom
+    row_err, win_err = far_field_errors(spec)
+    assert row_err <= 1e-12 and win_err <= 1e-12
+
+
+def test_far_field_truncation_bound_fixes_the_terms():
+    # the bound of the module docstring at the thresholds: the terms past
+    # FAR_TERMS add at most E_K ‖f‖₁ / s³, against 1.73 ‖f‖₁ / s³ for the
+    # leading term's bound
+    rx, rt, K = heatop.FAR_RHO_X, heatop.FAR_RHO_T, heatop.FAR_TERMS
+
+    def bound(first, last=400):
+        total = 0.0
+        for n in range(first, last):
+            for l in range(1, (n - 1) // 2 + 1):
+                k = n - 2 * l
+                total += math.exp((l - 1) * math.log(rt) + (k - 1) * math.log(rx)
+                                  + 0.5 * ((n - 1) * math.log(2.0) + math.lgamma(n))
+                                  - math.lgamma(l) - math.lgamma(k))
+        return 1.0865 / math.sqrt(math.pi) * total
+
+    assert bound(K + 1) <= 1e-8
+    assert bound(3, 4) == pytest.approx(1.73, abs=0.01)
+    assert bound(9) > 1.0  # K = 8 bounds nothing
+
+
+def test_far_field_reaches_only_past_the_last_live_corner():
+    g = SpaceTimeGrid(1, 1.0, 16, 0.0, 1.0, 8)
+    values = np.zeros(g.shape)
+    values[2:4, 6:9] = np.random.default_rng(3).normal(size=(2, 3))
+    f = GridFunction(g, values)
+    series = heatop.far_field(f)
+    assert series.t_last == g.t_edges[4] and series.t_c == 0.5 * (g.t_edges[2] + g.t_edges[4])
+    assert series.c == 0.5 * (g.x_edges[6] + g.x_edges[9])
+    # the time threshold binds here: span / s² <= FAR_RHO_T
+    u_first = series.span / (4.0 * heatop.FAR_RHO_T)
+    ts = series.t_c + u_first * np.array([0.99, 1.01, 40.0])
+    assert series.reaches(ts, heatop.FAR_MIN_POINTS).tolist() == [False, True, True]
+    # too few points in all: the corner sum keeps them
+    assert not series.reaches(ts, 1).any()
+    assert series.reaches(ts, [0, 8, 8]).tolist() == [False, True, True]
+    # an input without corners reaches nothing
+    zero = heatop.far_field(GridFunction(g, np.zeros(g.shape)))
+    assert not zero.reaches([1e6], 100).any()
 
 
 # -- the independent oracle -------------------------------------------------------------

@@ -12,6 +12,7 @@ from scipy.integrate import dblquad, quad
 from scipy.special import erf
 
 from hardyheat.atoms import FIT_SLACK
+from hardyheat import heatop, verify
 from hardyheat.grid import GridFunction, SpaceTimeGrid
 from hardyheat.heatop import (
     HALF_LINE_DIRICHLET,
@@ -32,11 +33,14 @@ from hardyheat.verify import (
     Settings,
     _annulus_rows,
     _BOX,
+    _annulus_images,
     _box_cone_integral,
+    _far_rows,
     _kernel_dt_mass,
     _moment_scale,
     _smooth_field,
     _time_panels,
+    _wall_atom,
     _window_moment,
     image_molecule_report,
     random_hz_atom,
@@ -300,6 +304,33 @@ def test_half_line_window_moment_matches_adaptive_quad(boundary):
     assert _window_moment(f, spec, "T", win, 0.0, 1.3) == pytest.approx(ref, abs=1e-8)
 
 
+@pytest.mark.parametrize("spec", [WHOLE, KernelSpec(1, HALF_LINE_DIRICHLET),
+                                  KernelSpec(1, HALF_LINE_NEUMANN)])
+def test_window_moment_takes_its_far_nodes_from_the_series(monkeypatch, spec):
+    # a horizon far past the input: the nodes the series reaches give the
+    # moment of the all-corner-sum evaluation to rounding (measured at most
+    # 4e-15 against moments of 6e-3 to 3e-2)
+    grid = SpaceTimeGrid(1, 1.0, 10, 0.0, 0.5, 5)
+    vals = np.zeros(grid.shape)
+    vals[1, 4] = 2.0
+    vals[3, 6] = -1.0
+    f = GridFunction(grid, vals)
+    win = (-0.9, 0.9) if spec.is_whole else (0.0, 1.4)
+    calls, window = [], heatop.FarField.window
+
+    def spy(self, ts, lo, hi):
+        calls.append(len(ts))
+        return window(self, ts, lo, hi)
+
+    monkeypatch.setattr(heatop.FarField, "window", spy)
+    got = _window_moment(f, spec, "T", win, 0.0, 40.0)
+    assert len(calls) == 1 and calls[0] >= heatop.FAR_MIN_POINTS // 2
+    monkeypatch.setattr(heatop, "FAR_MIN_POINTS", 10**9)  # every node on the corner sum
+    direct = _window_moment(f, spec, "T", win, 0.0, 40.0)
+    assert len(calls) == 1
+    assert got == pytest.approx(direct, rel=1e-12)
+
+
 def test_window_moment_rejects_bad_op():
     grid = SpaceTimeGrid(1, 1.0, 4, 0.0, 0.5, 2)
     f = GridFunction(grid, np.ones(grid.shape))
@@ -338,6 +369,77 @@ def test_image_report_rejects_2d():
     f = GridFunction(grid, np.ones(grid.shape))
     with pytest.raises(ValueError, match="one-dimensional"):
         image_molecule_report(f, ball(0.1, (0.0, 0.0), 0.2), "T", 0.5, 2)
+
+
+@pytest.mark.parametrize("boundary", [None, HALF_LINE_DIRICHLET, HALF_LINE_NEUMANN])
+@pytest.mark.parametrize("op", ["T", "Tstar"])
+def test_annulus_images_equal_per_annulus_corner_sums(monkeypatch, boundary, op):
+    # the rows the series does not reach are the per-annulus image_rows calls
+    # to rounding where annuli share one call on the union of their lattices
+    # (for T the annuli j >= 2, on the slab midpoints): bit for bit on the
+    # whole line, one ulp off at the last of the 13 points of the seed-1
+    # Neumann atom's third annulus, where BLAS sums that point's dot product
+    # in another block layout than the per-annulus call
+    if boundary is None:
+        (a, Q), spec = random_hz_atom(0), WHOLE
+    else:
+        (a, Q), spec = _wall_atom(0.25, 0.25, seed=1), KernelSpec(1, boundary)
+    captured, calls = [], []
+    images, rows_call = verify._annulus_images, verify.image_rows
+
+    def spy_images(f, lattices, *rest):
+        captured.append((lattices, images(f, lattices, *rest)))
+        return captured[-1][1]
+
+    def spy_rows(*args):
+        calls.append(args)
+        return rows_call(*args)
+
+    monkeypatch.setattr(verify, "_annulus_images", spy_images)
+    monkeypatch.setattr(verify, "image_rows", spy_rows)
+    image_molecule_report(a, Q, op, 0.5, 8, spec=spec)
+    (lattices, out), = captured
+    if op == "T":
+        series = heatop.far_field(a, spec)
+        far = _far_rows(series, lattices)
+        assert len(calls) == 2
+        assert all(m.any() for m in far[1:])  # every annulus j >= 2 has far rows
+    else:
+        far = [np.zeros(len(rows), dtype=bool) for rows, _ in lattices]
+    for (rows, xs), m, values in zip(lattices, far, out):
+        own = image_rows(a, rows[~m], xs, spec, op)
+        assert np.all(np.abs(values[~m] - own) <= 2.0 * np.spacing(np.abs(own)))
+        if boundary is None:
+            assert np.array_equal(values[~m], own)
+        if m.any():
+            t = np.repeat(rows[m], len(xs))
+            assert np.array_equal(values[m].ravel(), series.rows(t, np.tile(xs, m.sum())))
+            direct = image_rows(a, rows[m], xs, spec, op)
+            assert np.allclose(values[m], direct, rtol=0.0, atol=1e-9 * np.abs(direct).max())
+
+
+def test_annulus_images_without_a_series_take_no_far_rows():
+    a, Q = random_hz_atom(2)
+    rows = np.array([0.01, 0.02, 3.0])
+    lattices = [(rows, np.array([-0.1, 0.2])), (rows, np.array([0.5]))]
+    out = _annulus_images(a, lattices, WHOLE, "T", None)
+    for (ts, xs), values in zip(lattices, out):
+        # the row at t = 3 cancels to 5.5e-4 from terms of order 1, so the
+        # blocking moves it by 9.4e-16
+        own = image_rows(a, ts, xs)
+        assert np.allclose(values, own, rtol=0.0, atol=1e-14 * np.abs(own).max())
+
+
+def test_decay_ratios_hold_to_J_16():
+    # the far rows come from the series, which holds the 2^-j decay of the
+    # whole-line atom down to annulus 16 (measured at most 2.6e-6 off for
+    # j >= 8); on the direct corner sums the last five ratios read 0.5024,
+    # 0.8948, 6.816, 7.484 and 8.424, their rounding
+    a, Q = random_hz_atom(0)
+    report, _ = image_molecule_report(a, Q, "T", 0.5, 16)
+    M = np.array(report.weighted_norms)
+    ratios = M[1:] / M[:-1]
+    assert np.abs(ratios[7:] - 0.5).max() <= 1e-4
 
 
 # -- single-atom certification ---------------------------------------------------
