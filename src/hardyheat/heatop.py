@@ -110,9 +110,8 @@ of points.  Half lines expand f on x > 0 and read the series at x plus
 image_sign times at -x.
 
 The series takes a time when ρ_x = max|e - c|/s <= FAR_RHO_X = 0.5 and
-ρ_t = max|t_m - t_c|/s² <= FAR_RHO_T = 0.05 (which puts t past t_last), and
-a pass takes no times unless they hold FAR_MIN_POINTS = 16 points.  The
-truncation bound fixes K = FAR_TERMS = 40.  Cramér's inequality
+ρ_t = max|t_m - t_c|/s² <= FAR_RHO_T = 0.05 (which puts t past t_last), at
+every point of that time.  The truncation bound fixes K = FAR_TERMS = 40.  Cramér's inequality
 |h_m(y)| <= 1.0865 √(2^m m!/π) and |μ_lk| <= l k span^{l-1} width^{k-1} ‖f‖₁
 bound the terms past K by E_K ‖f‖₁/s³, with
 
@@ -537,7 +536,6 @@ def image_window(f: GridFunction, ts, lo, hi, spec: KernelSpec = WHOLE, op: str 
 FAR_TERMS = 40  # K: the series keeps the terms n <= K
 FAR_RHO_X = 0.5  # the series takes a time when max|e - c| <= FAR_RHO_X s
 FAR_RHO_T = 0.05  # ... and max|t_m - t_c| <= FAR_RHO_T s²
-FAR_MIN_POINTS = 16  # a pass with fewer far points leaves them to the corner sum
 
 
 @dataclass(frozen=True)
@@ -559,20 +557,12 @@ class FarField:
     span: float
     image_sign: float
 
-    def reaches(self, ts, points) -> np.ndarray:
-        """Which times in ts the series takes: past t_last, where it converges.
-
-        points is the number of points read at each time (a scalar or one
-        per time).  When the times it takes hold fewer than FAR_MIN_POINTS
-        points in all, it takes none: so few are cheaper on the corner sum.
-        """
+    def reaches(self, ts) -> np.ndarray:
+        """Which times in ts the series takes: past t_last, where it converges."""
         ts = np.asarray(ts, dtype=float)
         s2 = 4.0 * np.maximum(ts - self.t_c, 0.0)
-        far = ((ts > self.t_last) & (self.width**2 <= FAR_RHO_X**2 * s2)
-               & (self.span <= FAR_RHO_T * s2))
-        if np.sum(np.broadcast_to(points, far.shape)[far]) < FAR_MIN_POINTS:
-            far[:] = False
-        return far
+        return ((ts > self.t_last) & (self.width**2 <= FAR_RHO_X**2 * s2)
+                & (self.span <= FAR_RHO_T * s2))
 
     def _sum(self, coeffs: np.ndarray, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """-Σ_{n ≥ 1} coeffs[n] q_n(t, x), with q_n = r^n h_{n-1}(y) by its recurrence."""

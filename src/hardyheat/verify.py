@@ -346,16 +346,14 @@ def _window_moment(
     win: tuple[float, float],
     t_lo: float,
     t_hi: float,
-    series: FarField | None = None,
     gl_order: int = 6,
 ) -> float:
     """∫_{t_lo}^{t_hi} ∫_{win} (Tf or T*f)(t, x) dx dt, n = 1.
 
     The spatial integral is exact: image_window, or for T the far-field
-    series at the nodes it reaches (series, built here when not given).
-    Time panels come from _time_panels, with Gauss-Legendre nodes inside
-    each panel; the integrand is evaluated at all nodes in at most one call
-    of each.
+    series (heatop.far_field) at the nodes it reaches.  Time panels come
+    from _time_panels, with Gauss-Legendre nodes inside each panel; the
+    integrand is evaluated at all nodes in at most one call of each.
     """
     edges = _time_panels(f.grid, t_lo, t_hi)
     a, b = edges[:-1, None], edges[1:, None]
@@ -364,9 +362,10 @@ def _window_moment(
     # the singular end keeps the panels spectral
     ss, wq = _gl_nodes(0.0, np.sqrt(b - a), gl_order)
     ts = (a + ss * ss if op == "T" else b - ss * ss).ravel()
-    if op == "T" and series is None:
+    far = np.zeros(ts.shape, dtype=bool)
+    if op == "T":
         series = far_field(f, spec)
-    far = series.reaches(ts, 2) if op == "T" else np.zeros(ts.shape, dtype=bool)
+        far = series.reaches(ts)
     values = np.empty(ts.shape)
     if far.any():
         values[far] = series.window(ts[far], win[0], win[1])
@@ -392,44 +391,34 @@ def _annulus_rows(outer: ParabolicBall, grid: SpaceTimeGrid, rows_target: int):
     return np.repeat(a, q) + (m + 0.5) * w, w
 
 
-def _far_rows(series: FarField, lattices: list) -> list[np.ndarray]:
-    """Which rows of each annulus lattice (rows, xs) the series takes, as one pass."""
-    every = series.reaches(np.concatenate([rows for rows, _ in lattices]),
-                           np.concatenate([np.full(len(rows), len(xs))
-                                           for rows, xs in lattices]))
-    return np.split(every, np.cumsum([len(rows) for rows, _ in lattices])[:-1])
-
-
 def _annulus_images(f: GridFunction, lattices: list, spec: KernelSpec, op: str,
                     series: FarField | None) -> list[np.ndarray]:
     """The image on each annulus lattice (rows, xs), one array per lattice.
 
-    For T, the rows the far-field series reaches (_far_rows), in all annuli,
-    take one series pass over the flat list of their points.  The other rows
-    stay on the corner sum, and annuli whose near rows coincide share one
-    image_rows call on the union of their lattices: for T these are the
-    annuli j >= 2, whose near rows are the slab midpoints.  The shared call
-    gives each annulus the values of its own call to rounding: a point's
-    corner terms are one dot product over the edges, whose last bit can
-    depend on where the point falls in the BLAS blocking of the lattice.
+    For T, the rows the far-field series reaches, in all annuli, take one
+    series pass over the flat list of their points.  The other rows stay on
+    the corner sum.  For T the annuli j >= 2 keep the same near rows, the
+    slab midpoints, and share one image_rows call on the union of their
+    lattices; T* annuli keep rows of their own, one call each.  The shared
+    call gives each annulus the values of its own call to rounding: a
+    point's corner terms are one dot product over the edges, whose last bit
+    can depend on where the point falls in the BLAS blocking of the lattice.
     """
+    far = [np.zeros(len(rows), dtype=bool) if series is None else series.reaches(rows)
+           for rows, _ in lattices]
     out = [np.empty((len(rows), len(xs))) for rows, xs in lattices]
-    far = [np.zeros(len(rows), dtype=bool) for rows, _ in lattices]
-    if series is not None:
-        far = _far_rows(series, lattices)
-        counts = [np.count_nonzero(m) for m in far]
-        if any(counts):
-            ts = np.concatenate([np.repeat(rows[m], len(xs))
-                                 for (rows, xs), m in zip(lattices, far)])
-            xs = np.concatenate([np.tile(xs, k) for (_, xs), k in zip(lattices, counts)])
-            values = series.rows(ts, xs)
-            ends = np.cumsum([k * o.shape[1] for o, k in zip(out, counts)])[:-1]
-            for o, m, k, v in zip(out, far, counts, np.split(values, ends)):
-                o[m] = v.reshape(k, o.shape[1])
-    groups: dict[bytes, list[int]] = {}
+    counts = [np.count_nonzero(m) for m in far]
+    if any(counts):
+        ts = np.concatenate([np.repeat(rows[m], len(xs))
+                             for (rows, xs), m in zip(lattices, far)])
+        xs = np.concatenate([np.tile(xs, k) for (_, xs), k in zip(lattices, counts)])
+        ends = np.cumsum([k * o.shape[1] for o, k in zip(out, counts)])[:-1]
+        for o, m, k, v in zip(out, far, counts, np.split(series.rows(ts, xs), ends)):
+            o[m] = v.reshape(k, o.shape[1])
+    groups: dict = {}
     for i, ((rows, _), m) in enumerate(zip(lattices, far)):
         if not m.all():
-            groups.setdefault(rows[~m].tobytes(), []).append(i)
+            groups.setdefault(rows[~m].tobytes() if op == "T" else i, []).append(i)
     for members in groups.values():
         near = lattices[members[0]][0][~far[members[0]]]
         xs = np.unique(np.concatenate([lattices[i][1] for i in members]))
@@ -496,7 +485,7 @@ def image_molecule_report(
     R = outer.radius
     win = (x0 - R, x0 + R) if spec.is_whole else (0.0, x0 + R)
     moment = _window_moment(
-        f, spec, op, win, max(0.0, outer.t0 - R**2), outer.t0 + R**2, series
+        f, spec, op, win, max(0.0, outer.t0 - R**2), outer.t0 + R**2
     )
     report = MoleculeReport(Q, alpha, tuple(range(1, J + 1)), tuple(norms), moment)
     return report, row_l1_max

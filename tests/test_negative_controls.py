@@ -9,11 +9,10 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.special import erfc
-from test_heatop import DIRICHLET, NEUMANN, far_field_errors
 
 import hardyheat.decompose as decompose
 import hardyheat.heatop as heatop
-from hardyheat.heatop import WHOLE
+from hardyheat.heatop import HALF_LINE_DIRICHLET, HALF_LINE_NEUMANN, WHOLE, KernelSpec
 from hardyheat.verify import Settings, run_experiment
 
 
@@ -33,14 +32,15 @@ def test_dropping_the_mirror_term_fails_boundary_neumann(monkeypatch):
 
 
 # The far-field series of heatop.far_field against its 40-digit reference
-# (tests/test_heatop.py): at most 3.1e-13 of the largest image value as
-# shipped, against a 1e-12 bound.  Each defect below fails that bound.
+# (the far_field_errors fixture of tests/conftest.py): at most 3.1e-13 of the
+# largest image value as shipped, against a 1e-12 bound.  Each defect below
+# fails that bound.
 
-def _far_field_fails(spec) -> bool:
-    return max(far_field_errors(spec)) > 1e-12
+DIRICHLET = KernelSpec(1, HALF_LINE_DIRICHLET)
+NEUMANN = KernelSpec(1, HALF_LINE_NEUMANN)
 
 
-def test_dropping_the_time_moments_fails_the_far_field_reference(monkeypatch):
+def test_dropping_the_time_moments_fails_the_far_field_reference(monkeypatch, far_field_errors):
     # the l >= 1 rows of μ zeroed: past the last corner only time moments
     # carry the image (Σ_m D_mj = 0), so the series reads 0
     moments = heatop._space_time_moments
@@ -52,25 +52,26 @@ def test_dropping_the_time_moments_fails_the_far_field_reference(monkeypatch):
 
     monkeypatch.setattr(heatop, "_space_time_moments", spatial_only)
     for spec in (WHOLE, DIRICHLET, NEUMANN):
-        assert _far_field_fails(spec)
+        assert max(far_field_errors(spec)) > 1e-12
 
 
 @pytest.mark.parametrize("spec", [DIRICHLET, NEUMANN], ids=["dirichlet", "neumann"])
-def test_a_flipped_mirror_term_fails_the_far_field_reference(monkeypatch, spec):
+def test_a_flipped_mirror_term_fails_the_far_field_reference(monkeypatch, spec,
+                                                            far_field_errors):
     # the reflected half-line term read with the other wall's sign: the
     # errors read 1.8 to 3.8
     far_field = heatop.far_field
     monkeypatch.setattr(heatop, "far_field", lambda f, spec: dataclasses.replace(
         far_field(f, spec), image_sign=-far_field(f, spec).image_sign))
-    assert _far_field_fails(spec)
+    assert max(far_field_errors(spec)) > 1e-12
 
 
-def test_eight_terms_fail_the_far_field_reference(monkeypatch):
+def test_eight_terms_fail_the_far_field_reference(monkeypatch, far_field_errors):
     # K = 8 leaves the time terms l = 4 .. 20 out, about (4 ρ_t)^4 just past
     # the threshold: the errors read 3.8e-3 to 2.4e-2
     monkeypatch.setattr(heatop, "FAR_TERMS", 8)
     for spec in (WHOLE, DIRICHLET, NEUMANN):
-        assert _far_field_fails(spec)
+        assert max(far_field_errors(spec)) > 1e-12
 
 
 def test_an_unpadded_correlation_fails_the_oracle_and_lp_probe(monkeypatch):
