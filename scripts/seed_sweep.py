@@ -15,7 +15,8 @@ entry per index path, such as ``rel_errors[3]``, so two checkouts can be
 compared value by value.  ``--against OLD.json`` reads such a file from an
 earlier run and prints, for each experiment and measured key, the largest
 relative drift of this run from it (|new - old| / |old|) over the key's
-index paths and the seeds, and every seed whose verdict changed.  Exit status:
+index paths and the seeds, every seed whose verdict changed, and every
+record and index path that only one of the two runs holds.  Exit status:
 0 when every seed passed, 1 when one failed or raised, 2 on a usage error
 (a bad --set, a negative --seeds, an unknown experiment, a setting the
 config rejects, an --against file that holds no records, a --json path
@@ -79,27 +80,38 @@ def drift(old: float, new: float) -> float:
 
 
 def print_drifts(records: list, old_records: list) -> None:
-    """Largest relative drift per (experiment, measured key), and verdict changes.
+    """Largest relative drift per (experiment, measured key), verdict changes,
+    and whatever cannot be paired.
 
     The drift of a list- or table-valued key is the largest over its index
-    paths; the line names the path when it is not the key itself.
+    paths; the line names the path when it is not the key itself.  An
+    (experiment, seed) record or an index path that only one side holds gets
+    a line of its own, so drift 0 on every key means identical records.
     """
     old = {(r["experiment"], r["seed"]): r for r in old_records}
+    new = {(r["experiment"], r["seed"]) for r in records}
     worst = {}  # (experiment, key) -> (drift, seed, path, old value, new value)
     for r in records:
+        at_seed = f"{r['experiment']} seed={r['seed']}"
         before = old.get((r["experiment"], r["seed"]))
         if before is None:
+            print(f"{at_seed}: only in this run", flush=True)
             continue
         if before["passed"] != r["passed"]:
-            print(f"{r['experiment']} seed={r['seed']} verdict "
-                  f"{'pass' if before['passed'] else 'FAIL'} -> "
+            print(f"{at_seed} verdict {'pass' if before['passed'] else 'FAIL'} -> "
                   f"{'pass' if r['passed'] else 'FAIL'}", flush=True)
         new_values, old_values = r.get("measured", {}), before.get("measured", {})
+        for path in sorted(new_values.keys() ^ old_values.keys()):
+            side = "this run" if path in new_values else "the earlier file"
+            print(f"{at_seed} {path}: only in {side}", flush=True)
         for path in sorted(new_values.keys() & old_values.keys()):
             d = drift(old_values[path], new_values[path])
             at = (r["experiment"], _key(path))
             if at not in worst or d > worst[at][0]:
                 worst[at] = (d, r["seed"], path, old_values[path], new_values[path])
+    for name, seed in old:
+        if (name, seed) not in new:
+            print(f"{name} seed={seed}: only in the earlier file", flush=True)
     for (name, key), (d, seed, path, a, b) in worst.items():
         where = "" if path == key else f" {path}"
         print(f"{name} drift {key}: {d:.3g} at seed={seed}{where} ({a:.17g} -> {b:.17g})",
@@ -130,7 +142,8 @@ def run(args: argparse.Namespace) -> int:
     if args.json and (Path(args.json).is_dir() or not Path(args.json).parent.is_dir()):
         raise ConfigError(f"--json {args.json}: not a file in an existing directory")
     overrides = dict(kv.split("=", 1) for kv in args.set)
-    names = [canonical(name) for name in args.experiments] or list(EXPERIMENTS)
+    # a repeated name or an alias beside its name runs once, as in hardyheat run
+    names = list(dict.fromkeys(map(canonical, args.experiments))) or list(EXPERIMENTS)
     records = []
     for name in names:
         passes = 0

@@ -10,7 +10,8 @@ order given; as each finishes, one line on stderr gives its name, verdict
 and elapsed wall time.  Timings stay out of the artifacts, which remain
 byte-identical.
 
-The configuration is validated before any experiment runs.  An experiment
+The configuration and the output directory are validated before any
+experiment runs, and an experiment named twice runs once.  An experiment
 that raises is recorded as a failed result whose note names the exception;
 the other experiments still run and every artifact is written.
 
@@ -148,7 +149,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config, overrides)
     names = config.resolved_experiments()
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at or above the path: nothing has run yet
+        raise ConfigError(f"out_dir {out}: {exc.strerror or exc}") from None
 
     results = {}
     for name in names:

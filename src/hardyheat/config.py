@@ -53,7 +53,8 @@ class RunConfig:
     settings: Settings = field(default_factory=Settings)
 
     def resolved_experiments(self) -> tuple[str, ...]:
-        return tuple(map(canonical, self.experiments)) or tuple(EXPERIMENTS)
+        """Registry names in the order given, each once (its first occurrence)."""
+        return tuple(dict.fromkeys(map(canonical, self.experiments))) or tuple(EXPERIMENTS)
 
 
 def canonical(name: str) -> str:
@@ -151,13 +152,20 @@ def load_config(path: str | Path | None, overrides: Mapping[str, str] = {}) -> R
         p = Path(path)
         if not p.is_file():
             raise ConfigError(f"config file not found: {p}")
-        config = _apply(config, parse_kv(p.read_text(encoding="utf-8")))
+        try:
+            text = p.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {p}: {exc}") from None
+        config = _apply(config, parse_kv(text))
     config = _apply(config, overrides)
     _validate(config)
     return config
 
 
 def _validate(config: RunConfig) -> None:
+    # an empty out_dir would write the artifacts into the working directory
+    if not config.out_dir:
+        raise ConfigError("out_dir must name a directory, got an empty value")
     s = config.settings
     if s.n not in (1, 2):
         raise ConfigError(f"n must be 1 or 2, got {s.n}")

@@ -12,7 +12,9 @@ the grid shares them; equality and hashing still see only the six fields.
 
 Passes over many inputs, balls or points at once (the corner sums of heatop,
 validate_atom_each, restrict_decompose_each) keep each temporary array near
-CHUNK elements.
+CHUNK elements.  The one temporary sized by its call's work instead is the
+corner sums' kernel table, which holds at most the kernel evaluations it
+replaces.
 """
 from __future__ import annotations
 

@@ -66,16 +66,18 @@ measured down to the underflow of erfc instead of to a truncation radius.  On
 a cell edge ψ(u, 0) = 0 and the sum reads the midpoint of the jump (H(0) = 1/2).
 Window integrals over x replace ψ by Ψ, the kernel of the same _corner_sum.
 
-On a lattice shared by all times, the corner sum evaluates the kernel once
-per distinct (lag, signed offset) pair and gathers it (_corner_table).
-Lattices on cell midpoints repeat their offsets x - e_j (225 distinct among
-an atom's 1,368 point-edge pairs), and rows on slab midpoints repeat their
-lags (about 30% distinct for T*), while rows past the grid horizon do not
-(75-85% distinct).  So the table of distinct lags × distinct offsets is
-built when it holds at most half the direct evaluations and at most CHUNK
-elements; otherwise the kernel is evaluated per corner, as it is for
-per-time points.  The table's z are the very values the direct evaluation
-sees, so every path gives the same sums bit for bit.
+The path follows from the layout of the points.  On a lattice shared by
+all times, the corner sum evaluates the kernel once per distinct (lag,
+signed offset) pair and gathers it: one table of the distinct live lags ×
+the distinct offsets x - e_j.  Lattices on cell midpoints repeat their
+offsets (225 distinct among an atom's 1,368 point-edge pairs), and rows on
+slab midpoints repeat their lags (about 30% distinct for T*).  The table
+never holds more elements than the direct evaluations it replaces, since
+there are at most as many distinct lags as live (corner, row) pairs and
+at most as many distinct offsets as (point, edge) pairs.  Per-time points
+share no offsets between times, so they evaluate the kernel per corner.
+The table's z are the very values the direct evaluation sees, so both give
+the same sums bit for bit.
 
 Half-line kernels (n = 1) come from the method of images,
 K_u(x, y) = p_u(x-y) ∓ p_u(x+y) for Dirichlet/Neumann (Carslaw & Jaeger
@@ -422,27 +424,6 @@ def apply_Tstar(f: GridFunction, spec: KernelSpec = WHOLE) -> GridFunction:
 # -- corner sums: T and T* at arbitrary points ---------------------------------
 
 
-def _corner_table(kernel, lags: np.ndarray, live: np.ndarray, pts: np.ndarray,
-                  edges: np.ndarray):
-    """The kernel table of _corner_sum: (values, lag_index, offset_index), or None.
-
-    values holds the kernel at the distinct live lags × the distinct signed
-    offsets z = p - e_j of a lattice shared by all times (pts.ndim == 1).
-    It is built only when it holds at most CHUNK elements and at most half
-    the direct evaluations.  The kernel sees the very z the direct
-    evaluation sees, so a gathered value is the direct one bit for bit.
-    Only live (corner, row) pairs read lag_index, so a dead one may point
-    past the table.
-    """
-    if pts.ndim != 1:
-        return None
-    z = pts[:, None] - edges
-    us, zs = np.unique(lags[live]), np.unique(z)
-    if us.size * zs.size > min(CHUNK, np.count_nonzero(live) * z.size // 2):
-        return None
-    return kernel(us[:, None], zs), np.searchsorted(us, lags), np.searchsorted(zs, z)
-
-
 def _corner_sum(f: GridFunction, ts, pts: np.ndarray, spec: KernelSpec, op: str,
                 kernel):
     """Σ_m Σ_j D_mj kernel(u, p - e_j) at every time in ts and point p (n = 1).
@@ -453,10 +434,13 @@ def _corner_sum(f: GridFunction, ts, pts: np.ndarray, spec: KernelSpec, op: str,
     at the corners (t_m, e_j), and u = t - t_m; only u > 0 contributes.  T*
     is T of the slab-reversed input, whose corner m sits at
     t_min + t_max - t_edges[nt - m]: its lag is t_edges[nt - m] - t, read
-    from the grid's own edges, so no reflected time is ever rounded.  The
-    kernel (ψ or Ψ) is gathered from _corner_table where there is one and
-    evaluated per corner otherwise.  Each row adds its corner terms in
-    corner order, times in batches whose operands hold about CHUNK elements.
+    from the grid's own edges, so no reflected time is ever rounded.  On a
+    shared row the kernel (ψ or Ψ) is evaluated once at the distinct live
+    lags × the distinct signed offsets z = p - e_j and gathered; the table
+    sees the very z the direct evaluation sees, so a gathered value is the
+    direct one bit for bit.  Per-time points evaluate it per corner.  Each
+    row adds its corner terms in corner order, times in batches whose
+    operands hold about CHUNK elements.
     """
     if op not in ("T", "Tstar"):
         raise ValueError("op must be 'T' or 'Tstar'")
@@ -473,21 +457,24 @@ def _corner_sum(f: GridFunction, ts, pts: np.ndarray, spec: KernelSpec, op: str,
     keep = D.any(axis=0)  # edges without jumps add nothing
     edges, D = f.grid.x_edges[keep], D[:, keep]
     live = (lags > 0.0) & D.any(axis=1)[:, None]
-    table = _corner_table(kernel, lags, live, pts, edges)
+    if pts.ndim == 1:
+        z = pts[:, None] - edges
+        us, zs = np.unique(lags[live]), np.unique(z)
+        table = kernel(us[:, None], zs)
+        # only live (corner, row) pairs read lag_index: a dead one may point past us
+        lag_index, offset_index = np.searchsorted(us, lags), np.searchsorted(zs, z)
     out = np.zeros((len(ts), pts.shape[-1]))
     step = max(1, CHUNK // max(1, out.shape[1] * len(edges)))
     for m in range(len(lags)):
         rows = np.flatnonzero(live[m])
         for c in range(0, len(rows), step):
             i = rows[c : c + step]
-            if table is None:
-                p = pts if pts.ndim == 1 else pts[i]
-                operand = kernel(lags[m, i][:, None, None], p[..., None] - edges)
-            else:
+            if pts.ndim == 1:
                 # np.take gives a C-contiguous operand, which the matmul takes
                 # as it takes a direct one
-                values, lag_index, offset_index = table
-                operand = np.take(values[lag_index[m, i]], offset_index, axis=1)
+                operand = np.take(table[lag_index[m, i]], offset_index, axis=1)
+            else:
+                operand = kernel(lags[m, i][:, None, None], pts[i][..., None] - edges)
             out[i] += operand @ D[m]
     return out
 
@@ -513,7 +500,7 @@ def image_window(f: GridFunction, ts, lo, hi, spec: KernelSpec = WHOLE, op: str 
     lo and hi broadcast against ts.  Each corner term integrates in closed
     form, Ψ(u, hi - e) - Ψ(u, lo - e); half lines integrate over x > 0.
     Scalar ends are one lattice of two points for all times, so the corner
-    sum can share kernel values between times (_corner_table).
+    sum shares kernel values between times (one table of _corner_sum).
 
     Far from every corner both terms sit near the same -√(u/π), so a window
     keeps only about 1e-16 √u absolute: a window that holds no corner and

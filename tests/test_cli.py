@@ -377,6 +377,58 @@ def test_run_rejects_non_finite_tuple_entries(tmp_path, capsys, key, experiment,
     assert not (tmp_path / "r").exists()  # rejected before anything ran
 
 
+def test_run_rejects_an_out_path_that_is_a_file(tmp_path, capsys):
+    # used to raise FileExistsError from mkdir, with a traceback and exit 1
+    out = tmp_path / "taken"
+    out.write_text("keep\n")
+    assert main(["run", "growth_Tstar", "--out", str(out)]) == 2
+    assert "out_dir" in capsys.readouterr().err
+    assert out.read_text() == "keep\n"
+
+
+def test_run_rejects_an_out_path_under_a_file(tmp_path, capsys):
+    # used to raise NotADirectoryError from mkdir, with a traceback and exit 1
+    (tmp_path / "file").write_text("")
+    assert main(["run", "growth_Tstar", "--out", str(tmp_path / "file" / "r")]) == 2
+    assert "out_dir" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_run_rejects_a_config_file_that_is_not_utf8(tmp_path, capsys):
+    # used to raise UnicodeDecodeError, with a traceback and exit 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"experiments = growth_Tstar\nseed = 1 # \xe9t\xe9\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert "utf-8" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_run_rejects_an_empty_out_dir(tmp_path, capsys, monkeypatch):
+    # `out_dir =` used to write the artifacts into the working directory
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("experiments = growth_Tstar\nout_dir =\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert main(["run", "growth_Tstar", "--out", ""]) == 2
+    assert "out_dir" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_run_runs_a_repeated_experiment_once(tmp_path, capsys):
+    # a repeated id or an alias beside its name used to run twice, print two
+    # verdicts and list the experiment twice in the manifest
+    once, twice = tmp_path / "once", tmp_path / "twice"
+    assert main(["run", "growth_Tstar", "--out", str(once)]) == 0
+    capsys.readouterr()
+    assert main(["run", "growth_Tstar", "counterexample-Tstar", "growth-Tstar",
+                 "--out", str(twice)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "pass  growth_Tstar", f"wrote 3 artifact(s) to {twice}"]
+    assert _read_all(twice) == _read_all(once)
+    assert load_config(None, {"experiments": "lp_probe,growth_T,lp_probe"}
+                       ).resolved_experiments() == ("lp_probe", "growth_T")
+
+
 def test_run_2d_roundtrips(tmp_path):
     out = tmp_path / "res"
     code = main(["run", "roundtrips", "--n", "2", "--out", str(out),
@@ -429,7 +481,31 @@ def test_seed_sweep_against_reports_largest_drift_and_verdict_changes(capsys):
     assert "e seed=1 verdict pass -> FAIL" in out
     assert any(line.startswith("e drift a: 3e-12 at seed=1 ") for line in out)
     assert any(line.startswith("e drift b: 0 at seed=0 ") for line in out)
-    assert len(out) == 3  # seed 2 has no old record
+    assert "e seed=2: only in this run" in out  # seed 2 has no old record
+    assert len(out) == 4
+
+
+def test_seed_sweep_against_reports_what_it_cannot_pair(capsys):
+    # a record or an index path that only one file held used to be skipped
+    # without a word, so "drift 0 everywhere" did not mean identical records
+    sweep = _seed_sweep()
+    old = [{"experiment": "e", "seed": 0, "passed": True,
+            "measured": {"a": 1.0, "l[0]": 2.0, "l[1]": 3.0}},
+           {"experiment": "e", "seed": 1, "passed": True, "measured": {"a": 1.0}},
+           {"experiment": "gone", "seed": 0, "passed": True, "measured": {"a": 1.0}}]
+    new = [{"experiment": "e", "seed": 0, "passed": True,
+            "measured": {"a": 1.0, "b": 5.0, "l[0]": 2.0}},
+           {"experiment": "e", "seed": 1, "passed": True, "measured": {"a": 1.0}},
+           {"experiment": "e", "seed": 2, "passed": True, "measured": {"a": 1.0}}]
+    sweep.print_drifts(new, old)
+    assert capsys.readouterr().out.splitlines() == [
+        "e seed=0 b: only in this run",
+        "e seed=0 l[1]: only in the earlier file",
+        "e seed=2: only in this run",
+        "gone seed=0: only in the earlier file",
+        "e drift a: 0 at seed=0 (1 -> 1)",
+        "e drift l: 0 at seed=0 l[0] (2 -> 2)",
+    ]
 
 
 @pytest.mark.parametrize("overrides, code", [([], 0), (["c_abs_tol=1e-18"], 1)])
@@ -498,6 +574,9 @@ def test_seed_sweep_resolves_names_like_run(capsys):
                               json=None, against=None)
     assert sweep.run(args) == 0
     assert "atom_images seed=0 pass " in capsys.readouterr().out
+    args.experiments = ["growth_Tstar", "counterexample-Tstar"]  # once, as in run
+    assert sweep.run(args) == 0
+    assert capsys.readouterr().out.count("growth_Tstar seed=0 pass ") == 1
     args.experiments = ["nosuch"]
     with pytest.raises(ConfigError, match="unknown experiment 'nosuch'"):
         sweep.run(args)

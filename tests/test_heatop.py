@@ -786,24 +786,13 @@ def _loop_image_window(f, ts, lo, hi, spec, op):
     return out[:, 1] - out[:, 0]
 
 
-def _corner_sums_match_the_loop(monkeypatch, spec, op, dyadic) -> list[str]:
-    """Every corner-sum lattice shape against the corner loop, bit for bit.
-
-    Returns the path (table or direct) of each corner sum, in call order.
-    """
+def _corner_sums_match_the_loop(spec, op, dyadic) -> None:
+    """Every corner-sum lattice shape against the corner loop, bit for bit."""
     g = (SpaceTimeGrid(1, 1.0, 16, 0.0, 1.0, 8) if dyadic
          else SpaceTimeGrid(1, 0.7, 18, 0.3, 1.1, 7))
     rng = np.random.default_rng(11)
     atom = np.zeros(g.shape)  # jumps on a few corners only, as an atom has
     atom[2:5, 6:10] = rng.normal(size=(3, 4))
-    paths, corner_table = [], heatop._corner_table
-
-    def spy(*args):
-        table = corner_table(*args)
-        paths.append("direct" if table is None else "table")
-        return table
-
-    monkeypatch.setattr(heatop, "_corner_table", spy)
     R = 0.37
     midpoints = -g.length + (np.arange(-4, g.nx + 4) + 0.5) * g.h  # cell-aligned
     off_grid = 0.05 - R + (np.arange(24) + 0.5) * (2.0 * R / 24)
@@ -821,38 +810,27 @@ def _corner_sums_match_the_loop(monkeypatch, spec, op, dyadic) -> list[str]:
             for lo, hi in [(-0.3, 0.45), (g.x_edges[3], 5.0), (-R - ts, R + ts)]:
                 got = image_window(f, ts, lo, hi, spec, op)
                 assert np.array_equal(got, _loop_image_window(f, ts, lo, hi, spec, op))
-    return paths
 
 
 @pytest.mark.parametrize("spec", [WHOLE, DIRICHLET, NEUMANN])
 @pytest.mark.parametrize("op", ["T", "Tstar"])
 @pytest.mark.parametrize("dyadic", [True, False])
-def test_corner_sum_tables_equal_the_corner_loop(monkeypatch, spec, op, dyadic):
+def test_corner_sum_tables_equal_the_corner_loop(spec, op, dyadic):
     # the kernel table holds the values the loop evaluates and every row
     # adds its corner terms in corner order, so they agree bit for bit
-    paths = _corner_sums_match_the_loop(monkeypatch, spec, op, dyadic)
-    assert {"table", "direct"} <= set(paths)
+    _corner_sums_match_the_loop(spec, op, dyadic)
 
 
 @pytest.mark.parametrize("op", ["T", "Tstar"])
-def test_corner_sums_without_room_for_a_table_equal_the_corner_loop(monkeypatch, op):
-    # a CHUNK of 64 elements leaves room for few tables and batches the rows
-    # one or two at a time, against the loop's batches of the usual CHUNK
-    tables = _corner_sums_match_the_loop(monkeypatch, NEUMANN, op, True).count("table")
+def test_corner_sums_in_small_batches_equal_the_corner_loop(monkeypatch, op):
+    # a CHUNK of 64 elements batches the rows one or two at a time, against
+    # the loop's batches of the usual CHUNK
     monkeypatch.setattr(heatop, "CHUNK", 64)
-    paths = _corner_sums_match_the_loop(monkeypatch, NEUMANN, op, True)
-    assert paths.count("table") < tables  # the larger tables fall back
+    _corner_sums_match_the_loop(NEUMANN, op, True)
 
 
-def test_corner_tables_keep_the_kernel_work_down(monkeypatch):
-    # ψ and Ψ elements at seed 0, at most what one table of distinct lags ×
-    # distinct signed offsets evaluates on the rows and window nodes that the
-    # far-field series leaves to the corner sums.  Without a table every live
-    # (corner, row, point, edge) term is evaluated directly, far above these
-    # limits.  The two layouts it replaced (distinct lags × distinct |z|,
-    # distinct lags × points × edges) read 2,003,183 and 231,756.  With every
-    # far row on the corner sums, atom_images reads 2,028,032 and
-    # boundary_dirichlet 437,409.
+def _count_kernel_elements(monkeypatch) -> list:
+    """Count every ψ and Ψ element heatop evaluates into the returned cell."""
     count = [0]
     for name in ("_psi", "_psi_window"):
         def counted(u, z, kernel=getattr(heatop, name)):
@@ -860,12 +838,55 @@ def test_corner_tables_keep_the_kernel_work_down(monkeypatch):
             return kernel(u, z)
 
         monkeypatch.setattr(heatop, name, counted)
-    for experiment, overrides, limit in [("atom_images", {"n_atoms": 2}, 662_056),
+    return count
+
+
+@pytest.mark.parametrize("op", ["T", "Tstar"])
+@pytest.mark.parametrize("layout", ["window", "rows"])
+def test_shared_lattices_evaluate_each_distinct_kernel_value_once(monkeypatch, op, layout):
+    # window ends on cell edges at Gauss-node times repeat their offsets but
+    # not their lags, so the table holds more than half the direct terms; a
+    # cell-midpoint lattice of 1,024 points at slab-midpoint times makes a
+    # table of more than CHUNK elements.  Both used to be evaluated corner
+    # by corner.
+    g = SpaceTimeGrid(1, 1.0, 64, 0.0, 1.0, 8)
+    f = GridFunction(g, np.random.default_rng(3).normal(size=g.shape))  # every corner live
+    count = _count_kernel_elements(monkeypatch)
+    if layout == "window":
+        nodes, _ = np.polynomial.legendre.leggauss(6)
+        panels = np.linspace(0.05, 1.45, 6)  # across the horizon t_max = 1
+        ts = (panels[:-1, None] + 0.5 * np.diff(panels)[:, None] * (nodes + 1.0)).ravel()
+        pts = g.x_edges[[20, 22]]
+        image_window(f, ts, pts[0], pts[1], op=op)
+    else:
+        ts = (g.t_edges[:-1, None] + (np.arange(6) + 0.5) * (g.tau / 6)).ravel()
+        pts = -g.length + (np.arange(-480, 544) + 0.5) * g.h
+        image_rows(f, ts, pts, op=op)
+    lags = ts - g.t_edges[:, None] if op == "T" else g.t_edges[:, None] - ts
+    z = pts[:, None] - g.x_edges
+    assert count[0] == np.unique(lags[lags > 0.0]).size * np.unique(z).size
+    assert count[0] < np.count_nonzero(lags > 0.0) * z.size  # the direct terms
+
+
+def test_corner_tables_keep_the_kernel_work_down(monkeypatch):
+    # ψ and Ψ elements at seed 0: one table of distinct lags × distinct
+    # signed offsets per shared-lattice corner sum, on the rows and window
+    # nodes that the far-field series leaves to the corner sums.  Without a
+    # table every live (corner, row, point, edge) term is evaluated directly,
+    # far above these limits.  The two layouts it replaced (distinct lags ×
+    # distinct |z|, distinct lags × points × edges) read 2,003,183 and
+    # 231,756.  With every far row on the corner sums, atom_images reads
+    # 2,028,032 and boundary_dirichlet 437,409.  While a table was built only
+    # below CHUNK elements and half the direct terms, atom_images read
+    # 662,056, boundary_dirichlet 99,937 and boundary_neumann 97,467.
+    count = _count_kernel_elements(monkeypatch)
+    for experiment, overrides, limit in [("atom_images", {"n_atoms": 2}, 265_912),
                                          ("tstar_images", {"n_tstar_atoms": 1}, 244_188),
-                                         ("boundary_dirichlet", {}, 99_937)]:
+                                         ("boundary_dirichlet", {}, 78_965),
+                                         ("boundary_neumann", {}, 76_923)]:
         count[0] = 0
         assert run_experiment(experiment, Settings(seed=0, **overrides)).passed
-        assert count[0] <= limit, experiment
+        assert count[0] <= limit, (experiment, count[0])
 
 
 @pytest.mark.parametrize("x, size", [
